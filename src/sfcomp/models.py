@@ -21,6 +21,7 @@ from .probability import (
     CondDist,
     Dist,
     JointDist,
+    ProbabilityError,
     ProductAlphabet,
     cond_mutual_info,
     compose,
@@ -254,10 +255,11 @@ def _stochastic(rows, key: str, n_in: int, n_out: int) -> np.ndarray:
     arr = _as_floats(rows, key)
     if arr.shape != (n_in, n_out):
         raise ModelFileError(f"{key}: shape {arr.shape}, expected {(n_in, n_out)}")
-    if np.any(arr < 0):
-        raise ModelFileError(f"{key}: negative probability")
+    # Both tests are written so that NaN fails them.
+    if not np.all(arr >= 0):
+        raise ModelFileError(f"{key}: negative or NaN probability")
     sums = arr.sum(axis=1)
-    bad = np.nonzero(np.abs(sums - 1.0) > ROW_SUM_TOL)[0]
+    bad = np.nonzero(~(np.abs(sums - 1.0) <= ROW_SUM_TOL))[0]
     if bad.size:
         raise ModelFileError(
             f"{key}: row {int(bad[0])} sums to {sums[bad[0]]!r}, not 1 within {ROW_SUM_TOL}")
@@ -267,7 +269,10 @@ def _stochastic(rows, key: str, n_in: int, n_out: int) -> np.ndarray:
 def _alphabet(spec, name: str) -> Alphabet:
     if not isinstance(spec, list) or not spec:
         raise ModelFileError(f"alphabets.{name}: expected a nonempty list of labels")
-    return Alphabet(name, tuple(str(s) for s in spec))
+    try:
+        return Alphabet(name, tuple(str(s) for s in spec))
+    except ProbabilityError as exc:
+        raise ModelFileError(f"alphabets.{name}: {exc}") from None
 
 
 def _arm_tables(block: dict, key_prefix: str, x: Alphabet, xt: Alphabet,

@@ -7,6 +7,14 @@ the same expressions on any supplied joint whose arms each satisfy the
 per-arm Markov chain; couplings across arms beyond the product form are
 allowed there, and that relaxation is the only difference between the two.
 
+Every rate, distortion and chain term reads one marginal of a source and
+evaluates on it. A source is either a dense `JointDist` (a joint supplied to
+`eval_outer_mf`) or `_ProductForm`, which keeps a product-form system as
+per-arm factors and contracts only the marginal asked for.
+`eval_inner_mf`, and `eval_outer_mf` given a `MultiAuxSystem`, use the
+factors and never build the joint, whose cell count is exponential in J;
+`build_multi_joint` builds that joint for callers that want it dense.
+
 Axis naming convention for a J-arm joint:
 (q, v1..vJ, u1..uJ, xtilde1..xtildeJ, x, y1..yJ, z1..zJ).
 """
@@ -24,9 +32,13 @@ from .models import (
     build_joint,
 )
 from .probability import (
+    TABLE_CELL_CAP,
     CondDist,
     Dist,
     JointDist,
+    ProbabilityError,
+    TableTooLarge,
+    UnknownAxis,
     compose,
     cond_entropy,
     cond_mutual_info,
@@ -120,7 +132,11 @@ def _axis_names(j: int) -> dict[str, tuple[str, ...]]:
 
 
 def build_multi_joint(m: MultiModel, a: MultiAuxSystem) -> JointDist:
-    """Product-form joint over (q, v_*, u_*, xtilde_*, x, y_*, z_*)."""
+    """Product-form joint over (q, v_*, u_*, xtilde_*, x, y_*, z_*), dense.
+
+    The bound evaluators read marginals of the same joint from `_ProductForm`
+    instead; this dense table is the reference they agree with.
+    """
     if a.j != m.j:
         raise RegionError(f"auxiliary system has {a.j} arms, model has {m.j}")
     xn = m.p_x.alphabet.name
@@ -151,27 +167,93 @@ def build_multi_joint(m: MultiModel, a: MultiAuxSystem) -> JointDist:
     return mixture(a.p_q, components)
 
 
-def _multi_rates(joint: JointDist, j: int, q_name: str = "q") -> MultiRateTuple:
+class _ProductForm:
+    """The product-form joint of a multi-arm system, kept as per-arm factors.
+
+    p(q, x, ...) = p(q) p(x) prod_j f_j[q, x, xtilde_j, u_j, v_j, y_j, z_j] with
+    f_j = p(xtilde_j | x) p(u_j | xtilde_j, q) p(v_j | u_j, q) p(y_j, z_j | x).
+    `marginal` has the signature of `JointDist.marginal` and builds only the
+    table asked for, so TABLE_CELL_CAP bounds the largest marginal read.
+    """
+
+    def __init__(self, m: MultiModel, a: MultiAuxSystem) -> None:
+        if a.j != m.j:
+            raise RegionError(f"auxiliary system has {a.j} arms, model has {m.j}")
+        names = _axis_names(m.j)
+        self._p_q, self._p_x = a.p_q.probs, m.p_x.probs
+        self._q, self._x = a.p_q.alphabet.name, m.p_x.alphabet.name
+        self._arms = []  # (local axes (xtilde, u, v, y, z), factor)
+        for j, arm in enumerate(m.arms):
+            pairs = a.arms[j]
+            y, z = arm.p_yz_given_x.output.parts
+            local = (arm.p_xt_given_x.output.renamed(names["xt"][j]),
+                     pairs[0].u_alphabet.renamed(names["u"][j]),
+                     pairs[0].v_alphabet.renamed(names["v"][j]),
+                     y.renamed(names["y"][j]), z.renamed(names["z"][j]))
+            p_yz = arm.p_yz_given_x.rows.reshape(m.p_x.alphabet.size, y.size, z.size)
+            factor = np.einsum("xa,qau,quv,xyz->qxauvyz", arm.p_xt_given_x.rows,
+                               np.stack([p.p_u_given_xt.rows for p in pairs]),
+                               np.stack([p.p_v_given_u.rows for p in pairs]), p_yz)
+            self._arms.append((local, factor))
+        per_arm = [tuple(local[i] for local, _ in self._arms) for i in range(5)]
+        self.axes = ((a.p_q.alphabet,) + per_arm[2] + per_arm[1] + per_arm[0]
+                     + (m.p_x.alphabet,) + per_arm[3] + per_arm[4])
+        if len({alph.name for alph in self.axes}) != len(self.axes):
+            raise ProbabilityError(f"duplicate axis names in joint: "
+                                   f"{[alph.name for alph in self.axes]}")
+
+    def marginal(self, axes) -> JointDist:
+        """Marginal joint on the named axes, in the canonical axis order."""
+        want = {axes} if isinstance(axes, str) else set(axes)
+        if not want:
+            raise ProbabilityError("marginal needs a nonempty axis set")
+        kept = tuple(alph for alph in self.axes if alph.name in want)
+        if len(kept) != len(want):
+            names = tuple(alph.name for alph in self.axes)
+            raise UnknownAxis(f"axes {sorted(want - set(names))} not in joint over {names}")
+        cells = int(np.prod([alph.size for alph in kept], dtype=np.int64))
+        if cells > TABLE_CELL_CAP:
+            raise TableTooLarge(
+                f"marginal over {[alph.name for alph in kept]} needs {cells} cells, "
+                f"cap is {TABLE_CELL_CAP}")
+        # einsum labels: output axes first, then q and x when they are summed out
+        label = {alph.name: i for i, alph in enumerate(kept)}
+        q, x = label.get(self._q, len(kept)), label.get(self._x, len(kept) + 1)
+        operands = [self._p_q, [q], self._p_x, [x]]
+        for local, factor in self._arms:
+            mine = [i for i, alph in enumerate(local) if alph.name in want]
+            drop = tuple(2 + i for i in range(len(local)) if i not in mine)
+            operands += [factor.sum(axis=drop), [q, x] + [label[local[i].name] for i in mine]]
+        return JointDist(kept, np.einsum(*operands, list(range(len(kept)))))
+
+
+def _cmi(src: "JointDist | _ProductForm", a, b, c=()) -> float:
+    """I(A;B|C) evaluated on the marginal of `src` on A, B and C only."""
+    sets = [(s,) if isinstance(s, str) else tuple(s) for s in (a, b, c)]
+    return cond_mutual_info(src.marginal(sets[0] + sets[1] + sets[2]), a, b, c)
+
+
+def _multi_rates(src: "JointDist | _ProductForm", j: int, q_name: str = "q") -> MultiRateTuple:
     names = _axis_names(j)
     u_all, v_all = names["u"], names["v"]
     xt_all, y_all, z_all = names["xt"], names["y"], names["z"]
     uq = u_all + (q_name,)
-    offset = min_zero(cond_mutual_info(joint, u_all, z_all, v_all + (q_name,))
-                      - cond_mutual_info(joint, u_all, y_all, v_all + (q_name,)))
-    r_w = tuple(_clamp_rate(cond_mutual_info(joint, (u_all[k], q_name), xt_all[k], y_all[k]))
+    offset = min_zero(_cmi(src, u_all, z_all, v_all + (q_name,))
+                      - _cmi(src, u_all, y_all, v_all + (q_name,)))
+    r_w = tuple(_clamp_rate(_cmi(src, (u_all[k], q_name), xt_all[k], y_all[k]))
                 for k in range(j))
-    r_dec = tuple(_clamp_rate(cond_mutual_info(joint, (u_all[k], q_name), "x", y_all[k]))
+    r_dec = tuple(_clamp_rate(_cmi(src, (u_all[k], q_name), "x", y_all[k]))
                   for k in range(j))
     return MultiRateTuple(
-        r_s=_clamp_rate(cond_mutual_info(joint, uq, xt_all, z_all) + offset),
+        r_s=_clamp_rate(_cmi(src, uq, xt_all, z_all) + offset),
         r_w=r_w,
-        sum_w=_clamp_rate(cond_mutual_info(joint, uq, xt_all, y_all)),
+        sum_w=_clamp_rate(_cmi(src, uq, xt_all, y_all)),
         r_dec=r_dec,
-        r_eve=_clamp_rate(cond_mutual_info(joint, uq, "x", z_all) + offset),
+        r_eve=_clamp_rate(_cmi(src, uq, "x", z_all) + offset),
     )
 
 
-def _arm_distortions(m: MultiModel, joint: JointDist,
+def _arm_distortions(m: MultiModel, src: "JointDist | _ProductForm",
                      g_list: tuple[ReconstructionFn, ...]) -> tuple[float, ...]:
     if len(g_list) != m.j:
         raise RegionError("lossy evaluation needs one reconstruction per arm")
@@ -179,7 +261,7 @@ def _arm_distortions(m: MultiModel, joint: JointDist,
     out = []
     for j, arm in enumerate(m.arms):
         u, xt, y = names["u"][j], names["xt"][j], names["y"][j]
-        sub = joint.marginal((u, xt, y))
+        sub = src.marginal((u, xt, y))
         val = arm.d.table[arm.f.table[None, :, :], g_list[j].table[:, None, :]]
         out.append(float(np.sum(sub.table * val)))
     return tuple(out)
@@ -203,13 +285,13 @@ def eval_inner_mf(m: MultiModel, a: MultiAuxSystem, mode: str,
                     raise InadmissibleAuxiliary(
                         f"arm {j}, weight symbol {qi}: function undetermined by "
                         f"(U, Y), residual {gap:.3g} bits")
-    joint = build_multi_joint(m, a)
-    rates = _multi_rates(joint, m.j, a.p_q.alphabet.name)
+    src = _ProductForm(m, a)
+    rates = _multi_rates(src, m.j, a.p_q.alphabet.name)
     if mode == "lossy":
         if g_list is None:
             raise RegionError("lossy mode needs reconstruction functions")
         return MultiRateTuple(rates.r_s, rates.r_w, rates.sum_w, rates.r_dec,
-                              rates.r_eve, d=_arm_distortions(m, joint, tuple(g_list)))
+                              rates.r_eve, d=_arm_distortions(m, src, tuple(g_list)))
     return rates
 
 
@@ -222,7 +304,10 @@ class ChainCheck:
 
 def multi_chain_report(m: MultiModel, joint: JointDist,
                        tol: float = CHAIN_TOL) -> tuple[ChainCheck, ...]:
-    """Verify each arm's Markov chain and its model marginal on a supplied joint."""
+    """Verify each arm's Markov chain and its model marginal on a supplied joint.
+
+    Reads only marginals, so `joint` may also be a `_ProductForm`.
+    """
     j = m.j
     names = _axis_names(j)
     checks: list[ChainCheck] = []
@@ -231,11 +316,11 @@ def multi_chain_report(m: MultiModel, joint: JointDist,
         y, z = names["y"][k], names["z"][k]
         conds = [
             (f"arm{k + 1}: (q,{v}) -- {u} -- {xt}",
-             cond_mutual_info(joint, ("q", v), xt, u)),
+             _cmi(joint, ("q", v), xt, u)),
             (f"arm{k + 1}: (q,{v},{u}) -- {xt} -- x",
-             cond_mutual_info(joint, ("q", v, u), "x", xt)),
+             _cmi(joint, ("q", v, u), "x", xt)),
             (f"arm{k + 1}: (q,{v},{u},{xt}) -- x -- ({y},{z})",
-             cond_mutual_info(joint, ("q", v, u, xt), (y, z), "x")),
+             _cmi(joint, ("q", v, u, xt), (y, z), "x")),
         ]
         for name, value in conds:
             checks.append(ChainCheck(name, float(value), bool(value <= tol)))
@@ -268,18 +353,20 @@ def eval_outer_mf(m: MultiModel, system: "MultiAuxSystem | JointDist", mode: str
                   ) -> tuple[MultiRateTuple, tuple[ChainCheck, ...]]:
     """Outer-bound corner on a supplied joint, verifying only per-arm chains.
 
-    Accepts either a product-form auxiliary system or a raw joint using the
-    documented axis naming; couplings across arms beyond the product form
-    pass as long as each arm's chain holds. Lossless mode additionally checks
-    per-arm admissibility on the joint. Raises ChainViolation naming the first
-    failing condition.
+    Accepts either a product-form auxiliary system, whose marginals are read
+    from its per-arm factors without building the joint, or a raw dense joint
+    using the documented axis naming, read directly; couplings across arms
+    beyond the product form pass as long as each arm's chain holds. Every
+    chain and model-marginal check runs on either. Lossless mode additionally
+    checks per-arm admissibility on the joint. Raises ChainViolation naming
+    the first failing condition.
     """
     if isinstance(system, MultiAuxSystem):
         system.validate_cardinalities(m, mode)
-        joint = build_multi_joint(m, system)
+        src = _ProductForm(m, system)
     else:
-        joint = system
-    report = multi_chain_report(m, joint)
+        src = system
+    report = multi_chain_report(m, src)
     for check in report:
         if not check.ok:
             raise ChainViolation(f"{check.name} fails with value {check.value:.3g}")
@@ -287,19 +374,19 @@ def eval_outer_mf(m: MultiModel, system: "MultiAuxSystem | JointDist", mode: str
     if mode == "lossless":
         for k in range(m.j):
             u, xt, y = names["u"][k], names["xt"][k], names["y"][k]
-            sub = joint.marginal((u, "q", xt, y))
+            sub = src.marginal((u, "q", xt, y))
             arm = m.arms[k]
             jf = push_function(sub, (xt, y), arm.f.table, arm.f.output)
             gap = cond_entropy(jf, arm.f.output.name, (u, "q", y))
             if gap > ADMISSIBILITY_TOL:
                 raise InadmissibleAuxiliary(
                     f"arm {k}: function undetermined by (U, Q, Y), residual {gap:.3g} bits")
-    rates = _multi_rates(joint, m.j)
+    rates = _multi_rates(src, m.j)
     if mode == "lossy":
         if g_list is None:
             raise RegionError("lossy mode needs reconstruction functions")
         rates = MultiRateTuple(rates.r_s, rates.r_w, rates.sum_w, rates.r_dec,
-                               rates.r_eve, d=_arm_distortions(m, joint, tuple(g_list)))
+                               rates.r_eve, d=_arm_distortions(m, src, tuple(g_list)))
     return rates, report
 
 

@@ -20,6 +20,8 @@ import numpy as np
 
 MASS_TOL = 1e-12
 LOG_ZERO_CUTOFF = 1e-15
+# Caps every dense table built here. Multi-arm evaluation of a product-form
+# system never forms the joint, so there it caps the largest marginal read.
 TABLE_CELL_CAP = 2**24
 
 
@@ -98,10 +100,11 @@ def binary_alphabet(name: str) -> Alphabet:
 
 
 def _check_probs(vec: np.ndarray, what: str) -> None:
-    if np.any(vec < 0):
-        raise InvalidDistribution(f"{what} has negative entries")
+    # Written so that NaN fails both tests.
+    if not np.all(vec >= 0):
+        raise InvalidDistribution(f"{what} has negative or NaN entries")
     mass = float(vec.sum())
-    if abs(mass - 1.0) > MASS_TOL:
+    if not abs(mass - 1.0) <= MASS_TOL:
         raise InvalidDistribution(f"{what} has mass {mass!r}, not 1 within {MASS_TOL}")
 
 
@@ -151,9 +154,6 @@ class CondDist:
                                   f"P({self.output.name}|{self.input.name})")
         object.__setattr__(self, "rows", _freeze(rows))
 
-    def renamed_output(self, name: str) -> "CondDist":
-        return CondDist(self.input, self.output.renamed(name), self.rows)
-
     def renamed(self, input_name: str, output_name: str) -> "CondDist":
         return CondDist(self.input.renamed(input_name), self.output.renamed(output_name), self.rows)
 
@@ -183,10 +183,10 @@ class JointDist:
         if table.shape != shape:
             raise InvalidDistribution(
                 f"table shape {table.shape} does not match axes {shape}")
-        if np.any(table < 0):
-            raise InvalidDistribution("joint table has negative entries")
+        if not np.all(table >= 0):
+            raise InvalidDistribution("joint table has negative or NaN entries")
         mass = float(table.sum())
-        if abs(mass - 1.0) > MASS_TOL:
+        if not abs(mass - 1.0) <= MASS_TOL:
             raise InvalidDistribution(f"joint table mass {mass!r} is not 1 within {MASS_TOL}")
         object.__setattr__(self, "table", _freeze(table))
 

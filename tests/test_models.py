@@ -233,6 +233,20 @@ class TestModelFile:
         with pytest.raises(ModelFileError, match="row 0 sums"):
             parse_model_text(bad)
 
+    def test_nan_probability_rejected(self):
+        # NaN compares false with everything, so the checks must be written to fail on it
+        bad = MODEL_TEXT.replace('p_x: ["0.5", "0.5"]', 'p_x: ["nan", "0.5"]')
+        with pytest.raises(ModelFileError, match="p_x"):
+            parse_model_text(bad)
+        bad = MODEL_TEXT.replace('"0.94", "0.06"', '"nan", "0.06"')
+        with pytest.raises(ModelFileError, match="p_xtilde_given_x"):
+            parse_model_text(bad)
+
+    def test_duplicate_labels_rejected(self):
+        bad = MODEL_TEXT.replace('y: ["0", "1"]', 'y: ["0", "0"]')
+        with pytest.raises(ModelFileError, match="alphabets.y"):
+            parse_model_text(bad)
+
     def test_syntax_error_has_location(self):
         with pytest.raises(ModelFileError, match="line"):
             parse_model_text("alphabets: [unclosed\n  x: [")

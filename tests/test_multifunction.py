@@ -1,7 +1,9 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     F,
@@ -20,6 +22,9 @@ from sfcomp.models import DistortionSpec, FunctionSpec, MultiArm, MultiModel
 from sfcomp.multifunction import (
     ChainViolation,
     MultiAuxSystem,
+    _arm_distortions,
+    _multi_rates,
+    _ProductForm,
     build_multi_joint,
     eval_inner_mf,
     eval_outer_mf,
@@ -32,6 +37,7 @@ from sfcomp.probability import (
     CondDist,
     Dist,
     JointDist,
+    TableTooLarge,
     bsc,
     constant_channel,
     identity_channel,
@@ -41,6 +47,7 @@ from sfcomp.regions import (
     AuxPair,
     AuxSystem,
     ReconstructionFn,
+    _alphabet_of_size,
     aux_mixture_joint,
     constant_aux,
     eval_lossless_corner,
@@ -69,7 +76,6 @@ def multi_from_aux(aux_list, p_q=None):
 
 
 def random_aux_pair(rng, u_size=2, v_size=2):
-    from sfcomp.regions import _alphabet_of_size
     u_alpha = _alphabet_of_size("u", u_size)
     v_alpha = _alphabet_of_size("v", v_size)
     u_rows = np.stack([rng.dirichlet((1.5,) * u_size) for _ in range(2)])
@@ -258,3 +264,84 @@ class TestOuterBound:
         bad = JointDist(joint.axes, new)
         with pytest.raises(ChainViolation, match="xtilde1 -- x"):
             eval_outer_mf(mm, bad, "lossless")
+
+
+def random_multi_system(rng, sizes, q_size=1):
+    """Random binary arms on one source with XOR functions, one random
+    (|U|, |V|) channel pair per arm and weight symbol, and random
+    reconstructions."""
+    p_x = random_binary_model(rng).p_x
+    arms, pairs, g_list = [], [], []
+    for u_size, v_size in sizes:
+        m = random_binary_model(rng)
+        arms.append(MultiArm(m.p_xt_given_x, m.p_yz_given_x, XOR_F, HAMMING_D))
+        pairs.append(tuple(random_aux_pair(rng, u_size, v_size) for _ in range(q_size)))
+        g_list.append(ReconstructionFn(_alphabet_of_size("u", u_size), Y, F,
+                                       rng.integers(0, 2, size=(u_size, 2))))
+    p_q = Dist(_alphabet_of_size("q", q_size), rng.dirichlet((1.0,) * q_size))
+    return MultiModel(p_x, tuple(arms)), MultiAuxSystem(p_q, tuple(pairs)), tuple(g_list)
+
+
+class _Recorder:
+    """A marginal source that remembers every axis set read from it."""
+
+    def __init__(self, src):
+        self.src, self.seen = src, []
+
+    def marginal(self, axes):
+        self.seen.append(tuple(axes))
+        return self.src.marginal(axes)
+
+
+def _fields(r):
+    return (r.r_s, *r.r_w, r.sum_w, *r.r_dec, r.r_eve, *(r.d or ()))
+
+
+class TestProductForm:
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(2, 3),
+           st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=3, max_size=3))
+    def test_marginals_match_dense_joint(self, seed, j, sizes):
+        mm, a, g_list = random_multi_system(np.random.default_rng(seed), sizes[:j], q_size=2)
+        dense = build_multi_joint(mm, a)
+        rec = _Recorder(_ProductForm(mm, a))
+        _multi_rates(rec, j)
+        _arm_distortions(mm, rec, g_list)
+        multi_chain_report(mm, rec)
+        for k in range(1, j + 1):  # read by the outer bound's lossless check
+            rec.marginal((f"u{k}", "q", f"xtilde{k}", f"y{k}"))
+        for axes in rec.seen:
+            got, want = rec.src.marginal(axes), dense.marginal(axes)
+            assert got.names == want.names
+            assert np.max(np.abs(got.table - want.table)) <= 1e-12
+        inner = eval_inner_mf(mm, a, "lossy", g_list)
+        ref = _multi_rates(dense, j)
+        ref_d = _arm_distortions(mm, dense, g_list)
+        assert _fields(inner) == pytest.approx(_fields(ref) + ref_d, abs=1e-12)
+
+    def test_j6_arm_permutation_invariance(self):
+        # J=6 is past the dense joint's cell cap (2^31 cells for these arms)
+        mm, a, g_list = random_multi_system(np.random.default_rng(6), [(2, 2)] * 6)
+        perm = (3, 0, 5, 1, 4, 2)
+        mm_p = MultiModel(mm.p_x, tuple(mm.arms[i] for i in perm))
+        a_p = MultiAuxSystem(a.p_q, tuple(a.arms[i] for i in perm))
+        g_p = tuple(g_list[i] for i in perm)
+        r = eval_inner_mf(mm, a, "lossy", g_list)
+        r_p = eval_inner_mf(mm_p, a_p, "lossy", g_p)
+        assert r_p.r_s == pytest.approx(r.r_s, abs=1e-12)
+        assert r_p.sum_w == pytest.approx(r.sum_w, abs=1e-12)
+        assert r_p.r_eve == pytest.approx(r.r_eve, abs=1e-12)
+        for per_arm, per_arm_p in ((r.r_w, r_p.r_w), (r.r_dec, r_p.r_dec), (r.d, r_p.d)):
+            assert per_arm_p == pytest.approx(tuple(per_arm[i] for i in perm), abs=1e-12)
+        outer, report = eval_outer_mf(mm_p, a_p, "lossy", g_p)
+        assert all(c.ok for c in report)
+        assert outer == r_p
+
+    def test_oversized_j_raises_before_allocating(self):
+        # at J=9 the first rate term reads 2^27 cells; the cap must fire before
+        # that table is allocated
+        mm, a, g_list = random_multi_system(np.random.default_rng(9), [(2, 2)] * 9)
+        start = time.perf_counter()
+        with pytest.raises(TableTooLarge):
+            eval_inner_mf(mm, a, "lossy", g_list)
+        assert time.perf_counter() - start < 5.0

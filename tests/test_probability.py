@@ -66,6 +66,14 @@ class TestDistValidation:
         with pytest.raises(InvalidDistribution):
             Dist(A, np.array([0.6, 0.5]))
 
+    def test_rejects_nan(self):
+        with pytest.raises(InvalidDistribution):
+            Dist(A, np.array([np.nan, 0.5]))
+        with pytest.raises(InvalidDistribution):
+            JointDist((A, B), np.array([[np.nan, 0.25], [0.25, 0.25]]))
+        with pytest.raises(InvalidDistribution):
+            JointDist((A, B), np.full((2, 2), np.nan))
+
     def test_cond_rows_checked(self):
         with pytest.raises(InvalidDistribution):
             CondDist(A, B, np.array([[0.5, 0.5], [0.7, 0.2]]))
