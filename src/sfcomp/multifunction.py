@@ -55,7 +55,7 @@ from .regions import (
     ReconstructionFn,
     RegionError,
     _clamp_rate,
-    _corner_rates,
+    _mean_distortion,
     min_zero,
 )
 
@@ -233,7 +233,8 @@ def _cmi(src: "JointDist | _ProductForm", a, b, c=()) -> float:
     return cond_mutual_info(src.marginal(sets[0] + sets[1] + sets[2]), a, b, c)
 
 
-def _multi_rates(src: "JointDist | _ProductForm", j: int, q_name: str = "q") -> MultiRateTuple:
+def _multi_rates(src: "JointDist | _ProductForm", j: int, q_name: str = "q",
+                 x_name: str = "x") -> MultiRateTuple:
     names = _axis_names(j)
     u_all, v_all = names["u"], names["v"]
     xt_all, y_all, z_all = names["xt"], names["y"], names["z"]
@@ -242,14 +243,14 @@ def _multi_rates(src: "JointDist | _ProductForm", j: int, q_name: str = "q") -> 
                       - _cmi(src, u_all, y_all, v_all + (q_name,)))
     r_w = tuple(_clamp_rate(_cmi(src, (u_all[k], q_name), xt_all[k], y_all[k]))
                 for k in range(j))
-    r_dec = tuple(_clamp_rate(_cmi(src, (u_all[k], q_name), "x", y_all[k]))
+    r_dec = tuple(_clamp_rate(_cmi(src, (u_all[k], q_name), x_name, y_all[k]))
                   for k in range(j))
     return MultiRateTuple(
         r_s=_clamp_rate(_cmi(src, uq, xt_all, z_all) + offset),
         r_w=r_w,
         sum_w=_clamp_rate(_cmi(src, uq, xt_all, y_all)),
         r_dec=r_dec,
-        r_eve=_clamp_rate(_cmi(src, uq, "x", z_all) + offset),
+        r_eve=_clamp_rate(_cmi(src, uq, x_name, z_all) + offset),
     )
 
 
@@ -261,9 +262,7 @@ def _arm_distortions(m: MultiModel, src: "JointDist | _ProductForm",
     out = []
     for j, arm in enumerate(m.arms):
         u, xt, y = names["u"][j], names["xt"][j], names["y"][j]
-        sub = src.marginal((u, xt, y))
-        val = arm.d.table[arm.f.table[None, :, :], g_list[j].table[:, None, :]]
-        out.append(float(np.sum(sub.table * val)))
+        out.append(_mean_distortion(src.marginal((u, xt, y)).table, arm.f, g_list[j], arm.d))
     return tuple(out)
 
 
@@ -286,7 +285,7 @@ def eval_inner_mf(m: MultiModel, a: MultiAuxSystem, mode: str,
                         f"arm {j}, weight symbol {qi}: function undetermined by "
                         f"(U, Y), residual {gap:.3g} bits")
     src = _ProductForm(m, a)
-    rates = _multi_rates(src, m.j, a.p_q.alphabet.name)
+    rates = _multi_rates(src, m.j, a.p_q.alphabet.name, m.p_x.alphabet.name)
     if mode == "lossy":
         if g_list is None:
             raise RegionError("lossy mode needs reconstruction functions")
@@ -302,30 +301,35 @@ class ChainCheck:
     ok: bool
 
 
-def multi_chain_report(m: MultiModel, joint: JointDist,
-                       tol: float = CHAIN_TOL) -> tuple[ChainCheck, ...]:
+def multi_chain_report(m: MultiModel, joint: JointDist, tol: float = CHAIN_TOL,
+                       q_name: str = "q") -> tuple[ChainCheck, ...]:
     """Verify each arm's Markov chain and its model marginal on a supplied joint.
 
-    Reads only marginals, so `joint` may also be a `_ProductForm`.
+    The auxiliaries of the rate terms absorb the time-sharing label, so arm j
+    must satisfy (V_j,Q) -- (U_j,Q) -- X~_j -- X -- (Y_j,Z_j): its first link
+    is I(V_j; X~_j | U_j, Q) = 0. `q_name` names the time-sharing axis and
+    the source axis is named after the model's source alphabet. Reads only
+    marginals, so `joint` may also be a `_ProductForm`.
     """
     j = m.j
+    q, x = q_name, m.p_x.alphabet.name
     names = _axis_names(j)
     checks: list[ChainCheck] = []
     for k in range(j):
         v, u, xt = names["v"][k], names["u"][k], names["xt"][k]
         y, z = names["y"][k], names["z"][k]
         conds = [
-            (f"arm{k + 1}: (q,{v}) -- {u} -- {xt}",
-             _cmi(joint, ("q", v), xt, u)),
-            (f"arm{k + 1}: (q,{v},{u}) -- {xt} -- x",
-             _cmi(joint, ("q", v, u), "x", xt)),
-            (f"arm{k + 1}: (q,{v},{u},{xt}) -- x -- ({y},{z})",
-             _cmi(joint, ("q", v, u, xt), (y, z), "x")),
+            (f"arm{k + 1}: ({v},{q}) -- ({u},{q}) -- {xt}",
+             _cmi(joint, v, xt, (u, q))),
+            (f"arm{k + 1}: ({q},{v},{u}) -- {xt} -- {x}",
+             _cmi(joint, (q, v, u), x, xt)),
+            (f"arm{k + 1}: ({q},{v},{u},{xt}) -- {x} -- ({y},{z})",
+             _cmi(joint, (q, v, u, xt), (y, z), x)),
         ]
         for name, value in conds:
             checks.append(ChainCheck(name, float(value), bool(value <= tol)))
         model_marg = build_joint(m.arm_model(k))
-        got = joint.marginal((xt, "x", y, z)).table
+        got = joint.marginal((xt, x, y, z)).table
         err = float(np.max(np.abs(got - model_marg.table)))
         checks.append(ChainCheck(f"arm{k + 1}: model marginal reproduced", err,
                                  err <= MODEL_MATCH_TOL))
@@ -335,7 +339,8 @@ def multi_chain_report(m: MultiModel, joint: JointDist,
 def factorizes_per_arm(m: MultiModel, joint: JointDist,
                        tol: float = CHAIN_TOL) -> bool:
     """True when arms are conditionally independent given (q, x), as the
-    product-form inner bound requires."""
+    product-form inner bound requires. The source axis is named after the
+    model's source alphabet."""
     names = _axis_names(m.j)
     if m.j == 1:
         return True
@@ -343,7 +348,7 @@ def factorizes_per_arm(m: MultiModel, joint: JointDist,
         mine = (names["v"][k], names["u"][k], names["xt"][k], names["y"][k], names["z"][k])
         others = tuple(n for grp in ("v", "u", "xt", "y", "z")
                        for i, n in enumerate(names[grp]) if i != k)
-        if cond_mutual_info(joint, mine, others, ("q", "x")) > tol:
+        if cond_mutual_info(joint, mine, others, ("q", m.p_x.alphabet.name)) > tol:
             return False
     return True
 
@@ -357,16 +362,17 @@ def eval_outer_mf(m: MultiModel, system: "MultiAuxSystem | JointDist", mode: str
     from its per-arm factors without building the joint, or a raw dense joint
     using the documented axis naming, read directly; couplings across arms
     beyond the product form pass as long as each arm's chain holds. Every
-    chain and model-marginal check runs on either. Lossless mode additionally
-    checks per-arm admissibility on the joint. Raises ChainViolation naming
-    the first failing condition.
+    chain and model-marginal check runs on either. The time-sharing axis is
+    named after the system's weight alphabet, or "q" for a supplied joint.
+    Lossless mode additionally checks per-arm admissibility on the joint.
+    Raises ChainViolation naming the first failing condition.
     """
     if isinstance(system, MultiAuxSystem):
         system.validate_cardinalities(m, mode)
-        src = _ProductForm(m, system)
+        src, q = _ProductForm(m, system), system.p_q.alphabet.name
     else:
-        src = system
-    report = multi_chain_report(m, src)
+        src, q = system, "q"
+    report = multi_chain_report(m, src, q_name=q)
     for check in report:
         if not check.ok:
             raise ChainViolation(f"{check.name} fails with value {check.value:.3g}")
@@ -374,14 +380,14 @@ def eval_outer_mf(m: MultiModel, system: "MultiAuxSystem | JointDist", mode: str
     if mode == "lossless":
         for k in range(m.j):
             u, xt, y = names["u"][k], names["xt"][k], names["y"][k]
-            sub = src.marginal((u, "q", xt, y))
+            sub = src.marginal((u, q, xt, y))
             arm = m.arms[k]
             jf = push_function(sub, (xt, y), arm.f.table, arm.f.output)
-            gap = cond_entropy(jf, arm.f.output.name, (u, "q", y))
+            gap = cond_entropy(jf, arm.f.output.name, (u, q, y))
             if gap > ADMISSIBILITY_TOL:
                 raise InadmissibleAuxiliary(
                     f"arm {k}: function undetermined by (U, Q, Y), residual {gap:.3g} bits")
-    rates = _multi_rates(src, m.j)
+    rates = _multi_rates(src, m.j, q, m.p_x.alphabet.name)
     if mode == "lossy":
         if g_list is None:
             raise RegionError("lossy mode needs reconstruction functions")

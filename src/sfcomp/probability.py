@@ -6,8 +6,19 @@ all information quantities are in bits. 0*log(0) is 0; entries below
 sums nonzero cells in sorted order, so tables that hold the same multiset
 of probabilities produce bit-identical entropies regardless of axis layout.
 
+Inputs are validated once, where they enter: `Dist`, `CondDist`, the public
+`JointDist` constructor and the builders `compose`, `mixture` and
+`push_function` reject NaN, negative entries, mass away from 1, duplicate
+axis names and tables over the cell cap. Tables derived from a validated
+joint by `marginal`, `reorder` and `split` are trusted and skip those
+checks: a sum of nonnegative finite cells is nonnegative and finite, keeps
+the parent's mass up to rounding, and has no more cells than its parent.
+
 Every object here is immutable after construction; all operations are pure
-functions and safe to call concurrently.
+functions and safe to call concurrently. A joint memoizes the entropies
+asked of it; each memo entry is a pure function of the joint and its key,
+so the memo changes no observable value and two threads filling it at once
+store the same float.
 """
 
 from __future__ import annotations
@@ -163,14 +174,20 @@ AxisSpec = "str | Iterable[str]"
 
 @dataclass(frozen=True)
 class JointDist:
-    """A dense joint pmf over an ordered tuple of named alphabets."""
+    """A dense joint pmf over an ordered tuple of named alphabets.
+
+    Public construction validates the table. `marginal`, `reorder` and `split`
+    return trusted joints built by `_derived`, which skips validation because
+    their tables are reductions, permutations or reshapes of this validated
+    one. Each joint keeps its axis-name index and an entropy memo keyed by
+    the kept axes in joint order; both live and die with the joint.
+    """
 
     axes: tuple[Alphabet, ...]
     table: np.ndarray
 
     def __post_init__(self) -> None:
         axes = tuple(self.axes)
-        object.__setattr__(self, "axes", axes)
         names = [a.name for a in axes]
         if len(set(names)) != len(names):
             raise ProbabilityError(f"duplicate axis names in joint: {names}")
@@ -188,17 +205,37 @@ class JointDist:
         mass = float(table.sum())
         if not abs(mass - 1.0) <= MASS_TOL:
             raise InvalidDistribution(f"joint table mass {mass!r} is not 1 within {MASS_TOL}")
-        object.__setattr__(self, "table", _freeze(table))
+        self._set(axes, _freeze(table))
+
+    @classmethod
+    def _derived(cls, axes: tuple[Alphabet, ...], table: np.ndarray) -> "JointDist":
+        """A joint on a table derived from a validated one; no checks run.
+
+        `table` is frozen in place, not copied: it is a fresh reduction or a
+        view of a frozen table, laid out as a copy of it would be.
+        """
+        out = object.__new__(cls)
+        table.setflags(write=False)
+        out._set(axes, table)
+        return out
+
+    def _set(self, axes: tuple[Alphabet, ...], table: np.ndarray) -> None:
+        names = tuple(a.name for a in axes)
+        object.__setattr__(self, "axes", axes)
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "_names", names)
+        object.__setattr__(self, "_index", {n: i for i, n in enumerate(names)})
+        object.__setattr__(self, "_entropies", {})
 
     @property
     def names(self) -> tuple[str, ...]:
-        return tuple(a.name for a in self.axes)
+        return self._names
 
     def axis(self, name: str) -> int:
         try:
-            return self.names.index(name)
-        except ValueError:
-            raise UnknownAxis(f"axis {name!r} not in joint over {self.names}") from None
+            return self._index[name]
+        except KeyError:
+            raise UnknownAxis(f"axis {name!r} not in joint over {self._names}") from None
 
     def alphabet(self, name: str) -> Alphabet:
         return self.axes[self.axis(name)]
@@ -211,7 +248,7 @@ class JointDist:
         every intermediate reduction bit-for-bit, so entropy differences of
         structurally equal marginals cancel exactly.
         """
-        keep = _axis_tuple(self, axes)
+        keep = set(_axis_tuple(self, axes))
         if not keep:
             raise ProbabilityError("marginal needs a nonempty axis set")
         drop = tuple(i for i, a in enumerate(self.axes) if a.name not in keep)
@@ -219,14 +256,15 @@ class JointDist:
         table = self.table
         for i in sorted(drop, reverse=True):
             table = table.sum(axis=i)
-        return JointDist(kept_axes, table)
+        return JointDist._derived(kept_axes, table)
 
     def reorder(self, names: Sequence[str]) -> "JointDist":
         names = tuple(names)
-        if sorted(names) != sorted(self.names):
-            raise ProbabilityError(f"reorder needs a permutation of {self.names}, got {names}")
-        perm = tuple(self.axis(n) for n in names)
-        return JointDist(tuple(self.axes[i] for i in perm), np.transpose(self.table, perm))
+        if sorted(names) != sorted(self._names):
+            raise ProbabilityError(f"reorder needs a permutation of {self._names}, got {names}")
+        perm = tuple(self._index[n] for n in names)
+        return JointDist._derived(tuple(self.axes[i] for i in perm),
+                                  np.transpose(self.table, perm))
 
     def split(self, name: str) -> "JointDist":
         """Replace a product-alphabet axis with its component axes (pure reshape)."""
@@ -235,20 +273,27 @@ class JointDist:
         if not isinstance(axis, ProductAlphabet):
             raise ProbabilityError(f"axis {name!r} is not a product alphabet")
         new_axes = self.axes[:i] + axis.parts + self.axes[i + 1:]
+        # the parts' names are new to this joint, so they may collide
+        names = [a.name for a in new_axes]
+        if len(set(names)) != len(names):
+            raise ProbabilityError(f"duplicate axis names in joint: {names}")
         new_shape = tuple(a.size for a in new_axes)
-        return JointDist(new_axes, self.table.reshape(new_shape))
+        return JointDist._derived(new_axes, self.table.reshape(new_shape))
 
 
 def _axis_tuple(joint: JointDist, axes: AxisSpec) -> tuple[str, ...]:
     """Normalize an axis-set argument to joint order; rejects unknown names."""
     if isinstance(axes, str):
         axes = (axes,)
-    wanted = set()
+    index = joint._index
+    positions = set()
     for name in axes:
-        if name not in joint.names:
+        i = index.get(name)
+        if i is None:
             raise UnknownAxis(f"axis {name!r} not in joint over {joint.names}")
-        wanted.add(name)
-    return tuple(n for n in joint.names if n in wanted)
+        positions.add(i)
+    names = joint.names
+    return tuple(names[i] for i in sorted(positions))
 
 
 def _entropy_of_table(table: np.ndarray) -> float:
@@ -266,7 +311,11 @@ def entropy(joint: JointDist, axes: AxisSpec) -> float:
     keep = _axis_tuple(joint, axes)
     if not keep:
         raise ProbabilityError("entropy needs a nonempty axis set")
-    return _entropy_of_table(joint.marginal(keep).table)
+    memo = joint._entropies
+    h = memo.get(keep)
+    if h is None:
+        h = memo[keep] = _entropy_of_table(joint.marginal(keep).table)
+    return h
 
 
 def cond_entropy(joint: JointDist, axes: AxisSpec, given: AxisSpec = ()) -> float:

@@ -24,6 +24,7 @@ from .models import (
     FunctionSpec,
     ModelError,
     SourceModel,
+    _project_simplex,
     admissibility_gap,
 )
 from .probability import (
@@ -254,14 +255,16 @@ def _function_conditional(m: SourceModel, aux: AuxSystem, f: FunctionSpec,
 
 
 def optimal_g(m: SourceModel, aux: AuxSystem, f: FunctionSpec,
-              d: DistortionSpec) -> ReconstructionFn:
+              d: DistortionSpec, joint: JointDist | None = None) -> ReconstructionFn:
     """Reconstruction minimizing conditional expected distortion cell by cell.
 
     Under Hamming distortion this is the most-likely-function-value rule.
     Cells with zero probability get the globally most likely function symbol;
-    ties break toward the lowest symbol index.
+    ties break toward the lowest symbol index. `joint`, when given, is
+    `aux_mixture_joint(m, aux)` already built by the caller.
     """
-    joint = aux_mixture_joint(m, aux)
+    if joint is None:
+        joint = aux_mixture_joint(m, aux)
     juyf = _function_conditional(m, aux, f, joint)
     p = juyf.table  # (u, y, f)
     nf = f.output.size
@@ -274,25 +277,34 @@ def optimal_g(m: SourceModel, aux: AuxSystem, f: FunctionSpec,
     return ReconstructionFn(aux.u_alphabet, m.y_alphabet, f.output, table)
 
 
+def _mean_distortion(p_uxty: np.ndarray, f: FunctionSpec, g: ReconstructionFn,
+                     d: DistortionSpec) -> float:
+    """E d(f(xt, y), g(u, y)) from the marginal table p(u, xt, y)."""
+    val = d.table[f.table[None, :, :], g.table[:, None, :]]
+    return float(np.sum(p_uxty * val))
+
+
 def expected_distortion(m: SourceModel, aux: AuxSystem, f: FunctionSpec,
                         g: ReconstructionFn, d: DistortionSpec) -> float:
     """E d(f(xt, y), g(u, y)) on the mixture joint."""
     joint = aux_mixture_joint(m, aux)
     u, xt, y = aux.u_alphabet.name, m.xt_alphabet.name, m.y_alphabet.name
-    sub = joint.marginal((u, xt, y))  # axes in joint order: (u, xt, y)
-    val = d.table[f.table[None, :, :], g.table[:, None, :]]
-    return float(np.sum(sub.table * val))
+    # axes in joint order: (u, xt, y)
+    return _mean_distortion(joint.marginal((u, xt, y)).table, f, g, d)
 
 
 def eval_lossy_corner(m: SourceModel, aux: AuxSystem, f: FunctionSpec,
-                      g: ReconstructionFn, d: DistortionSpec) -> RateTuple:
-    """Rate corner plus expected distortion; no admissibility requirement."""
+                      g: ReconstructionFn, d: DistortionSpec,
+                      joint: JointDist | None = None) -> RateTuple:
+    """Rate corner plus expected distortion; no admissibility requirement.
+
+    `joint`, when given, is `aux_mixture_joint(m, aux)` already built by the
+    caller.
+    """
     aux.validate_cardinalities(m.xt_alphabet.size, "lossy")
-    rates, _, joint = _corner_rates(m, aux)
+    rates, _, joint = _corner_rates(m, aux, joint)
     u, xt, y = aux.u_alphabet.name, m.xt_alphabet.name, m.y_alphabet.name
-    sub = joint.marginal((u, xt, y))
-    val = d.table[f.table[None, :, :], g.table[:, None, :]]
-    dist = float(np.sum(sub.table * val))
+    dist = _mean_distortion(joint.marginal((u, xt, y)).table, f, g, d)
     return RateTuple(rates.r_s, rates.r_w, rates.r_dec, rates.r_eve, d=dist)
 
 
@@ -348,14 +360,6 @@ class SearchBudget:
         if self.q_size > 2 or self.v_size > xt + slack or u > (xt + slack) ** 2:
             raise RegionError("invalid budget: auxiliary sizes exceed the search bounds")
         return u, self.v_size, self.q_size
-
-
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    rho = np.nonzero(u - css / np.arange(1, len(v) + 1) > 0)[0][-1]
-    theta = css[rho] / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)
 
 
 def _alphabet_of_size(name: str, n: int) -> Alphabet:
@@ -456,8 +460,9 @@ def _eval_candidate(m, aux, f, mode, d):
         rates, _, _ = _corner_rates(m, aux)
         return rates, gap
     if d is not None:
-        g = optimal_g(m, aux, f, d)
-        return eval_lossy_corner(m, aux, f, g, d), gap
+        joint = aux_mixture_joint(m, aux)
+        g = optimal_g(m, aux, f, d, joint)
+        return eval_lossy_corner(m, aux, f, g, d, joint), gap
     rates, _, _ = _corner_rates(m, aux)
     return rates, gap
 

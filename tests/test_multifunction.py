@@ -265,6 +265,52 @@ class TestOuterBound:
         with pytest.raises(ChainViolation, match="xtilde1 -- x"):
             eval_outer_mf(mm, bad, "lossless")
 
+    def test_v_copying_observation_breaks_first_link(self, cascade_model):
+        # v1 := xtilde1 while u1 = xtilde1 xor a fair coin: I(V1; X~1 | U1, Q)
+        # is H(X~1) = 1 bit, so the outer bound must refuse the joint
+        mm, joint = shared_flip_joint(cascade_model, cascade_model)
+        v1 = XT.renamed("v1")
+        axes = tuple(v1 if a.name == "v1" else a for a in joint.axes)
+        i_v, i_xt = joint.names.index("v1"), joint.names.index("xtilde1")
+        new = np.zeros(tuple(a.size for a in axes))
+        for idx in np.ndindex(joint.table.shape):
+            jdx = list(idx)
+            jdx[i_v] = idx[i_xt]
+            new[tuple(jdx)] += joint.table[idx]
+        bad = JointDist(axes, new)
+        assert multi_chain_report(mm, bad)[0].value == pytest.approx(1.0, abs=1e-12)
+        with pytest.raises(ChainViolation, match=r"\(v1,q\) -- \(u1,q\) -- xtilde1"):
+            eval_outer_mf(mm, bad, "lossless")
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 2),
+           st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=2, max_size=2))
+    def test_time_sharing_systems_pass_and_match_inner(self, seed, j, sizes):
+        # U channels that differ between weight symbols make I(Q; X~ | U) > 0;
+        # the chain conditions on Q, so such systems must pass
+        mm, a, g_list = random_multi_system(np.random.default_rng(seed), sizes[:j], q_size=2)
+        inner = eval_inner_mf(mm, a, "lossy", g_list)
+        outer, report = eval_outer_mf(mm, a, "lossy", g_list)
+        assert all(c.ok for c in report)
+        assert _fields(outer) == pytest.approx(_fields(inner), abs=1e-12)
+
+    def test_axis_names_follow_weight_and_source_alphabets(self):
+        # weight alphabet "t" and source alphabet "s" instead of "q" and "x"
+        rng = np.random.default_rng(41)
+        mm, a, g_list = random_multi_system(rng, [(2, 2)], q_size=2)
+        s_alpha = X.renamed("s")
+        arms = tuple(MultiArm(CondDist(s_alpha, arm.p_xt_given_x.output, arm.p_xt_given_x.rows),
+                              CondDist(s_alpha, arm.p_yz_given_x.output, arm.p_yz_given_x.rows),
+                              arm.f, arm.d) for arm in mm.arms)
+        mm_s = MultiModel(Dist(s_alpha, mm.p_x.probs), arms)
+        a_t = MultiAuxSystem(Dist(a.p_q.alphabet.renamed("t"), a.p_q.probs), a.arms)
+        inner = eval_inner_mf(mm_s, a_t, "lossy", g_list)
+        outer, report = eval_outer_mf(mm_s, a_t, "lossy", g_list)
+        assert all(c.ok for c in report)
+        assert outer == inner
+        assert _fields(inner) == pytest.approx(
+            _fields(eval_inner_mf(mm, a, "lossy", g_list)), abs=1e-12)
+
 
 def random_multi_system(rng, sizes, q_size=1):
     """Random binary arms on one source with XOR functions, one random

@@ -11,6 +11,7 @@ from sfcomp.probability import (
     InvalidDistribution,
     JointDist,
     OverlappingAxes,
+    ProductAlphabet,
     ProbabilityError,
     TableTooLarge,
     UnknownAxis,
@@ -308,3 +309,57 @@ def test_axis_permutation_invariance(seed):
         assert entropy(jp, axes) == pytest.approx(entropy(j, axes), abs=1e-12)
     assert cond_mutual_info(jp, "ax0", "ax1", "ax2") == pytest.approx(
         cond_mutual_info(j, "ax0", "ax1", "ax2"), abs=1e-12)
+
+
+@st.composite
+def validated_joints(draw):
+    """Random public joints over up to 5 axes of sizes 1-3, some cells zero;
+    the first axis is sometimes a product alphabet, so `split` applies."""
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=5))
+    axes = [Alphabet(f"ax{i}", tuple(str(k) for k in range(s))) for i, s in enumerate(sizes)]
+    if draw(st.booleans()):
+        parts = [Alphabet(f"part{k}", tuple(str(i) for i in range(draw(st.integers(1, 3)))))
+                 for k in range(2)]
+        axes[0] = product_alphabet("ax0", *parts)
+    shape = tuple(a.size for a in axes)
+    table = rng.random(shape) * (rng.random(shape) < 0.8)
+    if table.sum() == 0.0:
+        table.flat[0] = 1.0
+    return JointDist(tuple(axes), table / table.sum())
+
+
+def _check_trusted(derived):
+    public = JointDist(derived.axes, derived.table)  # validates
+    assert np.array_equal(public.table, derived.table)
+    assert not derived.table.flags.writeable
+    assert derived.names == public.names
+    for n in derived.names:
+        assert derived.axis(n) == public.axis(n)
+    first = entropy(derived, derived.names)
+    assert entropy(derived, tuple(reversed(derived.names))) == first  # memo hit
+    assert entropy(public, derived.names) == first
+
+
+@settings(max_examples=80, deadline=None)
+@given(validated_joints(), st.data())
+def test_derived_joints_pass_public_validation(j, data):
+    n = len(j.names)
+    keep = data.draw(st.lists(st.sampled_from(j.names), min_size=1, max_size=n, unique=True))
+    _check_trusted(j.marginal(keep))
+    perm = data.draw(st.permutations(j.names))
+    _check_trusted(j.reorder(perm))
+    _check_trusted(j.reorder(perm).marginal(keep))
+    if isinstance(j.axes[0], ProductAlphabet):
+        _check_trusted(j.split("ax0"))
+    # entropies of the parent: first call, memo hit, fresh public copy
+    first = entropy(j, keep)
+    assert entropy(j, keep) == first
+    assert entropy(JointDist(j.axes, j.table), keep) == first
+
+
+def test_split_rejects_colliding_part_names():
+    prod = product_alphabet("ab", A, C)
+    j = JointDist((prod, C.renamed("c")), np.full((4, 2), 0.125))
+    with pytest.raises(ProbabilityError):
+        j.split("ab")

@@ -21,6 +21,7 @@ from sfcomp.models import DistortionSpec, FunctionSpec, SourceModel
 from sfcomp.probability import (
     CondDist,
     Dist,
+    JointDist,
     bsc,
     cond_mutual_info,
     constant_channel,
@@ -227,6 +228,44 @@ class TestInvariants:
         assert abs(sum(e.weight for e in report) - 1.0) < 1e-12
         for entry in report:
             assert entry.offset <= 0.0
+
+
+class TestTrustedPath:
+    def test_corner_rates_equal_public_rebuild_reference(self, monkeypatch):
+        # reference: every CMI on a fresh joint from the public constructor,
+        # so no derived-table shortcut or entropy memo is shared between terms
+        from sfcomp import regions
+        rng = np.random.default_rng(31)
+        cases = []
+        for _ in range(12):
+            m = random_binary_model(rng)
+            aux = random_aux(rng, u_size=int(rng.integers(1, 4)),
+                             v_size=int(rng.integers(1, 3)), q_size=int(rng.integers(1, 3)))
+            rates, offset, _ = _rates_with_joint(m, aux)
+            cases.append((m, aux, rates, offset))
+
+        def fresh_cmi(joint, a, b, c=()):
+            return cond_mutual_info(JointDist(joint.axes, joint.table), a, b, c)
+
+        monkeypatch.setattr(regions, "cond_mutual_info", fresh_cmi)
+        for m, aux, rates, offset in cases:
+            ref_rates, ref_offset, _ = _rates_with_joint(m, aux)
+            assert rates == ref_rates
+            assert offset == ref_offset
+
+    def test_lossy_corner_with_shared_joint_equals_own_build(self):
+        rng = np.random.default_rng(32)
+        for _ in range(8):
+            m = random_binary_model(rng)
+            aux = random_aux(rng, q_size=int(rng.integers(1, 3)))
+            joint = aux_mixture_joint(m, aux)
+            g = optimal_g(m, aux, XOR_F, HAMMING_D, joint)
+            assert np.array_equal(g.table, optimal_g(m, aux, XOR_F, HAMMING_D).table)
+            own = eval_lossy_corner(m, aux, XOR_F, g, HAMMING_D)
+            assert eval_lossy_corner(m, aux, XOR_F, g, HAMMING_D, joint) == own
+            # a second evaluation reads every entropy from the joint's memo
+            assert eval_lossy_corner(m, aux, XOR_F, g, HAMMING_D, joint) == own
+            assert own.d == expected_distortion(m, aux, XOR_F, g, HAMMING_D)
 
 
 class TestMembership:
