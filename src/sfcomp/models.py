@@ -104,7 +104,7 @@ class FunctionSpec:
 
 @dataclass(frozen=True)
 class DistortionSpec:
-    """Per-letter distortion d(f, fhat) >= 0 with zero diagonal."""
+    """Per-letter distortion d(f, fhat) >= 0, finite, with zero diagonal."""
 
     alphabet: Alphabet
     table: np.ndarray  # shape (|f|, |f|)
@@ -114,6 +114,8 @@ class DistortionSpec:
         n = self.alphabet.size
         if table.shape != (n, n):
             raise ModelError(f"distortion table shape {table.shape}, expected {(n, n)}")
+        if not np.all(np.isfinite(table)):
+            raise ModelError("distortion values must be finite")
         if np.any(table < 0):
             raise ModelError("distortion values must be nonnegative")
         if np.any(np.diag(table) != 0):
@@ -341,6 +343,8 @@ def parse_model_text(text: str, source: str = "<string>") -> ParsedModel:
                 raise ModelFileError(f"{source}: multi[{k}] must be a mapping")
             sub = dict(block)
             over = sub.get("alphabets", {})
+            if not isinstance(over, dict):
+                raise ModelFileError(f"{source}: multi[{k}].alphabets must be a mapping")
             xt_k = _alphabet(over["xtilde"], "xtilde") if "xtilde" in over else xt
             y_k = _alphabet(over["y"], "y") if "y" in over else y
             z_k = _alphabet(over["z"], "z") if "z" in over else z
@@ -359,6 +363,6 @@ def parse_model_file(path: str | Path) -> ParsedModel:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ModelFileError(f"cannot read model file {path}: {exc}") from None
     return parse_model_text(text, source=str(path))

@@ -7,10 +7,12 @@ the same expressions on any supplied joint whose arms each satisfy the
 per-arm Markov chain; couplings across arms beyond the product form are
 allowed there, and that relaxation is the only difference between the two.
 
-Every rate, distortion and chain term reads one marginal of a source and
-evaluates on it. A source is either a dense `JointDist` (a joint supplied to
-`eval_outer_mf`) or `_ProductForm`, which keeps a product-form system as
-per-arm factors and contracts only the marginal asked for.
+A single function is the one-arm case: the rate formulas, dense joint
+builder, size policy and admissibility requirement live in `regions` and
+serve both. Every term is read from a source: a dense `JointDist` (a joint
+supplied to `eval_outer_mf`) answers each CMI on itself; `_ProductForm`
+keeps a product-form system as per-arm factors and contracts only the
+marginal a term asks for.
 `eval_inner_mf`, and `eval_outer_mf` given a `MultiAuxSystem`, use the
 factors and never build the joint, whose cell count is exponential in J;
 `build_multi_joint` builds that joint for callers that want it dense.
@@ -21,14 +23,13 @@ Axis naming convention for a J-arm joint:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .models import (
     ADMISSIBILITY_TOL,
     MultiModel,
-    admissibility_gap,
     build_joint,
 )
 from .probability import (
@@ -39,24 +40,25 @@ from .probability import (
     ProbabilityError,
     TableTooLarge,
     UnknownAxis,
-    compose,
     cond_entropy,
     cond_mutual_info,
-    mixture,
     product_alphabet,
     push_function,
 )
 from .regions import (
     AuxPair,
     AuxSystem,
-    CardinalityError,
     InadmissibleAuxiliary,
-    RateTuple,
+    MultiRateTuple,
     ReconstructionFn,
     RegionError,
-    _clamp_rate,
+    _check_sizes,
+    _cmi,
+    _dense_joint,
     _mean_distortion,
-    min_zero,
+    _multi_rates,
+    _require_admissible,
+    single_arm_tuple,  # re-exported: part of this module's public names
 )
 
 CHAIN_TOL = 1e-9
@@ -76,48 +78,20 @@ class MultiAuxSystem:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "arms", tuple(tuple(a) for a in self.arms))
-        nq = self.p_q.alphabet.size
         if not self.arms:
             raise RegionError("a multi-function auxiliary system needs at least one arm")
-        for j, pairs in enumerate(self.arms):
-            if len(pairs) != nq:
-                raise RegionError(f"arm {j} must supply one channel pair per weight symbol")
-            for pair in pairs[1:]:
-                if (pair.u_alphabet != pairs[0].u_alphabet
-                        or pair.v_alphabet != pairs[0].v_alphabet):
-                    raise RegionError(f"arm {j} channel pairs must share alphabets")
+        for pairs in self.arms:
+            AuxSystem(self.p_q, pairs)  # one pair per weight symbol, shared alphabets
 
     @property
     def j(self) -> int:
         return len(self.arms)
 
-    def arm_system(self, j: int) -> AuxSystem:
-        return AuxSystem(self.p_q, self.arms[j])
-
     def validate_cardinalities(self, m: MultiModel, mode: str) -> None:
-        slack = {"lossless": 5, "lossy": 6}.get(mode)
-        if slack is None:
-            raise RegionError(f"mode must be 'lossless' or 'lossy', got {mode!r}")
-        if self.p_q.alphabet.size > 2:
-            raise CardinalityError("time-sharing alphabet is limited to 2 symbols")
-        for j, pairs in enumerate(self.arms):
-            xt = m.arms[j].p_xt_given_x.output.size
-            if pairs[0].v_alphabet.size > xt + slack:
-                raise CardinalityError(f"arm {j}: |V| exceeds bound {xt + slack}")
-            if pairs[0].u_alphabet.size > (xt + slack) ** 2:
-                raise CardinalityError(f"arm {j}: |U| exceeds bound {(xt + slack) ** 2}")
-
-
-@dataclass(frozen=True)
-class MultiRateTuple:
-    """Joint secrecy/eavesdropper coordinates plus per-arm storage and decoder privacy."""
-
-    r_s: float
-    r_w: tuple[float, ...]
-    sum_w: float
-    r_dec: tuple[float, ...]
-    r_eve: float
-    d: tuple[float, ...] | None = None
+        for j, (arm, pairs) in enumerate(zip(m.arms, self.arms)):
+            _check_sizes(mode, arm.p_xt_given_x.output.size, self.p_q.alphabet.size,
+                         pairs[0].u_alphabet.size, pairs[0].v_alphabet.size,
+                         arms=self.j, where=f"arm {j}: ")
 
 
 def _axis_names(j: int) -> dict[str, tuple[str, ...]]:
@@ -139,32 +113,19 @@ def build_multi_joint(m: MultiModel, a: MultiAuxSystem) -> JointDist:
     """
     if a.j != m.j:
         raise RegionError(f"auxiliary system has {a.j} arms, model has {m.j}")
-    xn = m.p_x.alphabet.name
     names = _axis_names(m.j)
-    components = []
-    for qi in range(a.p_q.alphabet.size):
-        steps = []
-        for j, arm in enumerate(m.arms):
-            pair = a.arms[j][qi]
-            xt_j = arm.p_xt_given_x.output.renamed(names["xt"][j])
-            p_xt = CondDist(arm.p_xt_given_x.input, xt_j, arm.p_xt_given_x.rows)
-            u_j = pair.u_alphabet.renamed(names["u"][j])
-            p_u = CondDist(xt_j, u_j, pair.p_u_given_xt.rows)
-            v_j = pair.v_alphabet.renamed(names["v"][j])
-            p_v = CondDist(u_j, v_j, pair.p_v_given_u.rows)
-            steps.extend([(p_xt, xn), (p_u, xt_j.name), (p_v, u_j.name)])
-        for j, arm in enumerate(m.arms):
-            out = arm.p_yz_given_x.output
-            yz_j = product_alphabet(f"yz{j + 1}",
-                                    out.parts[0].renamed(names["y"][j]),
-                                    out.parts[1].renamed(names["z"][j]))
-            steps.append((CondDist(arm.p_yz_given_x.input, yz_j, arm.p_yz_given_x.rows), xn))
-        joint = compose(m.p_x, *steps)
-        for j in range(m.j):
-            joint = joint.split(f"yz{j + 1}")
-        order = names["v"] + names["u"] + names["xt"] + (xn,) + names["y"] + names["z"]
-        components.append(joint.reorder(order))
-    return mixture(a.p_q, components)
+    arms = []
+    for j, arm in enumerate(m.arms):
+        xt_j = arm.p_xt_given_x.output.renamed(names["xt"][j])
+        u_j = a.arms[j][0].u_alphabet.renamed(names["u"][j])
+        v_j = a.arms[j][0].v_alphabet.renamed(names["v"][j])
+        pairs = tuple(AuxPair(CondDist(xt_j, u_j, p.p_u_given_xt.rows),
+                              CondDist(u_j, v_j, p.p_v_given_u.rows)) for p in a.arms[j])
+        y, z = arm.p_yz_given_x.output.parts
+        yz_j = product_alphabet(f"yz{j + 1}", y.renamed(names["y"][j]), z.renamed(names["z"][j]))
+        arms.append((CondDist(arm.p_xt_given_x.input, xt_j, arm.p_xt_given_x.rows), pairs,
+                     CondDist(arm.p_yz_given_x.input, yz_j, arm.p_yz_given_x.rows)))
+    return _dense_joint(m.p_x, a.p_q, arms)
 
 
 class _ProductForm:
@@ -227,33 +188,6 @@ class _ProductForm:
         return JointDist(kept, np.einsum(*operands, list(range(len(kept)))))
 
 
-def _cmi(src: "JointDist | _ProductForm", a, b, c=()) -> float:
-    """I(A;B|C) evaluated on the marginal of `src` on A, B and C only."""
-    sets = [(s,) if isinstance(s, str) else tuple(s) for s in (a, b, c)]
-    return cond_mutual_info(src.marginal(sets[0] + sets[1] + sets[2]), a, b, c)
-
-
-def _multi_rates(src: "JointDist | _ProductForm", j: int, q_name: str = "q",
-                 x_name: str = "x") -> MultiRateTuple:
-    names = _axis_names(j)
-    u_all, v_all = names["u"], names["v"]
-    xt_all, y_all, z_all = names["xt"], names["y"], names["z"]
-    uq = u_all + (q_name,)
-    offset = min_zero(_cmi(src, u_all, z_all, v_all + (q_name,))
-                      - _cmi(src, u_all, y_all, v_all + (q_name,)))
-    r_w = tuple(_clamp_rate(_cmi(src, (u_all[k], q_name), xt_all[k], y_all[k]))
-                for k in range(j))
-    r_dec = tuple(_clamp_rate(_cmi(src, (u_all[k], q_name), x_name, y_all[k]))
-                  for k in range(j))
-    return MultiRateTuple(
-        r_s=_clamp_rate(_cmi(src, uq, xt_all, z_all) + offset),
-        r_w=r_w,
-        sum_w=_clamp_rate(_cmi(src, uq, xt_all, y_all)),
-        r_dec=r_dec,
-        r_eve=_clamp_rate(_cmi(src, uq, x_name, z_all) + offset),
-    )
-
-
 def _arm_distortions(m: MultiModel, src: "JointDist | _ProductForm",
                      g_list: tuple[ReconstructionFn, ...]) -> tuple[float, ...]:
     if len(g_list) != m.j:
@@ -264,6 +198,17 @@ def _arm_distortions(m: MultiModel, src: "JointDist | _ProductForm",
         u, xt, y = names["u"][j], names["xt"][j], names["y"][j]
         out.append(_mean_distortion(src.marginal((u, xt, y)).table, arm.f, g_list[j], arm.d))
     return tuple(out)
+
+
+def _bound_corner(m: MultiModel, src: "JointDist | _ProductForm", q: str, mode: str,
+                  g_list: tuple[ReconstructionFn, ...] | None) -> MultiRateTuple:
+    """Rates read from `src`, plus per-arm distortions in lossy mode."""
+    rates, _ = _multi_rates(src, **_axis_names(m.j), q=q, x=m.p_x.alphabet.name)
+    if mode != "lossy":
+        return rates
+    if g_list is None:
+        raise RegionError("lossy mode needs reconstruction functions")
+    return replace(rates, d=_arm_distortions(m, src, tuple(g_list)))
 
 
 def eval_inner_mf(m: MultiModel, a: MultiAuxSystem, mode: str,
@@ -277,21 +222,8 @@ def eval_inner_mf(m: MultiModel, a: MultiAuxSystem, mode: str,
     a.validate_cardinalities(m, mode)
     if mode == "lossless":
         for j in range(m.j):
-            arm_model = m.arm_model(j)
-            for qi, pair in enumerate(a.arms[j]):
-                gap = admissibility_gap(arm_model, pair.p_u_given_xt, m.arms[j].f)
-                if gap > ADMISSIBILITY_TOL:
-                    raise InadmissibleAuxiliary(
-                        f"arm {j}, weight symbol {qi}: function undetermined by "
-                        f"(U, Y), residual {gap:.3g} bits")
-    src = _ProductForm(m, a)
-    rates = _multi_rates(src, m.j, a.p_q.alphabet.name, m.p_x.alphabet.name)
-    if mode == "lossy":
-        if g_list is None:
-            raise RegionError("lossy mode needs reconstruction functions")
-        return MultiRateTuple(rates.r_s, rates.r_w, rates.sum_w, rates.r_dec,
-                              rates.r_eve, d=_arm_distortions(m, src, tuple(g_list)))
-    return rates
+            _require_admissible(m.arm_model(j), a.arms[j], m.arms[j].f, f"arm {j}: ")
+    return _bound_corner(m, _ProductForm(m, a), a.p_q.alphabet.name, mode, g_list)
 
 
 @dataclass(frozen=True)
@@ -387,18 +319,4 @@ def eval_outer_mf(m: MultiModel, system: "MultiAuxSystem | JointDist", mode: str
             if gap > ADMISSIBILITY_TOL:
                 raise InadmissibleAuxiliary(
                     f"arm {k}: function undetermined by (U, Q, Y), residual {gap:.3g} bits")
-    rates = _multi_rates(src, m.j, q, m.p_x.alphabet.name)
-    if mode == "lossy":
-        if g_list is None:
-            raise RegionError("lossy mode needs reconstruction functions")
-        rates = MultiRateTuple(rates.r_s, rates.r_w, rates.sum_w, rates.r_dec,
-                               rates.r_eve, d=_arm_distortions(m, src, tuple(g_list)))
-    return rates, report
-
-
-def single_arm_tuple(rates: MultiRateTuple) -> RateTuple:
-    """View a one-arm multi tuple as a single-function rate tuple."""
-    if len(rates.r_w) != 1:
-        raise RegionError("single_arm_tuple needs a one-arm tuple")
-    return RateTuple(rates.r_s, rates.r_w[0], rates.r_dec[0], rates.r_eve,
-                     d=None if rates.d is None else rates.d[0])
+    return _bound_corner(m, src, q, mode, g_list), report

@@ -311,6 +311,11 @@ def entropy(joint: JointDist, axes: AxisSpec) -> float:
     keep = _axis_tuple(joint, axes)
     if not keep:
         raise ProbabilityError("entropy needs a nonempty axis set")
+    return _entropy(joint, keep)
+
+
+def _entropy(joint: JointDist, keep: tuple[str, ...]) -> float:
+    """H(keep), memoized; `keep` is a nonempty tuple of axis names in joint order."""
     memo = joint._entropies
     h = memo.get(keep)
     if h is None:
@@ -338,15 +343,15 @@ def cond_mutual_info(joint: JointDist, a: AxisSpec, b: AxisSpec, c: AxisSpec = (
     ta = _axis_tuple(joint, a)
     tb = _axis_tuple(joint, b)
     tc = _axis_tuple(joint, c)
-    for left, right in ((ta, tb), (ta, tc), (tb, tc)):
-        if set(left) & set(right):
-            raise OverlappingAxes(f"axis sets must be pairwise disjoint, {left} vs {right}")
+    if len({*ta, *tb, *tc}) < len(ta) + len(tb) + len(tc):
+        raise OverlappingAxes(f"axis sets must be pairwise disjoint, got {ta}, {tb}, {tc}")
     if not ta or not tb:
         raise ProbabilityError("mutual information needs nonempty axis sets on both sides")
-    h_ac = entropy(joint, ta + tc)
-    h_bc = entropy(joint, tb + tc)
-    h_abc = entropy(joint, ta + tb + tc)
-    h_c = entropy(joint, tc) if tc else 0.0
+    order = joint._index.__getitem__  # merges the checked sets into memo keys
+    h_ac = _entropy(joint, tuple(sorted(ta + tc, key=order)))
+    h_bc = _entropy(joint, tuple(sorted(tb + tc, key=order)))
+    h_abc = _entropy(joint, tuple(sorted(ta + tb + tc, key=order)))
+    h_c = _entropy(joint, tc) if tc else 0.0
     return h_ac + h_bc - h_abc - h_c
 
 

@@ -7,6 +7,13 @@ min(I(U;Z|V,Q) - I(U;Y|V,Q), 0); the offset conditions on (V,Q) while the
 leading terms are evaluated on the mixture itself. A per-weight diagnostic
 report is available for the averaged view.
 
+A single function is the one-arm case of the multi-function bounds: the
+rate formulas (`_multi_rates`), dense joint builder, cardinality policy and
+admissibility requirement here serve `multifunction` too. `_cmi` reads a
+dense `JointDist` directly, with its entropy memo, as the seeded searches
+always have; the multi-arm `_ProductForm` never holds the joint, so it is
+asked for the marginal on the CMI's axes first.
+
 Search operations (membership, boundary tracing) are seeded multi-start
 coordinate descent with step halving and simplex projection; restart r of
 grid point g uses the derived seed child_seed(seed, g, r).
@@ -14,6 +21,7 @@ grid point g uses the derived seed child_seed(seed, g, r).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -106,16 +114,23 @@ class AuxSystem:
         return self.per_q[0].v_alphabet
 
     def validate_cardinalities(self, xt_size: int, mode: str) -> None:
-        slack = {"lossless": 4, "lossy": 5}.get(mode)
-        if slack is None:
-            raise RegionError(f"mode must be 'lossless' or 'lossy', got {mode!r}")
-        if self.p_q.alphabet.size > 2:
-            raise CardinalityError("time-sharing alphabet is limited to 2 symbols")
-        v_cap, u_cap = xt_size + slack, (xt_size + slack) ** 2
-        if self.v_alphabet.size > v_cap:
-            raise CardinalityError(f"|V| = {self.v_alphabet.size} exceeds bound {v_cap}")
-        if self.u_alphabet.size > u_cap:
-            raise CardinalityError(f"|U| = {self.u_alphabet.size} exceeds bound {u_cap}")
+        _check_sizes(mode, xt_size, self.p_q.alphabet.size,
+                     self.u_alphabet.size, self.v_alphabet.size)
+
+
+def _check_sizes(mode: str, xt_size: int, q_size: int, u_size: int, v_size: int,
+                 arms: int = 1, where: str = "") -> None:
+    """The cardinality policy: |Q| <= 2, |V| <= |X~| + s, |U| <= (|X~| + s)^2,
+    s = 4 + [lossy] + [J >= 2]; the extra 1 for J >= 2 is the sum-storage rate."""
+    if mode not in ("lossless", "lossy"):
+        raise RegionError(f"mode must be 'lossless' or 'lossy', got {mode!r}")
+    cap = xt_size + 4 + (mode == "lossy") + (arms >= 2)
+    if q_size > 2:
+        raise CardinalityError(f"{where}time-sharing alphabet is limited to 2 symbols")
+    if v_size > cap:
+        raise CardinalityError(f"{where}|V| = {v_size} exceeds bound {cap}")
+    if u_size > cap ** 2:
+        raise CardinalityError(f"{where}|U| = {u_size} exceeds bound {cap ** 2}")
 
 
 @dataclass(frozen=True)
@@ -138,6 +153,26 @@ class RateTuple:
         """True when every coordinate is <= the target's within tol."""
         mine, theirs = self.coords(), target.coords()
         return all(mine.get(k, 0.0) <= v + tol for k, v in theirs.items())
+
+
+@dataclass(frozen=True)
+class MultiRateTuple:
+    """Joint secrecy/eavesdropper coordinates plus per-arm storage and decoder privacy."""
+
+    r_s: float
+    r_w: tuple[float, ...]
+    sum_w: float
+    r_dec: tuple[float, ...]
+    r_eve: float
+    d: tuple[float, ...] | None = None
+
+
+def single_arm_tuple(rates: MultiRateTuple) -> RateTuple:
+    """View a one-arm multi tuple as a single-function rate tuple."""
+    if len(rates.r_w) != 1:
+        raise RegionError("single_arm_tuple needs a one-arm tuple")
+    return RateTuple(rates.r_s, rates.r_w[0], rates.r_dec[0], rates.r_eve,
+                     d=None if rates.d is None else rates.d[0])
 
 
 @dataclass(frozen=True)
@@ -185,21 +220,35 @@ def v_equals_u_aux(p_u_given_xt: CondDist, v_name: str = "v", q_name: str = "q")
     return AuxSystem(uniform(singleton_alphabet(q_name)), (AuxPair(p_u_given_xt, p_v),))
 
 
+def _dense_joint(p_x: Dist, p_q: Dist,
+                 arms: Sequence[tuple[CondDist, Sequence[AuxPair], CondDist]]) -> JointDist:
+    """Dense joint over (q, v_*, u_*, xt_*, x, y_*, z_*) of arms named apart,
+    each (p(xt|x), one `AuxPair` per weight symbol, p(yz|x)). Every yz step
+    comes after all xt -> u -> v chains, the order one arm always had."""
+    xn = p_x.alphabet.name
+    pairs = [per_q[0] for _, per_q, _ in arms]  # every weight symbol shares these alphabets
+    yz = [p_yz.output for _, _, p_yz in arms]
+    order = ([p.v_alphabet.name for p in pairs] + [p.u_alphabet.name for p in pairs]
+             + [p_xt.output.name for p_xt, _, _ in arms] + [xn]
+             + [out.parts[0].name for out in yz] + [out.parts[1].name for out in yz])
+    components = []
+    for qi in range(p_q.alphabet.size):
+        steps = []
+        for p_xt, per_q, _ in arms:
+            pair = per_q[qi]
+            steps += [(p_xt, xn), (pair.p_u_given_xt, p_xt.output.name),
+                      (pair.p_v_given_u, pair.u_alphabet.name)]
+        steps += [(p_yz, xn) for _, _, p_yz in arms]
+        joint = compose(p_x, *steps)
+        for out in yz:
+            joint = joint.split(out.name)
+        components.append(joint.reorder(order))
+    return mixture(p_q, components)
+
+
 def aux_mixture_joint(m: SourceModel, aux: AuxSystem) -> JointDist:
     """Joint over (q, v, u, xt, x, y, z) induced by the model and the auxiliary system."""
-    xn, xtn = m.x_alphabet.name, m.xt_alphabet.name
-    components = []
-    for pair in aux.per_q:
-        j = compose(m.p_x,
-                    (m.p_xt_given_x, xn),
-                    (pair.p_u_given_xt, xtn),
-                    (pair.p_v_given_u, pair.u_alphabet.name),
-                    (m.p_yz_given_x, xn))
-        j = j.split(m.p_yz_given_x.output.name)
-        j = j.reorder((pair.v_alphabet.name, pair.u_alphabet.name, xtn, xn,
-                       m.y_alphabet.name, m.z_alphabet.name))
-        components.append(j)
-    return mixture(aux.p_q, components)
+    return _dense_joint(m.p_x, aux.p_q, ((m.p_xt_given_x, aux.per_q, m.p_yz_given_x),))
 
 
 def _clamp_rate(value: float) -> float:
@@ -208,39 +257,60 @@ def _clamp_rate(value: float) -> float:
     return 0.0 if value < 0.0 else value
 
 
+def _cmi(src, a, b, c=()) -> float:
+    """I(A;B|C) on a dense `JointDist`, or on the marginal on A, B and C of
+    any other source with `JointDist.marginal`'s signature."""
+    if isinstance(src, JointDist):
+        return cond_mutual_info(src, a, b, c)
+    sets = [(s,) if isinstance(s, str) else tuple(s) for s in (a, b, c)]
+    return cond_mutual_info(src.marginal(sets[0] + sets[1] + sets[2]), a, b, c)
+
+
+def _multi_rates(src, u: tuple[str, ...], v: tuple[str, ...], xt: tuple[str, ...],
+                 y: tuple[str, ...], z: tuple[str, ...], q: str, x: str,
+                 ) -> tuple[MultiRateTuple, float]:
+    """Rate tuple and offset of a J-arm system; `u` ... `z` name one axis per arm.
+
+    Each auxiliary absorbs the time-sharing label, so the leading terms use
+    (U, Q) while the offset conditions on (V, Q); with heterogeneous branches
+    only this reading keeps every coordinate >= 0.
+    """
+    uq, vq = u + (q,), v + (q,)
+    offset = min_zero(_cmi(src, u, z, vq) - _cmi(src, u, y, vq))
+    r_s = _clamp_rate(_cmi(src, uq, xt, z) + offset)
+    r_w = tuple([_clamp_rate(_cmi(src, (uk, q), xk, yk)) for uk, xk, yk in zip(u, xt, y)])
+    r_dec = tuple([_clamp_rate(_cmi(src, (uk, q), x, yk)) for uk, yk in zip(u, y)])
+    # one arm's sum-storage term is its storage term, read from the same entropies
+    sum_w = r_w[0] if len(u) == 1 else _clamp_rate(_cmi(src, uq, xt, y))
+    r_eve = _clamp_rate(_cmi(src, uq, x, z) + offset)
+    return MultiRateTuple(r_s, r_w, sum_w, r_dec, r_eve), offset
+
+
 def _corner_rates(m: SourceModel, aux: AuxSystem, joint: JointDist | None = None,
                   ) -> tuple[RateTuple, float, JointDist]:
-    # The auxiliary variable of the leading terms absorbs the time-sharing
-    # label, so they are evaluated with the axis pair (u, q); the offset
-    # conditions on (v, q). With one branch the two readings coincide; with
-    # heterogeneous branches only this one keeps every coordinate >= 0.
     if joint is None:
         joint = aux_mixture_joint(m, aux)
-    q = aux.p_q.alphabet.name
-    v, u = aux.v_alphabet.name, aux.u_alphabet.name
-    xt, x = m.xt_alphabet.name, m.x_alphabet.name
-    y, z = m.y_alphabet.name, m.z_alphabet.name
-    uq = (u, q)
-    offset = min_zero(cond_mutual_info(joint, u, z, (v, q))
-                      - cond_mutual_info(joint, u, y, (v, q)))
-    rates = RateTuple(
-        r_s=_clamp_rate(cond_mutual_info(joint, uq, xt, z) + offset),
-        r_w=_clamp_rate(cond_mutual_info(joint, uq, xt, y)),
-        r_dec=_clamp_rate(cond_mutual_info(joint, uq, x, y)),
-        r_eve=_clamp_rate(cond_mutual_info(joint, uq, x, z) + offset),
-    )
-    return rates, offset, joint
+    rates, offset = _multi_rates(
+        joint, (aux.u_alphabet.name,), (aux.v_alphabet.name,), (m.xt_alphabet.name,),
+        (m.y_alphabet.name,), (m.z_alphabet.name,), aux.p_q.alphabet.name, m.x_alphabet.name)
+    return single_arm_tuple(rates), offset, joint
+
+
+def _require_admissible(m: SourceModel, pairs: Sequence[AuxPair], f: FunctionSpec,
+                        where: str = "") -> None:
+    """Raise unless (U, Y) determine the function under every weight symbol's channel."""
+    for qi, pair in enumerate(pairs):
+        gap = admissibility_gap(m, pair.p_u_given_xt, f)
+        if gap > ADMISSIBILITY_TOL:
+            raise InadmissibleAuxiliary(
+                f"{where}auxiliary channel for weight symbol {qi} leaves {gap:.3g} bits "
+                "of the function undetermined")
 
 
 def eval_lossless_corner(m: SourceModel, aux: AuxSystem, f: FunctionSpec) -> RateTuple:
     """Componentwise-minimal achievable tuple for an admissible auxiliary system."""
     aux.validate_cardinalities(m.xt_alphabet.size, "lossless")
-    for qi, pair in enumerate(aux.per_q):
-        gap = admissibility_gap(m, pair.p_u_given_xt, f)
-        if gap > ADMISSIBILITY_TOL:
-            raise InadmissibleAuxiliary(
-                f"auxiliary channel for weight symbol {qi} leaves {gap:.3g} bits "
-                "of the function undetermined")
+    _require_admissible(m, aux.per_q, f)
     rates, _, _ = _corner_rates(m, aux)
     return rates
 
@@ -354,11 +424,9 @@ class SearchBudget:
             raise RegionError("invalid budget: need 0 < min_step <= init_step")
 
     def resolved_sizes(self, m: SourceModel, mode: str) -> tuple[int, int, int]:
-        slack = {"lossless": 4, "lossy": 5}[mode]
         xt = m.xt_alphabet.size
         u = self.u_size if self.u_size is not None else xt
-        if self.q_size > 2 or self.v_size > xt + slack or u > (xt + slack) ** 2:
-            raise RegionError("invalid budget: auxiliary sizes exceed the search bounds")
+        _check_sizes(mode, xt, self.q_size, u, self.v_size, where="invalid budget: ")
         return u, self.v_size, self.q_size
 
 

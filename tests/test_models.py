@@ -14,6 +14,7 @@ from sfcomp.models import (
     is_admissible,
     is_physically_degraded_eve,
     markov_chain_holds,
+    parse_model_file,
     parse_model_text,
 )
 from sfcomp.probability import (
@@ -83,6 +84,12 @@ class TestSpecs:
     def test_distortion_nonnegative(self):
         with pytest.raises(ModelError):
             DistortionSpec(F, np.array([[0.0, -1.0], [1.0, 0.0]]))
+
+    def test_distortion_finite(self):
+        # an expected distortion weighs every entry, and 0 * inf is NaN
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ModelError, match="finite"):
+                DistortionSpec(F, np.array([[0.0, bad], [1.0, 0.0]]))
 
 
 class TestBuildJoint:
@@ -247,6 +254,14 @@ class TestModelFile:
         with pytest.raises(ModelFileError, match="alphabets.y"):
             parse_model_text(bad)
 
+    def test_non_finite_distortion_rejected(self):
+        for bad in ("nan", "inf"):
+            text = MODEL_TEXT.replace('distortion_table:\n  - ["0", "1"]',
+                                      f'distortion_table:\n  - ["0", "{bad}"]')
+            assert text != MODEL_TEXT
+            with pytest.raises(ModelFileError, match="distortion_table"):
+                parse_model_text(text)
+
     def test_syntax_error_has_location(self):
         with pytest.raises(ModelFileError, match="line"):
             parse_model_text("alphabets: [unclosed\n  x: [")
@@ -287,3 +302,51 @@ multi:
         assert parsed.multi is not None
         assert parsed.multi.j == 2
         assert parsed.multi.arms[1].p_xt_given_x.rows[0, 1] == pytest.approx(0.1)
+
+
+ONE_ARM_BLOCK = """
+multi:
+  - alphabets: {over}
+    p_xtilde_given_x:
+      - ["0.94", "0.06"]
+      - ["0.06", "0.94"]
+    p_yz_given_x:
+      - ["0.6375", "0.2125", "0.0375", "0.1125"]
+      - ["0.1125", "0.0375", "0.2125", "0.6375"]
+    function_table:
+      - ["0", "1"]
+      - ["1", "0"]
+    distortion_table:
+      - ["0", "1"]
+      - ["1", "0"]
+"""
+
+
+class TestModelFileOnDisk:
+    def write(self, tmp_path, data):
+        path = tmp_path / "model.yaml"
+        if isinstance(data, str):
+            path.write_text(data, encoding="utf-8")
+        else:
+            path.write_bytes(data)
+        return path
+
+    def test_reads_cleanly(self, tmp_path):
+        text = MODEL_TEXT + ONE_ARM_BLOCK.format(over='{xtilde: ["a", "b"]}')
+        parsed = parse_model_file(self.write(tmp_path, text))
+        assert parsed.model.p_x["0"] == 0.5
+        assert parsed.f.table[0, 1] == 1
+        assert parsed.multi.j == 1
+        assert parsed.multi.arms[0].p_xt_given_x.output.labels == ("a", "b")
+
+    def test_non_utf8_file_rejected(self, tmp_path):
+        path = self.write(tmp_path, MODEL_TEXT.encode("utf-8") + b"# \xff\n")
+        with pytest.raises(ModelFileError, match="cannot read"):
+            parse_model_file(path)
+
+    def test_multi_alphabets_must_be_a_mapping(self, tmp_path):
+        # a string used to raise TypeError and a list used to be ignored
+        for over in ("xtilde", "[1]"):
+            path = self.write(tmp_path, MODEL_TEXT + ONE_ARM_BLOCK.format(over=over))
+            with pytest.raises(ModelFileError, match=r"multi\[0\]\.alphabets"):
+                parse_model_file(path)

@@ -23,6 +23,7 @@ from sfcomp.multifunction import (
     ChainViolation,
     MultiAuxSystem,
     _arm_distortions,
+    _axis_names,
     _multi_rates,
     _ProductForm,
     build_multi_joint,
@@ -46,7 +47,9 @@ from sfcomp.probability import (
 from sfcomp.regions import (
     AuxPair,
     AuxSystem,
+    CardinalityError,
     ReconstructionFn,
+    RegionError,
     _alphabet_of_size,
     aux_mixture_joint,
     constant_aux,
@@ -123,17 +126,60 @@ class TestInnerBound:
 
     def test_j1_reduces_to_single_function_lossy(self):
         rng = np.random.default_rng(22)
+        systems = []
         for _ in range(6):
             m = random_binary_model(rng)
             pair = random_aux_pair(rng)
-            aux = AuxSystem(uniform(singleton_alphabet("q")), (pair,))
+            systems.append((m, AuxSystem(uniform(singleton_alphabet("q")), (pair,))))
+        # time sharing: a different channel pair under each of two weight symbols
+        rng = np.random.default_rng(23)
+        q2 = _alphabet_of_size("q", 2)
+        for _ in range(4):
+            m = random_binary_model(rng)
+            pairs = (random_aux_pair(rng), random_aux_pair(rng))
+            systems.append((m, AuxSystem(Dist(q2, rng.dirichlet((2.0, 2.0))), pairs)))
+        for m, aux in systems:
             g = optimal_g(m, aux, XOR_F, HAMMING_D)
             single = eval_lossy_corner(m, aux, XOR_F, g, HAMMING_D)
-            multi = eval_inner_mf(single_arm_model(m), multi_from_aux([aux]),
-                                  "lossy", (g,))
-            got = single_arm_tuple(multi)
-            for a, b in zip(single.coords().values(), got.coords().values()):
-                assert a == pytest.approx(b, abs=1e-12)
+            mm, a = single_arm_model(m), multi_from_aux([aux], aux.p_q)
+            inner = eval_inner_mf(mm, a, "lossy", (g,))
+            outer, _ = eval_outer_mf(mm, a, "lossy", (g,))
+            for got in (single_arm_tuple(inner), single_arm_tuple(outer)):
+                for want, have in zip(single.coords().values(), got.coords().values()):
+                    assert want == pytest.approx(have, abs=1e-12)
+
+    @pytest.mark.parametrize("mode, cap", [("lossless", 6), ("lossy", 7)])
+    def test_j1_size_bounds_match_single_function(self, cascade_model, mode, cap):
+        # binary X~: |V| <= 2 + s and |U| <= (2 + s)^2, s = 4 lossless, 5 lossy
+        mm = single_arm_model(cascade_model)
+        for u_size, v_size in ((2, cap), (2, cap + 1), (cap ** 2, 1), (cap ** 2 + 1, 1)):
+            u, v = _alphabet_of_size("u", u_size), _alphabet_of_size("v", v_size)
+            u_rows = np.zeros((2, u_size))
+            u_rows[0, 0] = u_rows[1, 1] = 1.0  # U copies X~: admissible for XOR
+            pair = AuxPair(CondDist(XT, u, u_rows),
+                           CondDist(u, v, np.full((u_size, v_size), 1.0 / v_size)))
+            aux = AuxSystem(uniform(singleton_alphabet("q")), (pair,))
+            a = multi_from_aux([aux])
+            if mode == "lossless":
+                evals = (lambda: eval_lossless_corner(cascade_model, aux, XOR_F),
+                         lambda: eval_inner_mf(mm, a, mode))
+            else:
+                g = ReconstructionFn(u, Y, F, np.zeros((u_size, 2), dtype=int))
+                evals = (lambda: eval_lossy_corner(cascade_model, aux, XOR_F, g, HAMMING_D),
+                         lambda: eval_inner_mf(mm, a, mode, (g,)))
+            for evaluate in evals:
+                if u_size <= cap ** 2 and v_size <= cap:
+                    evaluate()
+                else:
+                    with pytest.raises(CardinalityError):
+                        evaluate()
+
+    def test_arm_count_mismatch_rejected(self, cascade_model):
+        # the size check used to index the model's arms by the system's: IndexError
+        aux = identity_aux(cascade_model)
+        with pytest.raises(RegionError, match="2 arms, model has 1"):
+            eval_inner_mf(single_arm_model(cascade_model), multi_from_aux([aux, aux]),
+                          "lossless")
 
     def test_constant_arms_zero_for_y_functions(self, cascade_model):
         mm = two_arm_model(cascade_model, cascade_model, YPROJ_F, YPROJ_F)
@@ -351,7 +397,7 @@ class TestProductForm:
         mm, a, g_list = random_multi_system(np.random.default_rng(seed), sizes[:j], q_size=2)
         dense = build_multi_joint(mm, a)
         rec = _Recorder(_ProductForm(mm, a))
-        _multi_rates(rec, j)
+        _multi_rates(rec, **_axis_names(j), q="q", x="x")
         _arm_distortions(mm, rec, g_list)
         multi_chain_report(mm, rec)
         for k in range(1, j + 1):  # read by the outer bound's lossless check
@@ -361,7 +407,7 @@ class TestProductForm:
             assert got.names == want.names
             assert np.max(np.abs(got.table - want.table)) <= 1e-12
         inner = eval_inner_mf(mm, a, "lossy", g_list)
-        ref = _multi_rates(dense, j)
+        ref, _ = _multi_rates(dense, **_axis_names(j), q="q", x="x")
         ref_d = _arm_distortions(mm, dense, g_list)
         assert _fields(inner) == pytest.approx(_fields(ref) + ref_d, abs=1e-12)
 

@@ -340,3 +340,9 @@ class TestTraceBoundary:
     def test_empty_grid_rejected(self):
         with pytest.raises(RegionError):
             BoundarySweep("r_s", (), "r_eve")
+
+    def test_unknown_mode_rejected(self, cascade_model):
+        sweep = BoundarySweep("d", (0.1,), "r_w")
+        with pytest.raises(RegionError, match="mode"):
+            trace_boundary(cascade_model, XTPROJ_F, sweep, "lossles",
+                           SearchBudget(restarts=1, iters=1), d=HAMMING_D)
