@@ -52,6 +52,7 @@ from .regions import (
     MultiRateTuple,
     ReconstructionFn,
     RegionError,
+    _check_mode,
     _check_sizes,
     _cmi,
     _dense_joint,
@@ -299,6 +300,7 @@ def eval_outer_mf(m: MultiModel, system: "MultiAuxSystem | JointDist", mode: str
     Lossless mode additionally checks per-arm admissibility on the joint.
     Raises ChainViolation naming the first failing condition.
     """
+    _check_mode(mode)
     if isinstance(system, MultiAuxSystem):
         system.validate_cardinalities(m, mode)
         src, q = _ProductForm(m, system), system.p_q.alphabet.name

@@ -252,6 +252,8 @@ class JointDist:
         if not keep:
             raise ProbabilityError("marginal needs a nonempty axis set")
         drop = tuple(i for i, a in enumerate(self.axes) if a.name not in keep)
+        if not drop:
+            return self  # a joint is immutable, so it is its own full marginal
         kept_axes = tuple(a for a in self.axes if a.name in keep)
         table = self.table
         for i in sorted(drop, reverse=True):

@@ -14,15 +14,16 @@ dense `JointDist` directly, with its entropy memo, as the seeded searches
 always have; the multi-arm `_ProductForm` never holds the joint, so it is
 asked for the marginal on the CMI's axes first.
 
-Search operations (membership, boundary tracing) are seeded multi-start
-coordinate descent with step halving and simplex projection; restart r of
-grid point g uses the derived seed child_seed(seed, g, r).
+Searches are seeded multi-start coordinate descent with step halving and
+simplex projection; restart r of grid point g uses child_seed(seed, g, r).
+Time sharing makes the region convex, so `trace_boundary` searches |Q| = 1
+systems and reads each grid point off the lower convex hull of all it evaluated.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -118,12 +119,16 @@ class AuxSystem:
                      self.u_alphabet.size, self.v_alphabet.size)
 
 
+def _check_mode(mode: str) -> None:
+    if mode not in ("lossless", "lossy"):
+        raise RegionError(f"mode must be 'lossless' or 'lossy', got {mode!r}")
+
+
 def _check_sizes(mode: str, xt_size: int, q_size: int, u_size: int, v_size: int,
                  arms: int = 1, where: str = "") -> None:
     """The cardinality policy: |Q| <= 2, |V| <= |X~| + s, |U| <= (|X~| + s)^2,
     s = 4 + [lossy] + [J >= 2]; the extra 1 for J >= 2 is the sum-storage rate."""
-    if mode not in ("lossless", "lossy"):
-        raise RegionError(f"mode must be 'lossless' or 'lossy', got {mode!r}")
+    _check_mode(mode)
     cap = xt_size + 4 + (mode == "lossy") + (arms >= 2)
     if q_size > 2:
         raise CardinalityError(f"{where}time-sharing alphabet is limited to 2 symbols")
@@ -218,6 +223,12 @@ def v_equals_u_aux(p_u_given_xt: CondDist, v_name: str = "v", q_name: str = "q")
     """Wrap a single auxiliary channel with V a noiseless copy of U."""
     p_v = identity_channel(p_u_given_xt.output, v_name)
     return AuxSystem(uniform(singleton_alphabet(q_name)), (AuxPair(p_u_given_xt, p_v),))
+
+
+def _canonical_corners(m: SourceModel) -> tuple[AuxSystem, ...]:
+    """The systems both searches evaluate first, in this order."""
+    return (identity_aux(m), constant_aux(m),
+            v_equals_u_aux(identity_channel(m.xt_alphabet, "u")))
 
 
 def _dense_joint(p_x: Dist, p_q: Dist,
@@ -331,7 +342,8 @@ def optimal_g(m: SourceModel, aux: AuxSystem, f: FunctionSpec,
     Under Hamming distortion this is the most-likely-function-value rule.
     Cells with zero probability get the globally most likely function symbol;
     ties break toward the lowest symbol index. `joint`, when given, is
-    `aux_mixture_joint(m, aux)` already built by the caller.
+    `aux_mixture_joint(m, aux)` already built by the caller, or a marginal of
+    it that keeps (u, xt, y).
     """
     if joint is None:
         joint = aux_mixture_joint(m, aux)
@@ -522,17 +534,17 @@ class MembershipResult:
 
 def _eval_candidate(m, aux, f, mode, d):
     """(rates, admissibility gap); distortion filled in lossy mode when d given."""
-    gap = 0.0
     if mode == "lossless":
         gap = max(admissibility_gap(m, pair.p_u_given_xt, f) for pair in aux.per_q)
-        rates, _, _ = _corner_rates(m, aux)
-        return rates, gap
-    if d is not None:
-        joint = aux_mixture_joint(m, aux)
-        g = optimal_g(m, aux, f, d, joint)
-        return eval_lossy_corner(m, aux, f, g, d, joint), gap
-    rates, _, _ = _corner_rates(m, aux)
-    return rates, gap
+        return _corner_rates(m, aux)[0], gap
+    if d is None:
+        return _corner_rates(m, aux)[0], 0.0
+    aux.validate_cardinalities(m.xt_alphabet.size, "lossy")
+    joint = aux_mixture_joint(m, aux)
+    # one (u, xt, y) marginal serves the reconstruction and the distortion
+    uxty = joint.marginal((aux.u_alphabet.name, m.xt_alphabet.name, m.y_alphabet.name))
+    g = optimal_g(m, aux, f, d, uxty)
+    return replace(_corner_rates(m, aux, joint)[0], d=_mean_distortion(uxty.table, f, g, d)), 0.0
 
 
 def membership(m: SourceModel, f: FunctionSpec, target: RateTuple, mode: str,
@@ -546,8 +558,7 @@ def membership(m: SourceModel, f: FunctionSpec, target: RateTuple, mode: str,
     corners, then seeded random restarts refined by coordinate descent.
     """
     budget = budget or SearchBudget()
-    if mode not in ("lossless", "lossy"):
-        raise RegionError(f"mode must be 'lossless' or 'lossy', got {mode!r}")
+    _check_mode(mode)
     if not all(np.isfinite(v) for v in target.coords().values()):
         raise RegionError("membership target must have finite coordinates")
     if mode == "lossy" and target.d is not None and d is None:
@@ -561,16 +572,8 @@ def membership(m: SourceModel, f: FunctionSpec, target: RateTuple, mode: str,
             return MembershipResult(True, aux, rates, g)
         return None
 
-    for aux in budget.candidates:
+    for aux in (*budget.candidates, *_canonical_corners(m)):
         hit = verdict(aux)
-        if hit:
-            return hit
-    for aux in (identity_aux(m), constant_aux(m),
-                v_equals_u_aux(identity_channel(m.xt_alphabet, "u"))):
-        try:
-            hit = verdict(aux)
-        except RegionError:
-            hit = None
         if hit:
             return hit
 
@@ -612,41 +615,79 @@ class BoundarySweep:
             raise RegionError(f"sweep coordinates must be among {names}")
 
 
+@dataclass(frozen=True)
+class BoundaryPoint(RateTuple):
+    """A traced point: time sharing of evaluated |Q| = 1 `witnesses`, witness i
+    on a `weights[i]` share of the symbols with its own code and `optimal_g`.
+    Every coordinate is the weighted mean of the witnesses' corners, so the
+    point is achievable. `feasible` is False when no evaluated system met the
+    grid bound; the point is then the pool system with the least coordinate."""
+
+    witnesses: tuple[AuxSystem, ...] = field(default=(), compare=False)
+    weights: tuple[float, ...] = ()
+    feasible: bool = True
+
+
+def _lower_hull(points: list[tuple]) -> list[tuple]:
+    """Lower convex hull of (x, y, ...) points sorted by x (monotone chain)."""
+    hull: list[tuple] = []
+    for p in points:
+        while len(hull) >= 2 and ((hull[-1][0] - hull[-2][0]) * (p[1] - hull[-2][1])
+                                  <= (hull[-1][1] - hull[-2][1]) * (p[0] - hull[-2][0])):
+            hull.pop()
+        hull.append(p)
+    return hull
+
+
 def trace_boundary(m: SourceModel, f: FunctionSpec, sweep: BoundarySweep, mode: str,
                    budget: SearchBudget | None = None,
-                   d: DistortionSpec | None = None) -> list[RateTuple]:
-    """Best tuple per grid point by seeded multi-start coordinate descent."""
+                   d: DistortionSpec | None = None) -> list[BoundaryPoint]:
+    """Least `minimize` coordinate subject to `coordinate` <= each grid value.
+
+    A pool keeps the evaluated admissible systems none dominates in (coordinate,
+    minimize): the canonical corners, then seeded |Q| = 1 descents per grid point.
+    With `budget.q_size` = 1 a point is the best pool system within its bound;
+    with 2 it lies on the pool's lower convex hull. A hull pair is not
+    re-evaluated as one |Q| = 2 system, whose shared U alphabet lets `optimal_g`
+    pool the two reconstructions on (u, y) and lift d above the chord.
+    """
     budget = budget or SearchBudget()
-    u_size, v_size, q_size = budget.resolved_sizes(m, mode)
-    param = _AuxParam(m, u_size, v_size, q_size)
+    u_size, v_size, _ = budget.resolved_sizes(m, mode)
     use_d = "d" in (sweep.coordinate, sweep.minimize)
-    if use_d and d is None:
-        raise RegionError("sweeping distortion needs a distortion spec")
-    penalty = 1e3
-    results: list[RateTuple] = []
+    if use_d and (mode != "lossy" or d is None):
+        raise RegionError("sweeping distortion needs lossy mode and a distortion spec")
+    pool: list[tuple[float, float, RateTuple, AuxSystem]] = []  # (x, y, rates, witness)
+
+    def evaluate(aux: AuxSystem, bound: float = 0.0) -> float:
+        """Penalized objective for `bound`; an admissible system joins the pool."""
+        rates, gap = _eval_candidate(m, aux, f, mode, d if use_d else None)
+        x, y = rates.coords()[sweep.coordinate], rates.coords()[sweep.minimize]
+        if gap <= ADMISSIBILITY_TOL and not any(a <= x and b <= y for a, b, _, _ in pool):
+            pool[:] = [e for e in pool if not (x <= e[0] and y <= e[1])] + [(x, y, rates, aux)]
+        return y + 1e3 * (max(x - bound, 0.0) + max(gap - ADMISSIBILITY_TOL, 0.0))
+
+    for aux in _canonical_corners(m):
+        evaluate(aux)
+    param = _AuxParam(m, u_size, v_size, 1)
     for gi, bound in enumerate(sweep.grid):
-        best_feasible: tuple[float, RateTuple] | None = None
-        best_any: tuple[float, RateTuple] | None = None
-
-        def score(blocks) -> float:
-            nonlocal best_feasible, best_any
-            aux = param.to_aux(blocks)
-            rates, gap = _eval_candidate(m, aux, f, mode, d if use_d else None)
-            coords = rates.coords()
-            obj = coords[sweep.minimize]
-            viol = max(coords[sweep.coordinate] - bound, 0.0) + max(gap - ADMISSIBILITY_TOL, 0.0)
-            val = obj + penalty * viol
-            if viol <= MEMBERSHIP_TOL and (best_feasible is None or obj < best_feasible[0]):
-                best_feasible = (obj, rates)
-            if best_any is None or val < best_any[0]:
-                best_any = (val, rates)
-            return val
-
         for r in range(budget.restarts):
-            blocks = param.random(child_seed(budget.seed, gi, r))
-            _coordinate_descent(score, param, blocks, budget.iters,
-                                budget.init_step, budget.min_step)
-        chosen = best_feasible or best_any
-        assert chosen is not None
-        results.append(chosen[1])
+            _coordinate_descent(lambda blocks: evaluate(param.to_aux(blocks), bound), param,
+                                param.random(child_seed(budget.seed, gi, r)),
+                                budget.iters, budget.init_step, budget.min_step)
+    if not pool:
+        raise RegionError("no evaluated auxiliary system is admissible")
+    pool.sort(key=lambda e: e[0])  # x ascending, so y descending
+    vertices = _lower_hull(pool) if budget.q_size > 1 else pool
+    results = []
+    for bound in sweep.grid:
+        i = sum(e[0] <= bound + MEMBERSHIP_TOL for e in vertices) - 1  # -1: none meets it
+        a = vertices[max(i, 0)]
+        parts = [(1.0, a)]
+        if budget.q_size > 1 and 0 <= i < len(vertices) - 1 and a[0] < bound:
+            b = vertices[i + 1]
+            w = (b[0] - bound) / (b[0] - a[0])
+            parts = [(w, a), (1.0 - w, b)]
+        mean = {k: sum(w * e[2].coords()[k] for w, e in parts) for k in a[2].coords()}
+        results.append(BoundaryPoint(**mean, witnesses=tuple(e[3] for _, e in parts),
+                                     weights=tuple(w for w, _ in parts), feasible=i >= 0))
     return results

@@ -291,6 +291,14 @@ class TestOuterBound:
         # per-arm marginals are pure noise, so the product-form corner is free
         assert outer.r_w == pytest.approx((0.0, 0.0), abs=1e-9)
 
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_unknown_mode_rejected(self, cascade_model, dense):
+        # a dense joint used to skip mode validation and the lossless check
+        mm = two_arm_model(cascade_model, cascade_model)
+        aux = multi_from_aux([identity_aux(cascade_model)] * 2)
+        with pytest.raises(RegionError, match="mode"):
+            eval_outer_mf(mm, build_multi_joint(mm, aux) if dense else aux, "lossles")
+
     def test_product_joints_factorize(self, cascade_model):
         mm = two_arm_model(cascade_model, cascade_model)
         aux = multi_from_aux([identity_aux(cascade_model)] * 2)

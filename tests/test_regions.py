@@ -1,7 +1,9 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     F,
@@ -30,6 +32,7 @@ from sfcomp.probability import (
     mutual_info,
     uniform,
 )
+from sfcomp import regions
 from sfcomp.regions import (
     AuxPair,
     AuxSystem,
@@ -55,6 +58,38 @@ from sfcomp.regions import (
 )
 
 U2 = XT.renamed("u")
+DSBS_P = 0.06 + 0.15 - 2 * 0.06 * 0.15  # (xtilde, y) crossover of the conftest cascade
+
+
+def h2(p):
+    return 0.0 if p <= 0.0 or p >= 1.0 else -p * math.log2(p) - (1 - p) * math.log2(1 - p)
+
+
+def wyner_ziv_dsbs(p):
+    """R(D) of a DSBS(p) under Hamming distortion (Wyner & Ziv 1976):
+    H_b(p * D) - H_b(D) up to the tangent point d_c, then the chord to (p, 0)."""
+    def g(t):
+        return h2(p + t - 2 * p * t) - h2(t)
+
+    def slope(t):
+        a = p + t - 2 * p * t
+        return (1 - 2 * p) * math.log2((1 - a) / a) - math.log2((1 - t) / t)
+
+    lo, hi = 1e-12, p  # g + g' (p - t) changes sign once, at d_c
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if g(mid) + slope(mid) * (p - mid) < 0 else (lo, mid)
+    d_c = 0.5 * (lo + hi)
+    return lambda d: g(d) if d <= d_c else g(d_c) * max(p - d, 0.0) / (p - d_c)
+
+
+def trace_lossy(m, grid, budget):
+    return trace_boundary(m, XTPROJ_F, BoundarySweep("d", tuple(grid), "r_w"), "lossy",
+                          budget, d=HAMMING_D)
+
+
+def lossy_corner(m, aux):
+    return eval_lossy_corner(m, aux, XTPROJ_F, optimal_g(m, aux, XTPROJ_F, HAMMING_D), HAMMING_D)
 
 
 def bsc_aux(alpha, v_copy=False):
@@ -220,6 +255,17 @@ class TestInvariants:
             -cond_mutual_info(j, "u", "y", ("v", "q")), 0.0)
         assert rates.r_s == pytest.approx(expected, abs=1e-12)
 
+    def test_degraded_eve_with_constant_v_equates_secrecy_and_storage(self, cascade_model):
+        # U - X~ - X - Y - Z with |V| = 1: the offset is I(U;Z|Q) - I(U;Y|Q), so
+        # r_s = I(U,Q;X~|Y) = r_w and r_eve = I(U,Q;X|Y) = r_dec exactly
+        rng = np.random.default_rng(41)
+        for _ in range(200):
+            aux = random_aux(rng, u_size=int(rng.integers(2, 5)), v_size=1,
+                             q_size=int(rng.integers(1, 3)))
+            rates, _, _ = _rates_with_joint(cascade_model, aux)
+            assert abs(rates.r_s - rates.r_w) <= 1e-12
+            assert abs(rates.r_eve - rates.r_dec) <= 1e-12
+
     def test_per_q_report_lists_branches(self, cascade_model):
         rng = np.random.default_rng(5)
         aux = random_aux(rng, q_size=2)
@@ -346,3 +392,94 @@ class TestTraceBoundary:
         with pytest.raises(RegionError, match="mode"):
             trace_boundary(cascade_model, XTPROJ_F, sweep, "lossles",
                            SearchBudget(restarts=1, iters=1), d=HAMMING_D)
+
+    def test_distortion_sweep_needs_lossy_mode(self, cascade_model):
+        sweep = BoundarySweep("d", (0.1,), "r_w")
+        with pytest.raises(RegionError, match="lossy"):
+            trace_boundary(cascade_model, XOR_F, sweep, "lossless",
+                           SearchBudget(restarts=1, iters=1), d=HAMMING_D)
+
+    def test_lossy_points_meet_their_bounds(self, cascade_model):
+        # a per-point |Q| = 2 search returned (d, r_w) = (0.192, 0) for the
+        # bounds 0.1 and 0.15 with no flag
+        grid = (0.05, 0.1, 0.15)
+        pts = trace_lossy(cascade_model, grid, SearchBudget(
+            restarts=1, iters=30, u_size=2, v_size=1, q_size=2, seed=0))
+        rate = wyner_ziv_dsbs(DSBS_P)
+        for bound, pt in zip(grid, pts):
+            assert pt.feasible
+            assert pt.d <= bound + 1e-9
+            assert rate(pt.d) - 1e-9 <= pt.r_w <= rate(bound) + 0.01
+
+    def test_canonical_corners_alone_give_the_chord(self, cascade_model):
+        # U = X~ sits at (0, H_b(p)) and constant U at (p, 0)
+        grid = (0.0, 0.03, 0.1, 0.19, 0.3)
+        pts = trace_lossy(cascade_model, grid, SearchBudget(restarts=0, q_size=2))
+        for bound, pt in zip(grid, pts):
+            assert pt.feasible
+            assert pt.r_w == pytest.approx(h2(DSBS_P) * max(1 - bound / DSBS_P, 0.0), abs=1e-12)
+
+    @settings(max_examples=8, deadline=None)
+    @given(st.lists(st.floats(0.0, 0.25), min_size=1, max_size=4, unique=True),
+           st.integers(0, 2**16))
+    def test_points_are_time_shared_witnesses_on_a_convex_curve(self, grid, seed):
+        m = binary_cascade_model()
+        pts = trace_lossy(m, grid, SearchBudget(restarts=1, iters=4, u_size=2, v_size=1,
+                                                q_size=2, seed=seed))
+        for pt in pts:
+            assert pt.feasible
+            assert all(w >= 0.0 for w in pt.weights)
+            assert sum(pt.weights) == pytest.approx(1.0, abs=1e-12)
+            corners = [lossy_corner(m, w) for w in pt.witnesses]
+            for k, v in pt.coords().items():
+                mean = sum(w * c.coords()[k] for w, c in zip(pt.weights, corners))
+                assert v == pytest.approx(mean, abs=1e-12)
+        curve = sorted(zip(grid, (pt.r_w for pt in pts)))
+        for (_, y1), (_, y2) in zip(curve, curve[1:]):
+            assert y2 <= y1 + 1e-12
+        for (b1, y1), (b2, y2), (b3, y3) in zip(curve, curve[1:], curve[2:]):
+            assert (y2 - y1) * (b3 - b2) <= (y3 - y2) * (b2 - b1) + 1e-12
+
+    @pytest.mark.parametrize("q_size", [1, 2])
+    def test_points_are_best_over_every_evaluated_system(self, cascade_model, monkeypatch,
+                                                          q_size):
+        # reference: every (d, r_w) the sweep evaluated; one system may only
+        # take the best point within the bound, two may also take any chord
+        seen = []
+        evaluate = regions._eval_candidate
+
+        def spy(*args):
+            rates, gap = evaluate(*args)
+            seen.append((rates.d, rates.r_w))
+            return rates, gap
+
+        monkeypatch.setattr(regions, "_eval_candidate", spy)
+        grid = (0.02, 0.06, 0.1, 0.15)
+        pts = trace_lossy(cascade_model, grid, SearchBudget(
+            restarts=1, iters=8, u_size=2, v_size=1, q_size=q_size, seed=3))
+        xs, ys = np.array(seen).T
+        for bound, pt in zip(grid, pts):
+            assert pt.feasible
+            assert pt.d <= bound + 1e-9
+            best = ys[xs <= bound + 1e-9].min()
+            if q_size == 1:
+                assert len(pt.witnesses) == 1 and pt.weights == (1.0,)
+                assert lossy_corner(cascade_model, pt.witnesses[0]).coords() == pytest.approx(
+                    pt.coords(), abs=1e-12)
+                assert pt.r_w == best
+                continue
+            left, right = xs <= bound, xs > bound
+            xa, ya = xs[left][:, None], ys[left][:, None]
+            chords = ya + (ys[right][None, :] - ya) * (bound - xa) / (xs[right][None, :] - xa)
+            assert pt.r_w == pytest.approx(min(best, chords.min(initial=np.inf)), abs=1e-7)
+
+    def test_unmet_bound_is_flagged(self, cascade_model):
+        # every admissible system for XOR stores at least H(X~|Y) = H_b(p)
+        sweep = BoundarySweep("r_w", (0.1,), "r_s")
+        (pt,) = trace_boundary(cascade_model, XOR_F, sweep, "lossless",
+                               SearchBudget(restarts=1, iters=5, u_size=2, v_size=1, q_size=2))
+        assert not pt.feasible
+        assert pt.weights == (1.0,)
+        assert pt.r_w >= h2(DSBS_P) - 1e-9
+        assert eval_lossless_corner(cascade_model, pt.witnesses[0], XOR_F).coords() == \
+            pytest.approx(pt.coords(), abs=1e-12)
