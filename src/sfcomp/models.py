@@ -207,6 +207,13 @@ def markov_chain_holds(joint: JointDist, a, b, c, tol: float = DEGRADEDNESS_TOL)
     return cond_mutual_info(joint, a, c, b) <= tol
 
 
+def _function_residual(joint: JointDist, f: FunctionSpec, xt: str, y: str) -> float:
+    """H(F | every axis of `joint` but `xt`) in bits, F = f(xt, y)."""
+    jf = push_function(joint, (xt, y), f.table, f.output)
+    given = tuple(n for n in joint.names if n != xt)
+    return entropy(jf, (f.output.name,) + given) - entropy(jf, given)
+
+
 def admissibility_gap(m: SourceModel, p_u_given_xt: CondDist, f: FunctionSpec) -> float:
     """H(F | U, Y) in bits on the composed joint; zero means (U, Y) determine f."""
     if p_u_given_xt.input != m.xt_alphabet:
@@ -215,10 +222,8 @@ def admissibility_gap(m: SourceModel, p_u_given_xt: CondDist, f: FunctionSpec) -
                 (p_u_given_xt, m.xt_alphabet.name),
                 (m.p_yz_given_x, m.x_alphabet.name))
     j = j.split(m.p_yz_given_x.output.name)
-    u, xt, y = p_u_given_xt.output.name, m.xt_alphabet.name, m.y_alphabet.name
-    j = j.marginal((u, xt, y))
-    jf = push_function(j, (xt, y), f.table, f.output)
-    return entropy(jf, (f.output.name, u, y)) - entropy(jf, (u, y))
+    xt, y = m.xt_alphabet.name, m.y_alphabet.name
+    return _function_residual(j.marginal((p_u_given_xt.output.name, xt, y)), f, xt, y)
 
 
 def is_admissible(m: SourceModel, p_u_given_xt: CondDist, f: FunctionSpec,

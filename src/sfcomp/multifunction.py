@@ -7,15 +7,14 @@ the same expressions on any supplied joint whose arms each satisfy the
 per-arm Markov chain; couplings across arms beyond the product form are
 allowed there, and that relaxation is the only difference between the two.
 
-A single function is the one-arm case: the rate formulas, dense joint
-builder, size policy and admissibility requirement live in `regions` and
-serve both. Every term is read from a source: a dense `JointDist` (a joint
-supplied to `eval_outer_mf`) answers each CMI on itself; `_ProductForm`
-keeps a product-form system as per-arm factors and contracts only the
-marginal a term asks for.
-`eval_inner_mf`, and `eval_outer_mf` given a `MultiAuxSystem`, use the
-factors and never build the joint, whose cell count is exponential in J;
-`build_multi_joint` builds that joint for callers that want it dense.
+A single function is the one-arm case: the rate formulas, the factor source
+`_ProductForm`, the dense reference builder, the size policy and the
+admissibility residual live in `regions` and serve both; see there why the
+source's marginals are trusted. `_named_arms` names a system's arms for
+`_ProductForm`, which `eval_inner_mf`, and `eval_outer_mf` given a
+`MultiAuxSystem`, read without forming the joint (its cell count is
+exponential in J), and for `build_multi_joint`, the dense reference. A dense
+`JointDist` supplied to `eval_outer_mf` is read the same way, marginal first.
 
 Axis naming convention for a J-arm joint:
 (q, v1..vJ, u1..uJ, xtilde1..xtildeJ, x, y1..yJ, z1..zJ).
@@ -27,28 +26,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .models import (
-    ADMISSIBILITY_TOL,
-    MultiModel,
-    build_joint,
-)
+from .models import MultiModel
 from .probability import (
-    TABLE_CELL_CAP,
     CondDist,
     Dist,
     JointDist,
-    ProbabilityError,
-    TableTooLarge,
-    UnknownAxis,
-    cond_entropy,
     cond_mutual_info,
     product_alphabet,
-    push_function,
 )
 from .regions import (
     AuxPair,
     AuxSystem,
-    InadmissibleAuxiliary,
     MultiRateTuple,
     ReconstructionFn,
     RegionError,
@@ -58,6 +46,7 @@ from .regions import (
     _dense_joint,
     _mean_distortion,
     _multi_rates,
+    _ProductForm,
     _require_admissible,
     single_arm_tuple,  # re-exported: part of this module's public names
 )
@@ -106,12 +95,10 @@ def _axis_names(j: int) -> dict[str, tuple[str, ...]]:
     }
 
 
-def build_multi_joint(m: MultiModel, a: MultiAuxSystem) -> JointDist:
-    """Product-form joint over (q, v_*, u_*, xtilde_*, x, y_*, z_*), dense.
-
-    The bound evaluators read marginals of the same joint from `_ProductForm`
-    instead; this dense table is the reference they agree with.
-    """
+def _named_arms(m: MultiModel, a: MultiAuxSystem,
+                ) -> list[tuple[CondDist, tuple[AuxPair, ...], CondDist]]:
+    """Arm triples (p(xtilde_j|x), one `AuxPair` per weight symbol, p(y_j z_j|x))
+    under the axis names of `_axis_names`, as `_ProductForm` and `_dense_joint` take."""
     if a.j != m.j:
         raise RegionError(f"auxiliary system has {a.j} arms, model has {m.j}")
     names = _axis_names(m.j)
@@ -126,67 +113,16 @@ def build_multi_joint(m: MultiModel, a: MultiAuxSystem) -> JointDist:
         yz_j = product_alphabet(f"yz{j + 1}", y.renamed(names["y"][j]), z.renamed(names["z"][j]))
         arms.append((CondDist(arm.p_xt_given_x.input, xt_j, arm.p_xt_given_x.rows), pairs,
                      CondDist(arm.p_yz_given_x.input, yz_j, arm.p_yz_given_x.rows)))
-    return _dense_joint(m.p_x, a.p_q, arms)
+    return arms
 
 
-class _ProductForm:
-    """The product-form joint of a multi-arm system, kept as per-arm factors.
+def build_multi_joint(m: MultiModel, a: MultiAuxSystem) -> JointDist:
+    """Product-form joint over (q, v_*, u_*, xtilde_*, x, y_*, z_*), dense.
 
-    p(q, x, ...) = p(q) p(x) prod_j f_j[q, x, xtilde_j, u_j, v_j, y_j, z_j] with
-    f_j = p(xtilde_j | x) p(u_j | xtilde_j, q) p(v_j | u_j, q) p(y_j, z_j | x).
-    `marginal` has the signature of `JointDist.marginal` and builds only the
-    table asked for, so TABLE_CELL_CAP bounds the largest marginal read.
+    The bound evaluators read marginals of the same joint from `_ProductForm`
+    instead; this dense table is the reference they agree with.
     """
-
-    def __init__(self, m: MultiModel, a: MultiAuxSystem) -> None:
-        if a.j != m.j:
-            raise RegionError(f"auxiliary system has {a.j} arms, model has {m.j}")
-        names = _axis_names(m.j)
-        self._p_q, self._p_x = a.p_q.probs, m.p_x.probs
-        self._q, self._x = a.p_q.alphabet.name, m.p_x.alphabet.name
-        self._arms = []  # (local axes (xtilde, u, v, y, z), factor)
-        for j, arm in enumerate(m.arms):
-            pairs = a.arms[j]
-            y, z = arm.p_yz_given_x.output.parts
-            local = (arm.p_xt_given_x.output.renamed(names["xt"][j]),
-                     pairs[0].u_alphabet.renamed(names["u"][j]),
-                     pairs[0].v_alphabet.renamed(names["v"][j]),
-                     y.renamed(names["y"][j]), z.renamed(names["z"][j]))
-            p_yz = arm.p_yz_given_x.rows.reshape(m.p_x.alphabet.size, y.size, z.size)
-            factor = np.einsum("xa,qau,quv,xyz->qxauvyz", arm.p_xt_given_x.rows,
-                               np.stack([p.p_u_given_xt.rows for p in pairs]),
-                               np.stack([p.p_v_given_u.rows for p in pairs]), p_yz)
-            self._arms.append((local, factor))
-        per_arm = [tuple(local[i] for local, _ in self._arms) for i in range(5)]
-        self.axes = ((a.p_q.alphabet,) + per_arm[2] + per_arm[1] + per_arm[0]
-                     + (m.p_x.alphabet,) + per_arm[3] + per_arm[4])
-        if len({alph.name for alph in self.axes}) != len(self.axes):
-            raise ProbabilityError(f"duplicate axis names in joint: "
-                                   f"{[alph.name for alph in self.axes]}")
-
-    def marginal(self, axes) -> JointDist:
-        """Marginal joint on the named axes, in the canonical axis order."""
-        want = {axes} if isinstance(axes, str) else set(axes)
-        if not want:
-            raise ProbabilityError("marginal needs a nonempty axis set")
-        kept = tuple(alph for alph in self.axes if alph.name in want)
-        if len(kept) != len(want):
-            names = tuple(alph.name for alph in self.axes)
-            raise UnknownAxis(f"axes {sorted(want - set(names))} not in joint over {names}")
-        cells = int(np.prod([alph.size for alph in kept], dtype=np.int64))
-        if cells > TABLE_CELL_CAP:
-            raise TableTooLarge(
-                f"marginal over {[alph.name for alph in kept]} needs {cells} cells, "
-                f"cap is {TABLE_CELL_CAP}")
-        # einsum labels: output axes first, then q and x when they are summed out
-        label = {alph.name: i for i, alph in enumerate(kept)}
-        q, x = label.get(self._q, len(kept)), label.get(self._x, len(kept) + 1)
-        operands = [self._p_q, [q], self._p_x, [x]]
-        for local, factor in self._arms:
-            mine = [i for i, alph in enumerate(local) if alph.name in want]
-            drop = tuple(2 + i for i in range(len(local)) if i not in mine)
-            operands += [factor.sum(axis=drop), [q, x] + [label[local[i].name] for i in mine]]
-        return JointDist(kept, np.einsum(*operands, list(range(len(kept)))))
+    return _dense_joint(m.p_x, a.p_q, _named_arms(m, a))
 
 
 def _arm_distortions(m: MultiModel, src: "JointDist | _ProductForm",
@@ -203,8 +139,13 @@ def _arm_distortions(m: MultiModel, src: "JointDist | _ProductForm",
 
 def _bound_corner(m: MultiModel, src: "JointDist | _ProductForm", q: str, mode: str,
                   g_list: tuple[ReconstructionFn, ...] | None) -> MultiRateTuple:
-    """Rates read from `src`, plus per-arm distortions in lossy mode."""
-    rates, _ = _multi_rates(src, **_axis_names(m.j), q=q, x=m.p_x.alphabet.name)
+    """Rates read from `src`, after each arm's admissibility in lossless mode
+    and with per-arm distortions in lossy mode."""
+    names = _axis_names(m.j)
+    if mode == "lossless":
+        _require_admissible(src, tuple(zip([arm.f for arm in m.arms], names["u"],
+                                           names["xt"], names["y"])), q)
+    rates, _ = _multi_rates(src, **names, q=q, x=m.p_x.alphabet.name)
     if mode != "lossy":
         return rates
     if g_list is None:
@@ -216,15 +157,13 @@ def eval_inner_mf(m: MultiModel, a: MultiAuxSystem, mode: str,
                   g_list: tuple[ReconstructionFn, ...] | None = None) -> MultiRateTuple:
     """Inner-bound corner on the product-form joint.
 
-    Lossless mode requires every arm's auxiliary channel to be admissible for
-    that arm's function; lossy mode instead takes per-arm reconstructions and
-    reports expected distortions.
+    Lossless mode requires every arm's auxiliary to be admissible for that
+    arm's function, H(F_j | U_j, Q, Y_j) = 0; lossy mode instead takes
+    per-arm reconstructions and reports expected distortions.
     """
     a.validate_cardinalities(m, mode)
-    if mode == "lossless":
-        for j in range(m.j):
-            _require_admissible(m.arm_model(j), a.arms[j], m.arms[j].f, f"arm {j}: ")
-    return _bound_corner(m, _ProductForm(m, a), a.p_q.alphabet.name, mode, g_list)
+    src = _ProductForm(m.p_x, a.p_q, _named_arms(m, a))
+    return _bound_corner(m, src, a.p_q.alphabet.name, mode, g_list)
 
 
 @dataclass(frozen=True)
@@ -261,9 +200,11 @@ def multi_chain_report(m: MultiModel, joint: JointDist, tol: float = CHAIN_TOL,
         ]
         for name, value in conds:
             checks.append(ChainCheck(name, float(value), bool(value <= tol)))
-        model_marg = build_joint(m.arm_model(k))
+        arm = m.arms[k]
+        model = np.einsum("x,xa,xw->axw", m.p_x.probs, arm.p_xt_given_x.rows,
+                          arm.p_yz_given_x.rows)
         got = joint.marginal((xt, x, y, z)).table
-        err = float(np.max(np.abs(got - model_marg.table)))
+        err = float(np.max(np.abs(got - model.reshape(got.shape))))
         checks.append(ChainCheck(f"arm{k + 1}: model marginal reproduced", err,
                                  err <= MODEL_MATCH_TOL))
     return tuple(checks)
@@ -293,32 +234,22 @@ def eval_outer_mf(m: MultiModel, system: "MultiAuxSystem | JointDist", mode: str
 
     Accepts either a product-form auxiliary system, whose marginals are read
     from its per-arm factors without building the joint, or a raw dense joint
-    using the documented axis naming, read directly; couplings across arms
-    beyond the product form pass as long as each arm's chain holds. Every
-    chain and model-marginal check runs on either. The time-sharing axis is
-    named after the system's weight alphabet, or "q" for a supplied joint.
-    Lossless mode additionally checks per-arm admissibility on the joint.
+    using the documented axis naming, whose marginals are taken first the
+    same way; couplings across arms beyond the product form pass as long as
+    each arm's chain holds. Every chain and model-marginal check runs on
+    either. The time-sharing axis is named after the system's weight
+    alphabet, or "q" for a supplied joint. Lossless mode additionally
+    requires H(F_j | U_j, Q, Y_j) = 0 per arm, as the inner bound does.
     Raises ChainViolation naming the first failing condition.
     """
     _check_mode(mode)
     if isinstance(system, MultiAuxSystem):
         system.validate_cardinalities(m, mode)
-        src, q = _ProductForm(m, system), system.p_q.alphabet.name
+        src, q = _ProductForm(m.p_x, system.p_q, _named_arms(m, system)), system.p_q.alphabet.name
     else:
         src, q = system, "q"
     report = multi_chain_report(m, src, q_name=q)
     for check in report:
         if not check.ok:
             raise ChainViolation(f"{check.name} fails with value {check.value:.3g}")
-    names = _axis_names(m.j)
-    if mode == "lossless":
-        for k in range(m.j):
-            u, xt, y = names["u"][k], names["xt"][k], names["y"][k]
-            sub = src.marginal((u, q, xt, y))
-            arm = m.arms[k]
-            jf = push_function(sub, (xt, y), arm.f.table, arm.f.output)
-            gap = cond_entropy(jf, arm.f.output.name, (u, q, y))
-            if gap > ADMISSIBILITY_TOL:
-                raise InadmissibleAuxiliary(
-                    f"arm {k}: function undetermined by (U, Q, Y), residual {gap:.3g} bits")
     return _bound_corner(m, src, q, mode, g_list), report

@@ -10,9 +10,10 @@ Inputs are validated once, where they enter: `Dist`, `CondDist`, the public
 `JointDist` constructor and the builders `compose`, `mixture` and
 `push_function` reject NaN, negative entries, mass away from 1, duplicate
 axis names and tables over the cell cap. Tables derived from a validated
-joint by `marginal`, `reorder` and `split` are trusted and skip those
-checks: a sum of nonnegative finite cells is nonnegative and finite, keeps
-the parent's mass up to rounding, and has no more cells than its parent.
+joint by `marginal`, `reorder` and `split`, and the factor-source marginals
+of `regions`, are trusted and skip those checks: a sum of nonnegative finite
+cells is nonnegative and finite and keeps the parent's mass up to rounding,
+and the cell cap is checked before a factor-source marginal is built.
 
 Every object here is immutable after construction; all operations are pure
 functions and safe to call concurrently. A joint memoizes the entropies
@@ -31,8 +32,8 @@ import numpy as np
 
 MASS_TOL = 1e-12
 LOG_ZERO_CUTOFF = 1e-15
-# Caps every dense table built here. Multi-arm evaluation of a product-form
-# system never forms the joint, so there it caps the largest marginal read.
+# Caps every dense table built here. The evaluators never form the mixture
+# joint, so there it caps the largest marginal read.
 TABLE_CELL_CAP = 2**24
 
 

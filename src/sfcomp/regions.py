@@ -7,12 +7,14 @@ min(I(U;Z|V,Q) - I(U;Y|V,Q), 0); the offset conditions on (V,Q) while the
 leading terms are evaluated on the mixture itself. A per-weight diagnostic
 report is available for the averaged view.
 
-A single function is the one-arm case of the multi-function bounds: the
-rate formulas (`_multi_rates`), dense joint builder, cardinality policy and
-admissibility requirement here serve `multifunction` too. `_cmi` reads a
-dense `JointDist` directly, with its entropy memo, as the seeded searches
-always have; the multi-arm `_ProductForm` never holds the joint, so it is
-asked for the marginal on the CMI's axes first.
+A single function is the one-arm case of the multi-function bounds. Every
+evaluator reads one source, `_ProductForm`: the mixture joint kept as
+per-arm factors, whose marginals are contractions of validated `Dist` and
+`CondDist` tables and so are trusted like `JointDist.marginal`'s. A CMI is
+read on the marginal over its axes (`_cmi`), admissibility as H(F|U,Q,Y) on
+the (u, q, xt, y) marginal (`_residual`). Dense joints remain as the tests'
+`compose`-built references (`_dense_joint`, `aux_mixture_joint`) and as
+joints supplied to the outer bound, which `_cmi` reads the same way.
 
 Searches are seeded multi-start coordinate descent with step halving and
 simplex projection; restart r of grid point g uses child_seed(seed, g, r).
@@ -22,6 +24,7 @@ systems and reads each grid point off the lower convex hull of all it evaluated.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
@@ -31,23 +34,25 @@ from .models import (
     ADMISSIBILITY_TOL,
     DistortionSpec,
     FunctionSpec,
-    ModelError,
     SourceModel,
+    _function_residual,
     _project_simplex,
-    admissibility_gap,
 )
 from .probability import (
+    TABLE_CELL_CAP,
     Alphabet,
     CondDist,
     Dist,
     JointDist,
+    ProbabilityError,
+    TableTooLarge,
+    UnknownAxis,
     compose,
     cond_mutual_info,
     constant_channel,
     identity_channel,
     min_zero,
     mixture,
-    push_function,
     uniform,
 )
 from .seeding import child_seed, uniforms
@@ -234,8 +239,8 @@ def _canonical_corners(m: SourceModel) -> tuple[AuxSystem, ...]:
 def _dense_joint(p_x: Dist, p_q: Dist,
                  arms: Sequence[tuple[CondDist, Sequence[AuxPair], CondDist]]) -> JointDist:
     """Dense joint over (q, v_*, u_*, xt_*, x, y_*, z_*) of arms named apart,
-    each (p(xt|x), one `AuxPair` per weight symbol, p(yz|x)). Every yz step
-    comes after all xt -> u -> v chains, the order one arm always had."""
+    each (p(xt|x), one `AuxPair` per weight symbol, p(yz|x)). Built by
+    `compose`; the tests compare `_ProductForm` against it."""
     xn = p_x.alphabet.name
     pairs = [per_q[0] for _, per_q, _ in arms]  # every weight symbol shares these alphabets
     yz = [p_yz.output for _, _, p_yz in arms]
@@ -258,8 +263,72 @@ def _dense_joint(p_x: Dist, p_q: Dist,
 
 
 def aux_mixture_joint(m: SourceModel, aux: AuxSystem) -> JointDist:
-    """Joint over (q, v, u, xt, x, y, z) induced by the model and the auxiliary system."""
+    """Dense joint over (q, v, u, xt, x, y, z) induced by the model and the auxiliary system."""
     return _dense_joint(m.p_x, aux.p_q, ((m.p_xt_given_x, aux.per_q, m.p_yz_given_x),))
+
+
+def _source(m: SourceModel, aux: AuxSystem) -> "_ProductForm":
+    """The source the single-function evaluators read: the one-arm factor form."""
+    return _ProductForm(m.p_x, aux.p_q, ((m.p_xt_given_x, aux.per_q, m.p_yz_given_x),))
+
+
+class _ProductForm:
+    """The mixture joint of the arm triples `_dense_joint` takes, as per-arm factors.
+
+    p(q, x, ...) = p(q) p(x) prod_j f_j[q, x, xt_j, u_j, v_j, y_j, z_j] with
+    f_j = p(xt_j | x) p(u_j | xt_j, q) p(v_j | u_j, q) p(y_j, z_j | x).
+    `marginal` has the signature of `JointDist.marginal` and builds only the
+    table asked for, so TABLE_CELL_CAP bounds the largest marginal read.
+    """
+
+    def __init__(self, p_x: Dist, p_q: Dist,
+                 arms: Sequence[tuple[CondDist, Sequence[AuxPair], CondDist]]) -> None:
+        self._p_q, self._p_x = p_q.probs, p_x.probs
+        self._q, self._x = p_q.alphabet.name, p_x.alphabet.name
+        self._arms = []  # (local axes (xt, u, v, y, z), factor)
+        for p_xt, per_q, p_yz in arms:
+            first = per_q[0]  # every weight symbol shares its alphabets
+            if first.p_u_given_xt.input != p_xt.output:
+                raise ProbabilityError(f"auxiliary channel is not fed by the observation "
+                                       f"{p_xt.output.name!r}")
+            y, z = p_yz.output.parts
+            local = (p_xt.output, first.u_alphabet, first.v_alphabet, y, z)
+            factor = np.einsum("xa,qau,quv,xyz->qxauvyz", p_xt.rows,
+                               np.stack([p.p_u_given_xt.rows for p in per_q]),
+                               np.stack([p.p_v_given_u.rows for p in per_q]),
+                               p_yz.rows.reshape(p_x.alphabet.size, y.size, z.size))
+            self._arms.append((local, factor))
+        per_arm = [tuple(local[i] for local, _ in self._arms) for i in range(5)]
+        self.axes = ((p_q.alphabet,) + per_arm[2] + per_arm[1] + per_arm[0]
+                     + (p_x.alphabet,) + per_arm[3] + per_arm[4])
+        if len({alph.name for alph in self.axes}) != len(self.axes):
+            raise ProbabilityError(f"duplicate axis names in joint: "
+                                   f"{[alph.name for alph in self.axes]}")
+
+    def marginal(self, axes) -> JointDist:
+        """Marginal joint on the named axes, in the canonical axis order; trusted,
+        as a contraction of validated `Dist` and `CondDist` tables."""
+        want = {axes} if isinstance(axes, str) else set(axes)
+        if not want:
+            raise ProbabilityError("marginal needs a nonempty axis set")
+        kept = tuple(alph for alph in self.axes if alph.name in want)
+        if len(kept) != len(want):
+            names = tuple(alph.name for alph in self.axes)
+            raise UnknownAxis(f"axes {sorted(want - set(names))} not in joint over {names}")
+        cells = math.prod(alph.size for alph in kept)
+        if cells > TABLE_CELL_CAP:
+            raise TableTooLarge(
+                f"marginal over {[alph.name for alph in kept]} needs {cells} cells, "
+                f"cap is {TABLE_CELL_CAP}")
+        # einsum labels: output axes first, then q and x when they are summed out
+        label = {alph.name: i for i, alph in enumerate(kept)}
+        q, x = label.get(self._q, len(kept)), label.get(self._x, len(kept) + 1)
+        operands = [self._p_q, [q], self._p_x, [x]]
+        for local, factor in self._arms:
+            mine = [i for i, alph in enumerate(local) if alph.name in want]
+            drop = tuple(2 + i for i in range(len(local)) if i not in mine)
+            operands += [factor.sum(axis=drop), [q, x] + [label[local[i].name] for i in mine]]
+        return JointDist._derived(kept, np.einsum(*operands, list(range(len(kept)))))
 
 
 def _clamp_rate(value: float) -> float:
@@ -269,10 +338,8 @@ def _clamp_rate(value: float) -> float:
 
 
 def _cmi(src, a, b, c=()) -> float:
-    """I(A;B|C) on a dense `JointDist`, or on the marginal on A, B and C of
-    any other source with `JointDist.marginal`'s signature."""
-    if isinstance(src, JointDist):
-        return cond_mutual_info(src, a, b, c)
+    """I(A;B|C) on the marginal on A, B and C of a source: a `_ProductForm`
+    or a dense `JointDist`."""
     sets = [(s,) if isinstance(s, str) else tuple(s) for s in (a, b, c)]
     return cond_mutual_info(src.marginal(sets[0] + sets[1] + sets[2]), a, b, c)
 
@@ -297,59 +364,60 @@ def _multi_rates(src, u: tuple[str, ...], v: tuple[str, ...], xt: tuple[str, ...
     return MultiRateTuple(r_s, r_w, sum_w, r_dec, r_eve), offset
 
 
-def _corner_rates(m: SourceModel, aux: AuxSystem, joint: JointDist | None = None,
-                  ) -> tuple[RateTuple, float, JointDist]:
-    if joint is None:
-        joint = aux_mixture_joint(m, aux)
+def _corner_rates(m: SourceModel, aux: AuxSystem, src: _ProductForm | None = None,
+                  ) -> tuple[RateTuple, float, _ProductForm]:
+    """Rate corner, offset and the source it was read from (built when not given)."""
+    if src is None:
+        src = _source(m, aux)
     rates, offset = _multi_rates(
-        joint, (aux.u_alphabet.name,), (aux.v_alphabet.name,), (m.xt_alphabet.name,),
+        src, (aux.u_alphabet.name,), (aux.v_alphabet.name,), (m.xt_alphabet.name,),
         (m.y_alphabet.name,), (m.z_alphabet.name,), aux.p_q.alphabet.name, m.x_alphabet.name)
-    return single_arm_tuple(rates), offset, joint
+    return single_arm_tuple(rates), offset, src
 
 
-def _require_admissible(m: SourceModel, pairs: Sequence[AuxPair], f: FunctionSpec,
-                        where: str = "") -> None:
-    """Raise unless (U, Y) determine the function under every weight symbol's channel."""
-    for qi, pair in enumerate(pairs):
-        gap = admissibility_gap(m, pair.p_u_given_xt, f)
+def _residual(src, f: FunctionSpec, u: str, q: str, xt: str, y: str) -> float:
+    """H(F | U, Q, Y) of one arm on its source's (u, q, xt, y) marginal; admissible at 0."""
+    return _function_residual(src.marginal((u, q, xt, y)), f, xt, y)
+
+
+def _require_admissible(src, arms: Sequence[tuple[FunctionSpec, str, str, str]],
+                        q: str) -> None:
+    """Raise unless each arm's (U, Q, Y) determine its function; `arms` holds
+    (f, u, xt, y) per arm, named as in `src`."""
+    for f, u, xt, y in arms:
+        gap = _residual(src, f, u, q, xt, y)
         if gap > ADMISSIBILITY_TOL:
             raise InadmissibleAuxiliary(
-                f"{where}auxiliary channel for weight symbol {qi} leaves {gap:.3g} bits "
-                "of the function undetermined")
+                f"({u}, {q}, {y}) leave {gap:.3g} bits of the function undetermined")
+
+
+def _single_names(m: SourceModel, aux: AuxSystem) -> tuple[str, str, str]:
+    return aux.u_alphabet.name, m.xt_alphabet.name, m.y_alphabet.name
 
 
 def eval_lossless_corner(m: SourceModel, aux: AuxSystem, f: FunctionSpec) -> RateTuple:
     """Componentwise-minimal achievable tuple for an admissible auxiliary system."""
     aux.validate_cardinalities(m.xt_alphabet.size, "lossless")
-    _require_admissible(m, aux.per_q, f)
-    rates, _, _ = _corner_rates(m, aux)
-    return rates
-
-
-def _function_conditional(m: SourceModel, aux: AuxSystem, f: FunctionSpec,
-                          joint: JointDist) -> JointDist:
-    """Marginal over (u, y, f) with the function pushed onto its own axis."""
-    u, xt, y = aux.u_alphabet.name, m.xt_alphabet.name, m.y_alphabet.name
-    sub = joint.marginal((u, xt, y))
-    jf = push_function(sub, (xt, y), f.table, f.output)
-    return jf.marginal((u, y, f.output.name))
+    src = _source(m, aux)
+    _require_admissible(src, ((f, *_single_names(m, aux)),), aux.p_q.alphabet.name)
+    return _corner_rates(m, aux, src)[0]
 
 
 def optimal_g(m: SourceModel, aux: AuxSystem, f: FunctionSpec,
-              d: DistortionSpec, joint: JointDist | None = None) -> ReconstructionFn:
+              d: DistortionSpec, joint: "JointDist | _ProductForm | None" = None,
+              ) -> ReconstructionFn:
     """Reconstruction minimizing conditional expected distortion cell by cell.
 
     Under Hamming distortion this is the most-likely-function-value rule.
     Cells with zero probability get the globally most likely function symbol;
-    ties break toward the lowest symbol index. `joint`, when given, is
-    `aux_mixture_joint(m, aux)` already built by the caller, or a marginal of
-    it that keeps (u, xt, y).
+    ties break toward the lowest symbol index. `joint`, when given, is the
+    system's source or any marginal of it that keeps (u, xt, y).
     """
     if joint is None:
-        joint = aux_mixture_joint(m, aux)
-    juyf = _function_conditional(m, aux, f, joint)
-    p = juyf.table  # (u, y, f)
+        joint = _source(m, aux)
+    p_uxty = joint.marginal(_single_names(m, aux)).table
     nf = f.output.size
+    p = (p_uxty[..., None] * np.eye(nf)[f.table][None]).sum(axis=1)  # (u, y, f)
     # risk[u, y, fhat] = sum_f p(u,y,f) d(f, fhat)
     risk = np.einsum("uyf,fg->uyg", p, d.table)
     table = np.argmin(risk, axis=2)
@@ -368,26 +436,17 @@ def _mean_distortion(p_uxty: np.ndarray, f: FunctionSpec, g: ReconstructionFn,
 
 def expected_distortion(m: SourceModel, aux: AuxSystem, f: FunctionSpec,
                         g: ReconstructionFn, d: DistortionSpec) -> float:
-    """E d(f(xt, y), g(u, y)) on the mixture joint."""
-    joint = aux_mixture_joint(m, aux)
-    u, xt, y = aux.u_alphabet.name, m.xt_alphabet.name, m.y_alphabet.name
-    # axes in joint order: (u, xt, y)
-    return _mean_distortion(joint.marginal((u, xt, y)).table, f, g, d)
+    """E d(f(xt, y), g(u, y)) under the model and the auxiliary system."""
+    return _mean_distortion(_source(m, aux).marginal(_single_names(m, aux)).table, f, g, d)
 
 
 def eval_lossy_corner(m: SourceModel, aux: AuxSystem, f: FunctionSpec,
-                      g: ReconstructionFn, d: DistortionSpec,
-                      joint: JointDist | None = None) -> RateTuple:
-    """Rate corner plus expected distortion; no admissibility requirement.
-
-    `joint`, when given, is `aux_mixture_joint(m, aux)` already built by the
-    caller.
-    """
+                      g: ReconstructionFn, d: DistortionSpec) -> RateTuple:
+    """Rate corner plus expected distortion; no admissibility requirement."""
     aux.validate_cardinalities(m.xt_alphabet.size, "lossy")
-    rates, _, joint = _corner_rates(m, aux, joint)
-    u, xt, y = aux.u_alphabet.name, m.xt_alphabet.name, m.y_alphabet.name
-    dist = _mean_distortion(joint.marginal((u, xt, y)).table, f, g, d)
-    return RateTuple(rates.r_s, rates.r_w, rates.r_dec, rates.r_eve, d=dist)
+    rates, _, src = _corner_rates(m, aux)
+    return replace(rates, d=_mean_distortion(src.marginal(_single_names(m, aux)).table,
+                                             f, g, d))
 
 
 @dataclass(frozen=True)
@@ -533,18 +592,18 @@ class MembershipResult:
 
 
 def _eval_candidate(m, aux, f, mode, d):
-    """(rates, admissibility gap); distortion filled in lossy mode when d given."""
+    """(rates, admissibility residual) from one source; d filled in lossy mode when given."""
+    aux.validate_cardinalities(m.xt_alphabet.size, mode)
+    rates, _, src = _corner_rates(m, aux)
+    u, xt, y = _single_names(m, aux)
     if mode == "lossless":
-        gap = max(admissibility_gap(m, pair.p_u_given_xt, f) for pair in aux.per_q)
-        return _corner_rates(m, aux)[0], gap
+        return rates, _residual(src, f, u, aux.p_q.alphabet.name, xt, y)
     if d is None:
-        return _corner_rates(m, aux)[0], 0.0
-    aux.validate_cardinalities(m.xt_alphabet.size, "lossy")
-    joint = aux_mixture_joint(m, aux)
+        return rates, 0.0
     # one (u, xt, y) marginal serves the reconstruction and the distortion
-    uxty = joint.marginal((aux.u_alphabet.name, m.xt_alphabet.name, m.y_alphabet.name))
+    uxty = src.marginal((u, xt, y))
     g = optimal_g(m, aux, f, d, uxty)
-    return replace(_corner_rates(m, aux, joint)[0], d=_mean_distortion(uxty.table, f, g, d)), 0.0
+    return replace(rates, d=_mean_distortion(uxty.table, f, g, d)), 0.0
 
 
 def membership(m: SourceModel, f: FunctionSpec, target: RateTuple, mode: str,

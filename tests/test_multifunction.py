@@ -25,6 +25,7 @@ from sfcomp.multifunction import (
     _arm_distortions,
     _axis_names,
     _multi_rates,
+    _named_arms,
     _ProductForm,
     build_multi_joint,
     eval_inner_mf,
@@ -44,10 +45,12 @@ from sfcomp.probability import (
     identity_channel,
     uniform,
 )
+from sfcomp import regions
 from sfcomp.regions import (
     AuxPair,
     AuxSystem,
     CardinalityError,
+    InadmissibleAuxiliary,
     ReconstructionFn,
     RegionError,
     _alphabet_of_size,
@@ -291,6 +294,28 @@ class TestOuterBound:
         # per-arm marginals are pure noise, so the product-form corner is free
         assert outer.r_w == pytest.approx((0.0, 0.0), abs=1e-9)
 
+    def test_zero_weight_branch_needs_no_admissibility(self, cascade_model):
+        # branch 1's constant U leaves XOR undetermined, but with p_q = (1, 0) it
+        # never runs: H(F | U, Q, Y) = 0, so every evaluator accepts the system
+        u, v = XT.renamed("u"), singleton_alphabet("v")
+        ident = AuxPair(identity_channel(XT, "u"), constant_channel(u, v))
+        const = AuxPair(constant_channel(XT, u), constant_channel(u, v))
+        q2 = _alphabet_of_size("q", 2)
+        mm = single_arm_model(cascade_model)
+        ref = eval_lossless_corner(cascade_model, identity_aux(cascade_model), XOR_F)
+        for weights, admissible in (((1.0, 0.0), True), ((0.5, 0.5), False)):
+            aux = AuxSystem(Dist(q2, np.array(weights)), (ident, const))
+            a = multi_from_aux([aux], aux.p_q)
+            evals = (lambda: eval_lossless_corner(cascade_model, aux, XOR_F),
+                     lambda: single_arm_tuple(eval_inner_mf(mm, a, "lossless")),
+                     lambda: single_arm_tuple(eval_outer_mf(mm, a, "lossless")[0]))
+            for evaluate in evals:
+                if admissible:
+                    assert evaluate().coords() == pytest.approx(ref.coords(), abs=1e-12)
+                else:
+                    with pytest.raises(InadmissibleAuxiliary):
+                        evaluate()
+
     @pytest.mark.parametrize("dense", [False, True])
     def test_unknown_mode_rejected(self, cascade_model, dense):
         # a dense joint used to skip mode validation and the lossless check
@@ -399,21 +424,32 @@ def _fields(r):
 
 class TestProductForm:
     @settings(max_examples=15, deadline=None)
-    @given(st.integers(0, 10_000), st.integers(2, 3),
+    @given(st.integers(0, 10_000), st.integers(1, 3),
            st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=3, max_size=3))
     def test_marginals_match_dense_joint(self, seed, j, sizes):
         mm, a, g_list = random_multi_system(np.random.default_rng(seed), sizes[:j], q_size=2)
         dense = build_multi_joint(mm, a)
-        rec = _Recorder(_ProductForm(mm, a))
+        rec = _Recorder(_ProductForm(mm.p_x, a.p_q, _named_arms(mm, a)))
         _multi_rates(rec, **_axis_names(j), q="q", x="x")
         _arm_distortions(mm, rec, g_list)
         multi_chain_report(mm, rec)
-        for k in range(1, j + 1):  # read by the outer bound's lossless check
+        for k in range(1, j + 1):  # read by the admissibility residual
             rec.marginal((f"u{k}", "q", f"xtilde{k}", f"y{k}"))
-        for axes in rec.seen:
-            got, want = rec.src.marginal(axes), dense.marginal(axes)
-            assert got.names == want.names
-            assert np.max(np.abs(got.table - want.table)) <= 1e-12
+        pairs = [(rec, dense)]
+        if j == 1:  # the single-function evaluators' reads, under the model's names
+            sm, aux = mm.arm_model(0), AuxSystem(a.p_q, a.arms[0])
+            single = _Recorder(regions._source(sm, aux))
+            regions._corner_rates(sm, aux, single)
+            regions._residual(single, XOR_F, "u", "q", "xtilde", "y")
+            optimal_g(sm, aux, XOR_F, HAMMING_D, single)
+            pairs.append((single, aux_mixture_joint(sm, aux)))
+        for src, ref in pairs:
+            for axes in src.seen:
+                got, want = src.src.marginal(axes), ref.marginal(axes)
+                assert got.names == want.names
+                assert np.max(np.abs(got.table - want.table)) <= 1e-12
+                # trusted, yet it passes the validation it skipped
+                assert np.array_equal(JointDist(got.axes, got.table).table, got.table)
         inner = eval_inner_mf(mm, a, "lossy", g_list)
         ref, _ = _multi_rates(dense, **_axis_names(j), q="q", x="x")
         ref_d = _arm_distortions(mm, dense, g_list)

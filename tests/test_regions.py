@@ -19,17 +19,19 @@ from conftest import (
     bsc_rows,
     random_binary_model,
 )
-from sfcomp.models import DistortionSpec, FunctionSpec, SourceModel
+from sfcomp.models import DistortionSpec, FunctionSpec, SourceModel, build_joint
 from sfcomp.probability import (
     CondDist,
     Dist,
     JointDist,
     bsc,
+    cond_entropy,
     cond_mutual_info,
     constant_channel,
     entropy,
     identity_channel,
     mutual_info,
+    push_function,
     uniform,
 )
 from sfcomp import regions
@@ -43,6 +45,7 @@ from sfcomp.regions import (
     ReconstructionFn,
     RegionError,
     SearchBudget,
+    _alphabet_of_size,
     aux_mixture_joint,
     constant_aux,
     eval_lossless_corner,
@@ -147,9 +150,9 @@ class TestLosslessCorner:
     def test_v_equals_u_gives_offset_exactly_zero(self, cascade_model):
         aux = bsc_aux(0.3, v_copy=True)
         from sfcomp.regions import _corner_rates
-        rates, offset, j = _corner_rates(cascade_model, aux)
+        rates, offset, _ = _corner_rates(cascade_model, aux)
         assert offset == 0.0
-        expected = cond_mutual_info(j, "u", "xtilde", "z")
+        expected = cond_mutual_info(aux_mixture_joint(cascade_model, aux), "u", "xtilde", "z")
         assert rates.r_s == pytest.approx(expected, abs=1e-15)
 
     def test_cardinality_bounds_enforced(self, cascade_model):
@@ -266,6 +269,35 @@ class TestInvariants:
             assert abs(rates.r_s - rates.r_w) <= 1e-12
             assert abs(rates.r_eve - rates.r_dec) <= 1e-12
 
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(2, 5), st.integers(1, 2), st.integers(1, 2))
+    def test_storage_floor_on_admissible_systems(self, seed, u_size, v_size, q_size):
+        # U symbols with disjoint supports per x~ determine X~, so (U, Y) determine
+        # every f, and admissibility gives the storage floor r_w >= H(F | Y)
+        m = binary_cascade_model()
+        rng = np.random.default_rng(seed)
+        u_alpha, v_alpha = _alphabet_of_size("u", u_size), _alphabet_of_size("v", v_size)
+        pairs = []
+        for _ in range(q_size):
+            owner = rng.permutation([0, 1] + list(rng.integers(0, 2, size=u_size - 2)))
+            u_rows = np.zeros((2, u_size))
+            for xt in range(2):
+                u_rows[xt, owner == xt] = rng.dirichlet((1.0,) * int(np.sum(owner == xt)))
+            v_rows = np.stack([rng.dirichlet((1.0,) * v_size) for _ in range(u_size)])
+            pairs.append(AuxPair(CondDist(XT, u_alpha, u_rows),
+                                 CondDist(u_alpha, v_alpha, v_rows)))
+        q_alpha = _alphabet_of_size("q", q_size)
+        aux = AuxSystem(Dist(q_alpha, rng.dirichlet((1.0,) * q_size)), tuple(pairs))
+        for f in (XOR_F, XTPROJ_F, YPROJ_F):
+            jf = push_function(build_joint(m), ("xtilde", "y"), f.table, f.output)
+            floor = cond_entropy(jf, f.output.name, "y")
+            assert floor <= eval_lossless_corner(m, aux, f).r_w + 1e-12
+
+    def test_xor_identity_corner_attains_storage_floor(self, cascade_model):
+        # XOR on the cascade: H(F | Y) = H(X~ | Y) = H_b(0.06 * 0.15) = H_b(0.192)
+        rates = eval_lossless_corner(cascade_model, identity_aux(cascade_model), XOR_F)
+        assert abs(rates.r_w - h2(DSBS_P)) <= 1e-12
+
     def test_per_q_report_lists_branches(self, cascade_model):
         rng = np.random.default_rng(5)
         aux = random_aux(rng, q_size=2)
@@ -304,13 +336,13 @@ class TestTrustedPath:
         for _ in range(8):
             m = random_binary_model(rng)
             aux = random_aux(rng, q_size=int(rng.integers(1, 3)))
-            joint = aux_mixture_joint(m, aux)
-            g = optimal_g(m, aux, XOR_F, HAMMING_D, joint)
-            assert np.array_equal(g.table, optimal_g(m, aux, XOR_F, HAMMING_D).table)
+            g = optimal_g(m, aux, XOR_F, HAMMING_D)
+            # optimal_g reads any source that keeps (u, xt, y), the dense reference too
+            dense_g = optimal_g(m, aux, XOR_F, HAMMING_D, aux_mixture_joint(m, aux))
+            assert np.array_equal(g.table, dense_g.table)
             own = eval_lossy_corner(m, aux, XOR_F, g, HAMMING_D)
-            assert eval_lossy_corner(m, aux, XOR_F, g, HAMMING_D, joint) == own
-            # a second evaluation reads every entropy from the joint's memo
-            assert eval_lossy_corner(m, aux, XOR_F, g, HAMMING_D, joint) == own
+            # a search evaluation shares one (u, xt, y) marginal between g and d
+            assert regions._eval_candidate(m, aux, XOR_F, "lossy", HAMMING_D) == (own, 0.0)
             assert own.d == expected_distortion(m, aux, XOR_F, g, HAMMING_D)
 
 
@@ -357,6 +389,20 @@ class TestMembership:
         res = membership(cascade_model, XOR_F, target, "lossy",
                          SearchBudget(restarts=6, iters=60, seed=1))
         assert res.found
+
+    def test_oversize_candidate_rejected(self, cascade_model):
+        # |U| = 40 exceeds the lossless cap (2 + 4)^2 = 36; an admissible candidate
+        # of that size used to come back as a found witness
+        big_u = _alphabet_of_size("u", 40)
+        rows = np.zeros((2, 40))
+        rows[0, 0] = rows[1, 1] = 1.0  # U copies X~
+        pair = AuxPair(CondDist(XT, big_u, rows), constant_channel(big_u, singleton_alphabet("v")))
+        aux = AuxSystem(uniform(singleton_alphabet("q")), (pair,))
+        budget = SearchBudget(restarts=0, candidates=(aux,))
+        with pytest.raises(CardinalityError):
+            eval_lossless_corner(cascade_model, aux, XOR_F)
+        with pytest.raises(CardinalityError):
+            membership(cascade_model, XOR_F, RateTuple(1.0, 1.0, 1.0, 1.0), "lossless", budget)
 
     def test_invalid_budget(self):
         with pytest.raises(RegionError):
