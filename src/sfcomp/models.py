@@ -23,6 +23,7 @@ from .probability import (
     JointDist,
     ProbabilityError,
     ProductAlphabet,
+    _check_cells,
     cond_mutual_info,
     compose,
     entropy,
@@ -161,12 +162,13 @@ class MultiModel:
 
 
 def build_joint(m: SourceModel) -> JointDist:
-    """The induced joint over (xt, x, y, z): source times the two channels."""
-    j = compose(m.p_x, (m.p_xt_given_x, m.p_x.alphabet.name),
-                (m.p_yz_given_x, m.p_x.alphabet.name))
-    j = j.split(m.p_yz_given_x.output.name)
-    return j.reorder((m.xt_alphabet.name, m.x_alphabet.name,
-                      m.y_alphabet.name, m.z_alphabet.name))
+    """The induced joint over (xt, x, y, z): source times the two channels;
+    trusted, as a product of the model's validated tables."""
+    axes = (m.xt_alphabet, m.x_alphabet, m.y_alphabet, m.z_alphabet)
+    _check_cells(axes, "joint")
+    p_yz = m.p_yz_given_x.rows.reshape(m.x_alphabet.size, m.y_alphabet.size, -1)
+    return JointDist._derived(axes, np.einsum("x,xa,xyz->axyz", m.p_x.probs,
+                                              m.p_xt_given_x.rows, p_yz))
 
 
 def _project_simplex(v: np.ndarray) -> np.ndarray:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .models import MultiModel
+from .models import MultiModel, build_joint
 from .probability import (
     CondDist,
     Dist,
@@ -200,11 +200,8 @@ def multi_chain_report(m: MultiModel, joint: JointDist, tol: float = CHAIN_TOL,
         ]
         for name, value in conds:
             checks.append(ChainCheck(name, float(value), bool(value <= tol)))
-        arm = m.arms[k]
-        model = np.einsum("x,xa,xw->axw", m.p_x.probs, arm.p_xt_given_x.rows,
-                          arm.p_yz_given_x.rows)
-        got = joint.marginal((xt, x, y, z)).table
-        err = float(np.max(np.abs(got - model.reshape(got.shape))))
+        got = joint.marginal((xt, x, y, z)).reorder((xt, x, y, z)).table
+        err = float(np.max(np.abs(got - build_joint(m.arm_model(k)).table)))
         checks.append(ChainCheck(f"arm{k + 1}: model marginal reproduced", err,
                                  err <= MODEL_MATCH_TOL))
     return tuple(checks)

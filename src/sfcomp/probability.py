@@ -25,6 +25,7 @@ store the same float.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, replace
 
@@ -32,8 +33,9 @@ import numpy as np
 
 MASS_TOL = 1e-12
 LOG_ZERO_CUTOFF = 1e-15
-# Caps every dense table built here. The evaluators never form the mixture
-# joint, so there it caps the largest marginal read.
+# Caps every dense table built here, and in `regions._ProductForm` each
+# per-arm factor and each marginal read (at J = 1 the factor is the mixture
+# joint but for the p(q) p(x) weights).
 TABLE_CELL_CAP = 2**24
 
 
@@ -56,6 +58,15 @@ class OverlappingAxes(ProbabilityError):
 
 class TableTooLarge(ProbabilityError):
     """A dense table would exceed the 2^24 cell cap."""
+
+
+def _check_cells(axes: Sequence[Alphabet], what: str) -> None:
+    """Raise TableTooLarge unless a table over `axes` fits TABLE_CELL_CAP;
+    called before the table is allocated."""
+    cells = math.prod(a.size for a in axes)
+    if cells > TABLE_CELL_CAP:
+        raise TableTooLarge(f"{what} over {[a.name for a in axes]} needs {cells} cells, "
+                            f"cap is {TABLE_CELL_CAP}")
 
 
 @dataclass(frozen=True)
@@ -193,10 +204,7 @@ class JointDist:
         if len(set(names)) != len(names):
             raise ProbabilityError(f"duplicate axis names in joint: {names}")
         shape = tuple(a.size for a in axes)
-        cells = int(np.prod([int(s) for s in shape], dtype=np.int64)) if shape else 1
-        if cells > TABLE_CELL_CAP:
-            raise TableTooLarge(
-                f"joint over {names} needs {cells} cells, cap is {TABLE_CELL_CAP}")
+        _check_cells(axes, "joint")
         table = np.asarray(self.table, dtype=np.float64)
         if table.shape != shape:
             raise InvalidDistribution(
@@ -458,15 +466,11 @@ def compose(root: Dist, *steps: tuple[CondDist, str]) -> JointDist:
                 f"channel input alphabet {chan.input.name!r} does not match axis {feed!r}")
         if chan.output.name in names:
             raise ProbabilityError(f"axis name {chan.output.name!r} already present")
-        shape = [1] * (table.ndim + 1)
-        shape[i] = chan.input.size
-        shape[-1] = chan.output.size
-        table = table[..., np.newaxis] * chan.rows.reshape(shape)
         axes.append(chan.output)
-        cells = int(np.prod([a.size for a in axes], dtype=np.int64))
-        if cells > TABLE_CELL_CAP:
-            raise TableTooLarge(
-                f"composition over {[a.name for a in axes]} needs {cells} cells")
+        _check_cells(axes, "composition")
+        shape = [1] * table.ndim + [chan.output.size]
+        shape[i] = chan.input.size
+        table = table[..., np.newaxis] * chan.rows.reshape(shape)
     return JointDist(tuple(axes), table)
 
 

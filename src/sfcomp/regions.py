@@ -12,9 +12,11 @@ evaluator reads one source, `_ProductForm`: the mixture joint kept as
 per-arm factors, whose marginals are contractions of validated `Dist` and
 `CondDist` tables and so are trusted like `JointDist.marginal`'s. A CMI is
 read on the marginal over its axes (`_cmi`), admissibility as H(F|U,Q,Y) on
-the (u, q, xt, y) marginal (`_residual`). Dense joints remain as the tests'
-`compose`-built references (`_dense_joint`, `aux_mixture_joint`) and as
-joints supplied to the outer bound, which `_cmi` reads the same way.
+the (u, q, xt, y) marginal (`models._function_residual`). TABLE_CELL_CAP
+bounds each per-arm factor and each marginal before it is allocated. Dense
+joints remain as the tests' `compose`-built references (`_dense_joint`,
+`aux_mixture_joint`) and as joints supplied to the outer bound, which `_cmi`
+reads the same way.
 
 Searches are seeded multi-start coordinate descent with step halving and
 simplex projection; restart r of grid point g uses child_seed(seed, g, r).
@@ -24,7 +26,6 @@ systems and reads each grid point off the lower convex hull of all it evaluated.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
@@ -39,14 +40,13 @@ from .models import (
     _project_simplex,
 )
 from .probability import (
-    TABLE_CELL_CAP,
     Alphabet,
     CondDist,
     Dist,
     JointDist,
     ProbabilityError,
-    TableTooLarge,
     UnknownAxis,
+    _check_cells,
     compose,
     cond_mutual_info,
     constant_channel,
@@ -278,7 +278,8 @@ class _ProductForm:
     p(q, x, ...) = p(q) p(x) prod_j f_j[q, x, xt_j, u_j, v_j, y_j, z_j] with
     f_j = p(xt_j | x) p(u_j | xt_j, q) p(v_j | u_j, q) p(y_j, z_j | x).
     `marginal` has the signature of `JointDist.marginal` and builds only the
-    table asked for, so TABLE_CELL_CAP bounds the largest marginal read.
+    table asked for. TABLE_CELL_CAP bounds each arm's factor and each marginal
+    read; at J = 1 the factor is the whole joint but for p(q) p(x).
     """
 
     def __init__(self, p_x: Dist, p_q: Dist,
@@ -293,6 +294,7 @@ class _ProductForm:
                                        f"{p_xt.output.name!r}")
             y, z = p_yz.output.parts
             local = (p_xt.output, first.u_alphabet, first.v_alphabet, y, z)
+            _check_cells((p_q.alphabet, p_x.alphabet) + local, "arm factor")
             factor = np.einsum("xa,qau,quv,xyz->qxauvyz", p_xt.rows,
                                np.stack([p.p_u_given_xt.rows for p in per_q]),
                                np.stack([p.p_v_given_u.rows for p in per_q]),
@@ -315,11 +317,7 @@ class _ProductForm:
         if len(kept) != len(want):
             names = tuple(alph.name for alph in self.axes)
             raise UnknownAxis(f"axes {sorted(want - set(names))} not in joint over {names}")
-        cells = math.prod(alph.size for alph in kept)
-        if cells > TABLE_CELL_CAP:
-            raise TableTooLarge(
-                f"marginal over {[alph.name for alph in kept]} needs {cells} cells, "
-                f"cap is {TABLE_CELL_CAP}")
+        _check_cells(kept, "marginal")
         # einsum labels: output axes first, then q and x when they are summed out
         label = {alph.name: i for i, alph in enumerate(kept)}
         q, x = label.get(self._q, len(kept)), label.get(self._x, len(kept) + 1)
@@ -375,17 +373,12 @@ def _corner_rates(m: SourceModel, aux: AuxSystem, src: _ProductForm | None = Non
     return single_arm_tuple(rates), offset, src
 
 
-def _residual(src, f: FunctionSpec, u: str, q: str, xt: str, y: str) -> float:
-    """H(F | U, Q, Y) of one arm on its source's (u, q, xt, y) marginal; admissible at 0."""
-    return _function_residual(src.marginal((u, q, xt, y)), f, xt, y)
-
-
 def _require_admissible(src, arms: Sequence[tuple[FunctionSpec, str, str, str]],
                         q: str) -> None:
-    """Raise unless each arm's (U, Q, Y) determine its function; `arms` holds
-    (f, u, xt, y) per arm, named as in `src`."""
+    """Raise unless each arm's residual H(F | U, Q, Y), read on the source's
+    (u, q, xt, y) marginal, is zero; `arms` holds (f, u, xt, y) per arm."""
     for f, u, xt, y in arms:
-        gap = _residual(src, f, u, q, xt, y)
+        gap = _function_residual(src.marginal((u, q, xt, y)), f, xt, y)
         if gap > ADMISSIBILITY_TOL:
             raise InadmissibleAuxiliary(
                 f"({u}, {q}, {y}) leave {gap:.3g} bits of the function undetermined")
@@ -597,7 +590,8 @@ def _eval_candidate(m, aux, f, mode, d):
     rates, _, src = _corner_rates(m, aux)
     u, xt, y = _single_names(m, aux)
     if mode == "lossless":
-        return rates, _residual(src, f, u, aux.p_q.alphabet.name, xt, y)
+        return rates, _function_residual(src.marginal((u, aux.p_q.alphabet.name, xt, y)),
+                                         f, xt, y)
     if d is None:
         return rates, 0.0
     # one (u, xt, y) marginal serves the reconstruction and the distortion

@@ -21,6 +21,7 @@ from sfcomp.probability import (
     Alphabet,
     CondDist,
     Dist,
+    JointDist,
     binary_alphabet,
     binary_entropy,
     bsc,
@@ -114,6 +115,15 @@ class TestBuildJoint:
     def test_chain_by_construction(self):
         j = build_joint(make_model())
         assert cond_mutual_info(j, "xtilde", ("y", "z"), "x") == pytest.approx(0.0, abs=1e-12)
+
+    def test_matches_composed_joint(self):
+        # the trusted table equals the validated composition and passes validation
+        m = make_model()
+        j = build_joint(m)
+        ref = compose(m.p_x, (m.p_xt_given_x, "x"), (m.p_yz_given_x, "x")).split("yz")
+        assert j.names == ("xtilde", "x", "y", "z")
+        assert np.max(np.abs(j.table - ref.reorder(j.names).table)) <= 1e-15
+        JointDist(j.axes, j.table)
 
 
 class TestDegradedness:

@@ -440,7 +440,7 @@ class TestProductForm:
             sm, aux = mm.arm_model(0), AuxSystem(a.p_q, a.arms[0])
             single = _Recorder(regions._source(sm, aux))
             regions._corner_rates(sm, aux, single)
-            regions._residual(single, XOR_F, "u", "q", "xtilde", "y")
+            single.marginal(("u", "q", "xtilde", "y"))  # read by the residual
             optimal_g(sm, aux, XOR_F, HAMMING_D, single)
             pairs.append((single, aux_mixture_joint(sm, aux)))
         for src, ref in pairs:

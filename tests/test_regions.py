@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from sfcomp.probability import (
     CondDist,
     Dist,
     JointDist,
+    TableTooLarge,
     bsc,
     cond_entropy,
     cond_mutual_info,
@@ -31,6 +33,7 @@ from sfcomp.probability import (
     entropy,
     identity_channel,
     mutual_info,
+    product_alphabet,
     push_function,
     uniform,
 )
@@ -167,6 +170,25 @@ class TestLosslessCorner:
         # the same system is fine in lossy mode ((2+5)^2 = 49)
         g = optimal_g(cascade_model, aux, XOR_F, HAMMING_D)
         eval_lossy_corner(cascade_model, aux, XOR_F, g, HAMMING_D)
+
+    def test_oversized_factor_raises_before_allocating(self):
+        # within the lossless size policy, every marginal read stays under
+        # 3e5 cells, but the one-arm factor would hold ~1.05e9 (8.4 GB)
+        x, xt, y, z, f = (_alphabet_of_size(n, 16) for n in ("x", "xtilde", "y", "z", "f"))
+        m = SourceModel(uniform(x), CondDist(x, xt, np.full((16, 16), 1 / 16)),
+                        CondDist(x, product_alphabet("yz", y, z), np.full((16, 256), 1 / 256)))
+        u, v = _alphabet_of_size("u", 400), _alphabet_of_size("v", 20)
+        pair = AuxPair(CondDist(xt, u, np.full((16, 400), 1 / 400)),
+                       CondDist(u, v, np.full((400, 20), 1 / 20)))
+        aux = AuxSystem(uniform(_alphabet_of_size("q", 2)), (pair, pair))
+        fn = FunctionSpec(xt, y, f, np.add.outer(np.arange(16), np.arange(16)) % 16)
+        start = time.perf_counter()
+        for call in (lambda: eval_lossless_corner(m, aux, fn),
+                     lambda: optimal_g(m, aux, fn, DistortionSpec.hamming(f)),
+                     lambda: per_q_report(m, aux)):
+            with pytest.raises(TableTooLarge):
+                call()
+        assert time.perf_counter() - start < 5.0
 
 
 def _rates_with_joint(m, aux):
