@@ -24,11 +24,10 @@ from .probability import (
     ProbabilityError,
     ProductAlphabet,
     _check_cells,
+    _entropy_rows,
     cond_mutual_info,
     compose,
-    entropy,
     product_alphabet,
-    push_function,
 )
 
 ADMISSIBILITY_TOL = 1e-9
@@ -172,11 +171,14 @@ def build_joint(m: SourceModel) -> JointDist:
 
 
 def _project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    rho = np.nonzero(u - css / np.arange(1, len(v) + 1) > 0)[0][-1]
-    theta = css[rho] / (rho + 1.0)
+    """Euclidean projection onto the probability simplex of a vector, or of
+    each row of a stack of vectors; a row projects as the lone vector would."""
+    u = -np.sort(-v, axis=-1)
+    css = np.cumsum(u, axis=-1) - 1.0
+    # rho: the last position that passes (the first always does)
+    ok = u - css / np.arange(1, v.shape[-1] + 1) > 0
+    rho = v.shape[-1] - 1 - np.argmax(ok[..., ::-1], axis=-1, keepdims=True)
+    theta = np.take_along_axis(css, rho, axis=-1) / (rho + 1.0)
     return np.maximum(v - theta, 0.0)
 
 
@@ -209,11 +211,17 @@ def markov_chain_holds(joint: JointDist, a, b, c, tol: float = DEGRADEDNESS_TOL)
     return cond_mutual_info(joint, a, c, b) <= tol
 
 
-def _function_residual(joint: JointDist, f: FunctionSpec, xt: str, y: str) -> float:
-    """H(F | every axis of `joint` but `xt`) in bits, F = f(xt, y)."""
-    jf = push_function(joint, (xt, y), f.table, f.output)
-    given = tuple(n for n in joint.names if n != xt)
-    return entropy(jf, (f.output.name,) + given) - entropy(jf, given)
+def _function_joint(p: np.ndarray, f: FunctionSpec) -> np.ndarray:
+    """Stacked p(g, y, f), F = f(xt, y), from stacked p(g, xt, y) of shape
+    (B, |G|, |xt|, |y|)."""
+    return np.einsum("bgay,ayf->bgyf", p, np.eye(f.output.size)[f.table])
+
+
+def _function_residual(p: np.ndarray, f: FunctionSpec) -> np.ndarray:
+    """H(F | G, Y) in bits, F = f(xt, y), of each row of a stacked table
+    p(..., xt, y); G is every axis between the first and xt, flattened."""
+    p = p.reshape(len(p), -1, *p.shape[-2:])
+    return _entropy_rows(_function_joint(p, f)) - _entropy_rows(p.sum(axis=2))
 
 
 def admissibility_gap(m: SourceModel, p_u_given_xt: CondDist, f: FunctionSpec) -> float:
@@ -224,8 +232,8 @@ def admissibility_gap(m: SourceModel, p_u_given_xt: CondDist, f: FunctionSpec) -
                 (p_u_given_xt, m.xt_alphabet.name),
                 (m.p_yz_given_x, m.x_alphabet.name))
     j = j.split(m.p_yz_given_x.output.name)
-    xt, y = m.xt_alphabet.name, m.y_alphabet.name
-    return _function_residual(j.marginal((p_u_given_xt.output.name, xt, y)), f, xt, y)
+    names = (p_u_given_xt.output.name, m.xt_alphabet.name, m.y_alphabet.name)
+    return float(_function_residual(j.marginal(names).reorder(names).table[None], f)[0])
 
 
 def is_admissible(m: SourceModel, p_u_given_xt: CondDist, f: FunctionSpec,

@@ -14,7 +14,9 @@ source's marginals are trusted. `_named_arms` names a system's arms for
 `_ProductForm`, which `eval_inner_mf`, and `eval_outer_mf` given a
 `MultiAuxSystem`, read without forming the joint (its cell count is
 exponential in J), and for `build_multi_joint`, the dense reference. A dense
-`JointDist` supplied to `eval_outer_mf` is read the same way, marginal first.
+`JointDist` supplied to `eval_outer_mf` is read the same way, as a `_Dense`
+source. A bound evaluates one system, the B = 1 case of the batched code
+the search runs.
 
 Axis naming convention for a J-arm joint:
 (q, v1..vJ, u1..uJ, xtilde1..xtildeJ, x, y1..yJ, z1..zJ).
@@ -22,7 +24,7 @@ Axis naming convention for a J-arm joint:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,12 +44,14 @@ from .regions import (
     RegionError,
     _check_mode,
     _check_sizes,
-    _cmi,
+    _Dense,
     _dense_joint,
     _mean_distortion,
     _multi_rates,
+    _multi_tuple,
     _ProductForm,
     _require_admissible,
+    _source_of,
     single_arm_tuple,  # re-exported: part of this module's public names
 )
 
@@ -125,7 +129,7 @@ def build_multi_joint(m: MultiModel, a: MultiAuxSystem) -> JointDist:
     return _dense_joint(m.p_x, a.p_q, _named_arms(m, a))
 
 
-def _arm_distortions(m: MultiModel, src: "JointDist | _ProductForm",
+def _arm_distortions(m: MultiModel, src: "_Dense | _ProductForm",
                      g_list: tuple[ReconstructionFn, ...]) -> tuple[float, ...]:
     if len(g_list) != m.j:
         raise RegionError("lossy evaluation needs one reconstruction per arm")
@@ -133,11 +137,12 @@ def _arm_distortions(m: MultiModel, src: "JointDist | _ProductForm",
     out = []
     for j, arm in enumerate(m.arms):
         u, xt, y = names["u"][j], names["xt"][j], names["y"][j]
-        out.append(_mean_distortion(src.marginal((u, xt, y)).table, arm.f, g_list[j], arm.d))
+        out.append(float(_mean_distortion(src.rows((u, xt, y)), arm.f, g_list[j].table[None],
+                                          arm.d)[0]))
     return tuple(out)
 
 
-def _bound_corner(m: MultiModel, src: "JointDist | _ProductForm", q: str, mode: str,
+def _bound_corner(m: MultiModel, src: "_Dense | _ProductForm", q: str, mode: str,
                   g_list: tuple[ReconstructionFn, ...] | None) -> MultiRateTuple:
     """Rates read from `src`, after each arm's admissibility in lossless mode
     and with per-arm distortions in lossy mode."""
@@ -147,10 +152,10 @@ def _bound_corner(m: MultiModel, src: "JointDist | _ProductForm", q: str, mode: 
                                            names["xt"], names["y"])), q)
     rates, _ = _multi_rates(src, **names, q=q, x=m.p_x.alphabet.name)
     if mode != "lossy":
-        return rates
+        return _multi_tuple(rates[0], m.j)
     if g_list is None:
         raise RegionError("lossy mode needs reconstruction functions")
-    return replace(rates, d=_arm_distortions(m, src, tuple(g_list)))
+    return _multi_tuple(rates[0], m.j, _arm_distortions(m, src, tuple(g_list)))
 
 
 def eval_inner_mf(m: MultiModel, a: MultiAuxSystem, mode: str,
@@ -162,7 +167,7 @@ def eval_inner_mf(m: MultiModel, a: MultiAuxSystem, mode: str,
     per-arm reconstructions and reports expected distortions.
     """
     a.validate_cardinalities(m, mode)
-    src = _ProductForm(m.p_x, a.p_q, _named_arms(m, a))
+    src = _ProductForm.of(m.p_x, a.p_q, _named_arms(m, a))
     return _bound_corner(m, src, a.p_q.alphabet.name, mode, g_list)
 
 
@@ -185,6 +190,7 @@ def multi_chain_report(m: MultiModel, joint: JointDist, tol: float = CHAIN_TOL,
     """
     j = m.j
     q, x = q_name, m.p_x.alphabet.name
+    src = _source_of(joint)
     names = _axis_names(j)
     checks: list[ChainCheck] = []
     for k in range(j):
@@ -192,15 +198,15 @@ def multi_chain_report(m: MultiModel, joint: JointDist, tol: float = CHAIN_TOL,
         y, z = names["y"][k], names["z"][k]
         conds = [
             (f"arm{k + 1}: ({v},{q}) -- ({u},{q}) -- {xt}",
-             _cmi(joint, v, xt, (u, q))),
+             src.cmi(v, xt, (u, q))[0]),
             (f"arm{k + 1}: ({q},{v},{u}) -- {xt} -- {x}",
-             _cmi(joint, (q, v, u), x, xt)),
+             src.cmi((q, v, u), x, xt)[0]),
             (f"arm{k + 1}: ({q},{v},{u},{xt}) -- {x} -- ({y},{z})",
-             _cmi(joint, (q, v, u, xt), (y, z), x)),
+             src.cmi((q, v, u, xt), (y, z), x)[0]),
         ]
         for name, value in conds:
             checks.append(ChainCheck(name, float(value), bool(value <= tol)))
-        got = joint.marginal((xt, x, y, z)).reorder((xt, x, y, z)).table
+        got = src.marginal((xt, x, y, z)).reorder((xt, x, y, z)).table
         err = float(np.max(np.abs(got - build_joint(m.arm_model(k)).table)))
         checks.append(ChainCheck(f"arm{k + 1}: model marginal reproduced", err,
                                  err <= MODEL_MATCH_TOL))
@@ -208,10 +214,10 @@ def multi_chain_report(m: MultiModel, joint: JointDist, tol: float = CHAIN_TOL,
 
 
 def factorizes_per_arm(m: MultiModel, joint: JointDist,
-                       tol: float = CHAIN_TOL) -> bool:
+                       tol: float = CHAIN_TOL, q_name: str = "q") -> bool:
     """True when arms are conditionally independent given (q, x), as the
-    product-form inner bound requires. The source axis is named after the
-    model's source alphabet."""
+    product-form inner bound requires. `q_name` names the time-sharing axis
+    and the source axis is named after the model's source alphabet."""
     names = _axis_names(m.j)
     if m.j == 1:
         return True
@@ -219,7 +225,7 @@ def factorizes_per_arm(m: MultiModel, joint: JointDist,
         mine = (names["v"][k], names["u"][k], names["xt"][k], names["y"][k], names["z"][k])
         others = tuple(n for grp in ("v", "u", "xt", "y", "z")
                        for i, n in enumerate(names[grp]) if i != k)
-        if cond_mutual_info(joint, mine, others, ("q", m.p_x.alphabet.name)) > tol:
+        if cond_mutual_info(joint, mine, others, (q_name, m.p_x.alphabet.name)) > tol:
             return False
     return True
 
@@ -242,9 +248,10 @@ def eval_outer_mf(m: MultiModel, system: "MultiAuxSystem | JointDist", mode: str
     _check_mode(mode)
     if isinstance(system, MultiAuxSystem):
         system.validate_cardinalities(m, mode)
-        src, q = _ProductForm(m.p_x, system.p_q, _named_arms(m, system)), system.p_q.alphabet.name
+        src = _ProductForm.of(m.p_x, system.p_q, _named_arms(m, system))
+        q = system.p_q.alphabet.name
     else:
-        src, q = system, "q"
+        src, q = _Dense(system), "q"
     report = multi_chain_report(m, src, q_name=q)
     for check in report:
         if not check.ok:

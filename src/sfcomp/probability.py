@@ -34,8 +34,9 @@ import numpy as np
 MASS_TOL = 1e-12
 LOG_ZERO_CUTOFF = 1e-15
 # Caps every dense table built here, and in `regions._ProductForm` each
-# per-arm factor and each marginal read (at J = 1 the factor is the mixture
-# joint but for the p(q) p(x) weights).
+# marginal read and each per-arm factor stacked over its B systems, the
+# largest table a marginal builds on the way (at J = 1 the factor is the
+# mixture joint but for the p(q) p(x) weights).
 TABLE_CELL_CAP = 2**24
 
 
@@ -60,10 +61,10 @@ class TableTooLarge(ProbabilityError):
     """A dense table would exceed the 2^24 cell cap."""
 
 
-def _check_cells(axes: Sequence[Alphabet], what: str) -> None:
-    """Raise TableTooLarge unless a table over `axes` fits TABLE_CELL_CAP;
-    called before the table is allocated."""
-    cells = math.prod(a.size for a in axes)
+def _check_cells(axes: Sequence[Alphabet], what: str, rows: int = 1) -> None:
+    """Raise TableTooLarge unless `rows` stacked tables over `axes` fit
+    TABLE_CELL_CAP; called before the table is allocated."""
+    cells = rows * math.prod(a.size for a in axes)
     if cells > TABLE_CELL_CAP:
         raise TableTooLarge(f"{what} over {[a.name for a in axes]} needs {cells} cells, "
                             f"cap is {TABLE_CELL_CAP}")
@@ -307,14 +308,16 @@ def _axis_tuple(joint: JointDist, axes: AxisSpec) -> tuple[str, ...]:
     return tuple(names[i] for i in sorted(positions))
 
 
-def _entropy_of_table(table: np.ndarray) -> float:
-    # Sorted-nonzero summation: bit-identical across axis layouts of the same pmf.
-    p = np.asarray(table, dtype=np.float64).reshape(-1)
-    p = p[p >= LOG_ZERO_CUTOFF]
-    if p.size == 0:
-        return 0.0
-    p = np.sort(p)
-    return float(-np.sum(p * np.log2(p)))
+def _entropy_rows(table: np.ndarray) -> np.ndarray:
+    """Entropy in bits of each row of a stacked (B, ...) table of pmfs.
+
+    Each row is summed in sorted order, cells below LOG_ZERO_CUTOFF adding an
+    exact 0, so rows holding the same multiset of probabilities give
+    bit-identical entropies whatever their axis layout.
+    """
+    p = np.sort(table.reshape(len(table), -1), axis=1)
+    p = np.where(p >= LOG_ZERO_CUTOFF, p, 1.0)  # 1 log 1 = 0
+    return -np.sum(p * np.log2(p), axis=1)
 
 
 def entropy(joint: JointDist, axes: AxisSpec) -> float:
@@ -330,7 +333,7 @@ def _entropy(joint: JointDist, keep: tuple[str, ...]) -> float:
     memo = joint._entropies
     h = memo.get(keep)
     if h is None:
-        h = memo[keep] = _entropy_of_table(joint.marginal(keep).table)
+        h = memo[keep] = float(_entropy_rows(joint.marginal(keep).table[None])[0])
     return h
 
 

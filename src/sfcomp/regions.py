@@ -8,26 +8,34 @@ leading terms are evaluated on the mixture itself. A per-weight diagnostic
 report is available for the averaged view.
 
 A single function is the one-arm case of the multi-function bounds. Every
-evaluator reads one source, `_ProductForm`: the mixture joint kept as
-per-arm factors, whose marginals are contractions of validated `Dist` and
-`CondDist` tables and so are trusted like `JointDist.marginal`'s. A CMI is
-read on the marginal over its axes (`_cmi`), admissibility as H(F|U,Q,Y) on
-the (u, q, xt, y) marginal (`models._function_residual`). TABLE_CELL_CAP
-bounds each per-arm factor and each marginal before it is allocated. Dense
-joints remain as the tests' `compose`-built references (`_dense_joint`,
-`aux_mixture_joint`) and as joints supplied to the outer bound, which `_cmi`
-reads the same way.
+evaluator reads one source, `_ProductForm`: the mixture joints of a stack of
+B systems on one model, kept as per-arm factors, whose marginals are
+contractions of validated tables and so are trusted like
+`JointDist.marginal`'s. One system is B = 1; the search scores B candidates
+in one call of the same code. A CMI is read from the source's entropies,
+each computed once per source and, on model axes alone, once per search;
+admissibility is H(F|U,Q,Y) on the (u, q, xt, y) marginal
+(`models._function_residual`). TABLE_CELL_CAP bounds each stacked per-arm
+factor and each marginal before it is allocated. Dense joints remain as the
+tests' `compose`-built references (`_dense_joint`, `aux_mixture_joint`) and
+as joints supplied to the outer bound, which `_Dense` reads the same way.
 
 Searches are seeded multi-start coordinate descent with step halving and
 simplex projection; restart r of grid point g uses child_seed(seed, g, r).
+A sweep scores its remaining moves speculatively from the current point as
+one stacked batch, split into chunks that fit TABLE_CELL_CAP; it takes the
+first improving candidate in scan order and re-batches the moves after it
+from the new point, which is the trajectory of scoring one move at a time.
 Time sharing makes the region convex, so `trace_boundary` searches |Q| = 1
-systems and reads each grid point off the lower convex hull of all it evaluated.
+systems and reads each grid point off the lower convex hull of all it scanned.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -36,10 +44,12 @@ from .models import (
     DistortionSpec,
     FunctionSpec,
     SourceModel,
+    _function_joint,
     _function_residual,
     _project_simplex,
 )
 from .probability import (
+    TABLE_CELL_CAP,
     Alphabet,
     CondDist,
     Dist,
@@ -47,11 +57,10 @@ from .probability import (
     ProbabilityError,
     UnknownAxis,
     _check_cells,
+    _entropy_rows,
     compose,
-    cond_mutual_info,
     constant_channel,
     identity_channel,
-    min_zero,
     mixture,
     uniform,
 )
@@ -269,97 +278,207 @@ def aux_mixture_joint(m: SourceModel, aux: AuxSystem) -> JointDist:
 
 def _source(m: SourceModel, aux: AuxSystem) -> "_ProductForm":
     """The source the single-function evaluators read: the one-arm factor form."""
-    return _ProductForm(m.p_x, aux.p_q, ((m.p_xt_given_x, aux.per_q, m.p_yz_given_x),))
+    return _ProductForm.of(m.p_x, aux.p_q, ((m.p_xt_given_x, aux.per_q, m.p_yz_given_x),))
 
 
-class _ProductForm:
-    """The mixture joint of the arm triples `_dense_joint` takes, as per-arm factors.
+class _Source:
+    """Stacked marginals of B systems and their CMIs, each entropy read once.
 
-    p(q, x, ...) = p(q) p(x) prod_j f_j[q, x, xt_j, u_j, v_j, y_j, z_j] with
-    f_j = p(xt_j | x) p(u_j | xt_j, q) p(v_j | u_j, q) p(y_j, z_j | x).
-    `marginal` has the signature of `JointDist.marginal` and builds only the
-    table asked for. TABLE_CELL_CAP bounds each arm's factor and each marginal
-    read; at J = 1 the factor is the whole joint but for p(q) p(x).
+    A subclass sets its canonical `axes` and gives `rows(names)`: the
+    (B, ...) stacked marginal over `names`, in the order given. Entropies of
+    axis sets within `_model_axes` are the same for every system on one
+    model, so they live in `_model_h`, which a search shares between the
+    sources it builds; the rest live in this source's own memo.
     """
 
-    def __init__(self, p_x: Dist, p_q: Dist,
-                 arms: Sequence[tuple[CondDist, Sequence[AuxPair], CondDist]]) -> None:
-        self._p_q, self._p_x = p_q.probs, p_x.probs
-        self._q, self._x = p_q.alphabet.name, p_x.alphabet.name
-        self._arms = []  # (local axes (xt, u, v, y, z), factor)
-        for p_xt, per_q, p_yz in arms:
-            first = per_q[0]  # every weight symbol shares its alphabets
-            if first.p_u_given_xt.input != p_xt.output:
-                raise ProbabilityError(f"auxiliary channel is not fed by the observation "
-                                       f"{p_xt.output.name!r}")
-            y, z = p_yz.output.parts
-            local = (p_xt.output, first.u_alphabet, first.v_alphabet, y, z)
-            _check_cells((p_q.alphabet, p_x.alphabet) + local, "arm factor")
-            factor = np.einsum("xa,qau,quv,xyz->qxauvyz", p_xt.rows,
-                               np.stack([p.p_u_given_xt.rows for p in per_q]),
-                               np.stack([p.p_v_given_u.rows for p in per_q]),
-                               p_yz.rows.reshape(p_x.alphabet.size, y.size, z.size))
-            self._arms.append((local, factor))
-        per_arm = [tuple(local[i] for local, _ in self._arms) for i in range(5)]
-        self.axes = ((p_q.alphabet,) + per_arm[2] + per_arm[1] + per_arm[0]
-                     + (p_x.alphabet,) + per_arm[3] + per_arm[4])
-        if len({alph.name for alph in self.axes}) != len(self.axes):
-            raise ProbabilityError(f"duplicate axis names in joint: "
-                                   f"{[alph.name for alph in self.axes]}")
+    _model_axes: frozenset = frozenset()
+
+    def __init__(self, axes: tuple[Alphabet, ...], model_h: dict | None = None) -> None:
+        self.axes = axes
+        self._pos = {alph.name: i for i, alph in enumerate(axes)}
+        if len(self._pos) != len(axes):
+            raise ProbabilityError(f"duplicate axis names in joint: {[a.name for a in axes]}")
+        self._h: dict = {}
+        self._model_h = self._h if model_h is None else model_h
 
     def marginal(self, axes) -> JointDist:
-        """Marginal joint on the named axes, in the canonical axis order; trusted,
-        as a contraction of validated `Dist` and `CondDist` tables."""
+        """Marginal joint of the first system held on the named axes, in the
+        canonical axis order; trusted, as a contraction of validated tables."""
         want = {axes} if isinstance(axes, str) else set(axes)
         if not want:
             raise ProbabilityError("marginal needs a nonempty axis set")
         kept = tuple(alph for alph in self.axes if alph.name in want)
         if len(kept) != len(want):
-            names = tuple(alph.name for alph in self.axes)
-            raise UnknownAxis(f"axes {sorted(want - set(names))} not in joint over {names}")
-        _check_cells(kept, "marginal")
-        # einsum labels: output axes first, then q and x when they are summed out
-        label = {alph.name: i for i, alph in enumerate(kept)}
-        q, x = label.get(self._q, len(kept)), label.get(self._x, len(kept) + 1)
-        operands = [self._p_q, [q], self._p_x, [x]]
-        for local, factor in self._arms:
-            mine = [i for i, alph in enumerate(local) if alph.name in want]
-            drop = tuple(2 + i for i in range(len(local)) if i not in mine)
-            operands += [factor.sum(axis=drop), [q, x] + [label[local[i].name] for i in mine]]
-        return JointDist._derived(kept, np.einsum(*operands, list(range(len(kept)))))
+            raise UnknownAxis(f"axes {sorted(want - set(self._pos))} not in joint over "
+                              f"{tuple(self._pos)}")
+        return JointDist._derived(kept, self.rows(tuple(a.name for a in kept))[0])
+
+    def entropy(self, names: tuple[str, ...]) -> np.ndarray:
+        """H(names) of each system, read once per source (per search when the
+        axes are the model's alone); a pure function of the axis set."""
+        key = frozenset(names)
+        memo = self._model_h if key <= self._model_axes else self._h
+        h = memo.get(key)
+        if h is None:
+            h = memo[key] = _entropy_rows(self.rows(tuple(sorted(names, key=self._pos.get))))
+        return h
+
+    def cmi(self, a, b, c=()) -> np.ndarray:
+        """I(A;B|C) of each system, as H(A,C) + H(B,C) - H(A,B,C) - H(C)."""
+        a, b, c = ((s,) if isinstance(s, str) else tuple(s) for s in (a, b, c))
+        h_c = self.entropy(c) if c else 0.0
+        return self.entropy(a + c) + self.entropy(b + c) - self.entropy(a + b + c) - h_c
 
 
-def _clamp_rate(value: float) -> float:
-    if value < -RATE_NEG_TOL:
-        raise RegionError(f"rate coordinate {value!r} is negative beyond tolerance")
-    return 0.0 if value < 0.0 else value
+class _ProductForm(_Source):
+    """The mixture joints of B systems on one model, kept as per-arm factors.
+
+    p(q, x, ...) = p(q) p(x) prod_j f_j[q, x, xt_j, u_j, v_j, y_j, z_j] with
+    f_j = p(xt_j | x) p(u_j | xt_j, q) p(v_j | u_j, q) p(y_j, z_j | x), the
+    channels stacked over the B systems. A marginal multiplies out only the
+    axes asked for, summing each chain x -> xt -> u -> v as it goes, and one
+    over model axes alone is read without the systems. TABLE_CELL_CAP bounds
+    each arm's stacked factor, which bounds every table built, and each
+    marginal read.
+    """
+
+    def __init__(self, p_x: Dist, q: Alphabet, p_q: np.ndarray,
+                 arms: Sequence[tuple[CondDist, Alphabet, Alphabet, np.ndarray, np.ndarray,
+                                      CondDist]],
+                 model_h: dict | None = None) -> None:
+        """`p_q` is (B, |q|); an arm is (p(xt|x), U, V, p(u|xt,q) as (B, |q|, |xt|, |u|),
+        p(v|u,q) as (B, |q|, |u|, |v|), p(yz|x)), its tables already validated."""
+        self._p_q, self._p_x = p_q, p_x.probs
+        self.q, self.x = q.name, p_x.alphabet.name
+        self._arms = []  # (local axes (xt, u, v, y, z), p(xt|x), p(u|xt,q), p(v|u,q), p(y,z|x))
+        for p_xt, u, v, p_u, p_v, p_yz in arms:
+            y, z = p_yz.output.parts
+            local = (p_xt.output, u, v, y, z)
+            _check_cells((q, p_x.alphabet) + local, "arm factor", len(p_q))
+            self._arms.append((local, p_xt.rows, p_u, p_v,
+                               p_yz.rows.reshape(p_x.alphabet.size, y.size, z.size)))
+        per_arm = [tuple(arm[0][i] for arm in self._arms) for i in range(5)]
+        super().__init__((q,) + per_arm[2] + per_arm[1] + per_arm[0] + (p_x.alphabet,)
+                         + per_arm[3] + per_arm[4], model_h)
+        self.arm_names = [tuple(alph.name for alph in arm[0]) for arm in self._arms]
+        self._model_axes = frozenset(alph.name for i in (0, 3, 4) for alph in per_arm[i]
+                                     ) | {self.x}
+
+    @classmethod
+    def of(cls, p_x: Dist, p_q: Dist,
+           arms: Sequence[tuple[CondDist, Sequence[AuxPair], CondDist]]) -> "_ProductForm":
+        """The one system (B = 1) of the arm triples `_dense_joint` takes."""
+        stacked = []
+        for p_xt, per_q, p_yz in arms:
+            first = per_q[0]  # every weight symbol shares its alphabets
+            if first.p_u_given_xt.input != p_xt.output:
+                raise ProbabilityError(f"auxiliary channel is not fed by the observation "
+                                       f"{p_xt.output.name!r}")
+            stacked.append((p_xt, first.u_alphabet, first.v_alphabet,
+                            np.stack([p.p_u_given_xt.rows for p in per_q])[None],
+                            np.stack([p.p_v_given_u.rows for p in per_q])[None], p_yz))
+        return cls(p_x, p_q.alphabet, p_q.probs[None], stacked)
+
+    def rows(self, names: tuple[str, ...]) -> np.ndarray:
+        stacked = not self._model_axes.issuperset(names)
+        _check_cells([self.axes[self._pos[n]] for n in names], "marginal",
+                     len(self._p_q) if stacked else 1)
+        # einsum labels: output axes first, then the batch, q and x; p(q) sums
+        # to 1, so a marginal on model axes alone takes q as a constant
+        label = {n: i for i, n in enumerate(names)}
+        b, q, x = len(names), label.get(self.q, len(names) + 1), label.get(self.x, len(names) + 2)
+        operands = [self._p_q if stacked else np.ones((1, 1)), [b, q], self._p_x, [x]]
+        for local, *channels in self._arms:
+            keep = [i for i, alph in enumerate(local) if alph.name in label]
+            if keep:  # an arm summed out whole contributes a factor of 1
+                operands += [_arm_factor(keep, *channels),
+                             [b, q, x] + [label[local[i].name] for i in keep]]
+        return np.einsum(*operands, [b] + list(range(len(names))))
 
 
-def _cmi(src, a, b, c=()) -> float:
-    """I(A;B|C) on the marginal on A, B and C of a source: a `_ProductForm`
-    or a dense `JointDist`."""
-    sets = [(s,) if isinstance(s, str) else tuple(s) for s in (a, b, c)]
-    return cond_mutual_info(src.marginal(sets[0] + sets[1] + sets[2]), a, b, c)
+def _arm_factor(keep: list[int], p_xt: np.ndarray, p_u: np.ndarray, p_v: np.ndarray,
+                p_yz: np.ndarray) -> np.ndarray:
+    """One arm's factor on (b, q, x, kept local axes), the other local axes
+    summed out; `keep` indexes the local axes (xt, u, v, y, z) in order."""
+    out, kept = None, 0
+    chain = [i for i in keep if i < 3]
+    if chain:
+        out = p_xt[None, None]  # (b, q, x, kept chain axes..., the chain's latest axis)
+        for axis, link in ((1, p_u), (2, p_v)):
+            if axis > chain[-1]:
+                break
+            link = link.reshape(link.shape[:2] + (1,) * (1 + kept) + link.shape[2:])
+            out = out[..., None] * link
+            if axis - 1 in keep:
+                kept += 1
+            else:
+                out = out.sum(axis=-2)
+    if 3 in keep or 4 in keep:
+        yz = p_yz if 4 in keep else p_yz.sum(axis=2)
+        yz = yz if 3 in keep else yz.sum(axis=1)
+        yz = yz.reshape((1, 1, len(yz)) + (1,) * len(chain) + yz.shape[1:])
+        out = yz if out is None else out.reshape(out.shape + (1,) * (yz.ndim - out.ndim)) * yz
+    return out
 
 
-def _multi_rates(src, u: tuple[str, ...], v: tuple[str, ...], xt: tuple[str, ...],
+class _Dense(_Source):
+    """A dense `JointDist`, such as one supplied to the outer bound, as a source."""
+
+    def __init__(self, joint: JointDist) -> None:
+        super().__init__(joint.axes)
+        self.joint = joint
+
+    def rows(self, names: tuple[str, ...]) -> np.ndarray:
+        return self.joint.marginal(names).reorder(names).table[None]
+
+
+def _source_of(joint: "JointDist | _Source") -> _Source:
+    return joint if isinstance(joint, _Source) else _Dense(joint)
+
+
+def _clamp_rates(values: np.ndarray) -> np.ndarray:
+    if np.any(values < -RATE_NEG_TOL):
+        raise RegionError(f"rate coordinate {float(values.min())!r} is negative beyond tolerance")
+    return np.maximum(values, 0.0)
+
+
+def _multi_rates(src: _Source, u: tuple[str, ...], v: tuple[str, ...], xt: tuple[str, ...],
                  y: tuple[str, ...], z: tuple[str, ...], q: str, x: str,
-                 ) -> tuple[MultiRateTuple, float]:
-    """Rate tuple and offset of a J-arm system; `u` ... `z` name one axis per arm.
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Rates and offsets of the J-arm systems a source holds; `u` ... `z` name
+    one axis per arm. Rates are rows of (r_s, r_w per arm, sum_w, r_dec per
+    arm, r_eve), as `_multi_tuple` reads them.
 
     Each auxiliary absorbs the time-sharing label, so the leading terms use
     (U, Q) while the offset conditions on (V, Q); with heterogeneous branches
     only this reading keeps every coordinate >= 0.
     """
     uq, vq = u + (q,), v + (q,)
-    offset = min_zero(_cmi(src, u, z, vq) - _cmi(src, u, y, vq))
-    r_s = _clamp_rate(_cmi(src, uq, xt, z) + offset)
-    r_w = tuple([_clamp_rate(_cmi(src, (uk, q), xk, yk)) for uk, xk, yk in zip(u, xt, y)])
-    r_dec = tuple([_clamp_rate(_cmi(src, (uk, q), x, yk)) for uk, yk in zip(u, y)])
+    offset = np.minimum(src.cmi(u, z, vq) - src.cmi(u, y, vq), 0.0)
+    r_w = [src.cmi((uk, q), xk, yk) for uk, xk, yk in zip(u, xt, y)]
     # one arm's sum-storage term is its storage term, read from the same entropies
-    sum_w = r_w[0] if len(u) == 1 else _clamp_rate(_cmi(src, uq, xt, y))
-    r_eve = _clamp_rate(_cmi(src, uq, x, z) + offset)
-    return MultiRateTuple(r_s, r_w, sum_w, r_dec, r_eve), offset
+    sum_w = r_w[0] if len(u) == 1 else src.cmi(uq, xt, y)
+    r_dec = [src.cmi((uk, q), x, yk) for uk, yk in zip(u, y)]
+    cols = [src.cmi(uq, xt, z) + offset, *r_w, sum_w, *r_dec, src.cmi(uq, x, z) + offset]
+    return _clamp_rates(np.stack(cols, axis=1)), offset
+
+
+def _multi_tuple(row: np.ndarray, j: int, d: tuple[float, ...] | None = None) -> MultiRateTuple:
+    """One row of `_multi_rates` as a J-arm rate tuple."""
+    v = row.tolist()
+    return MultiRateTuple(v[0], tuple(v[1:j + 1]), v[j + 1], tuple(v[j + 2:2 * j + 2]),
+                          v[2 * j + 2], d)
+
+
+# Single-function coordinates; `_one_arm_rates` fills the first four, d is the fifth.
+_COORDS = ("r_s", "r_w", "r_dec", "r_eve", "d")
+
+
+def _one_arm_rates(src: _ProductForm) -> tuple[np.ndarray, np.ndarray]:
+    """(B, 4) rows of r_s, r_w, r_dec, r_eve and the offsets of a one-arm source."""
+    (xt, u, v, y, z), = src.arm_names
+    rates, offset = _multi_rates(src, (u,), (v,), (xt,), (y,), (z,), src.q, src.x)
+    return rates[:, [0, 1, 3, 4]], offset  # column 2, sum_w, repeats r_w
 
 
 def _corner_rates(m: SourceModel, aux: AuxSystem, src: _ProductForm | None = None,
@@ -367,18 +486,16 @@ def _corner_rates(m: SourceModel, aux: AuxSystem, src: _ProductForm | None = Non
     """Rate corner, offset and the source it was read from (built when not given)."""
     if src is None:
         src = _source(m, aux)
-    rates, offset = _multi_rates(
-        src, (aux.u_alphabet.name,), (aux.v_alphabet.name,), (m.xt_alphabet.name,),
-        (m.y_alphabet.name,), (m.z_alphabet.name,), aux.p_q.alphabet.name, m.x_alphabet.name)
-    return single_arm_tuple(rates), offset, src
+    rates, offset = _one_arm_rates(src)
+    return RateTuple(*rates[0].tolist()), float(offset[0]), src
 
 
-def _require_admissible(src, arms: Sequence[tuple[FunctionSpec, str, str, str]],
+def _require_admissible(src: _Source, arms: Sequence[tuple[FunctionSpec, str, str, str]],
                         q: str) -> None:
     """Raise unless each arm's residual H(F | U, Q, Y), read on the source's
     (u, q, xt, y) marginal, is zero; `arms` holds (f, u, xt, y) per arm."""
     for f, u, xt, y in arms:
-        gap = _function_residual(src.marginal((u, q, xt, y)), f, xt, y)
+        gap = float(_function_residual(src.rows((u, q, xt, y)), f)[0])
         if gap > ADMISSIBILITY_TOL:
             raise InadmissibleAuxiliary(
                 f"({u}, {q}, {y}) leave {gap:.3g} bits of the function undetermined")
@@ -397,7 +514,7 @@ def eval_lossless_corner(m: SourceModel, aux: AuxSystem, f: FunctionSpec) -> Rat
 
 
 def optimal_g(m: SourceModel, aux: AuxSystem, f: FunctionSpec,
-              d: DistortionSpec, joint: "JointDist | _ProductForm | None" = None,
+              d: DistortionSpec, joint: "JointDist | _Source | None" = None,
               ) -> ReconstructionFn:
     """Reconstruction minimizing conditional expected distortion cell by cell.
 
@@ -406,31 +523,32 @@ def optimal_g(m: SourceModel, aux: AuxSystem, f: FunctionSpec,
     ties break toward the lowest symbol index. `joint`, when given, is the
     system's source or any marginal of it that keeps (u, xt, y).
     """
-    if joint is None:
-        joint = _source(m, aux)
-    p_uxty = joint.marginal(_single_names(m, aux)).table
-    nf = f.output.size
-    p = (p_uxty[..., None] * np.eye(nf)[f.table][None]).sum(axis=1)  # (u, y, f)
-    # risk[u, y, fhat] = sum_f p(u,y,f) d(f, fhat)
-    risk = np.einsum("uyf,fg->uyg", p, d.table)
-    table = np.argmin(risk, axis=2)
-    cell_mass = p.sum(axis=2)
-    global_best = int(np.argmax(p.sum(axis=(0, 1))))
-    table = np.where(cell_mass > 0.0, table, global_best)
+    src = _source(m, aux) if joint is None else _source_of(joint)
+    table = _g_tables(src.rows(_single_names(m, aux)), f, d)[0]
     return ReconstructionFn(aux.u_alphabet, m.y_alphabet, f.output, table)
 
 
-def _mean_distortion(p_uxty: np.ndarray, f: FunctionSpec, g: ReconstructionFn,
-                     d: DistortionSpec) -> float:
-    """E d(f(xt, y), g(u, y)) from the marginal table p(u, xt, y)."""
-    val = d.table[f.table[None, :, :], g.table[:, None, :]]
-    return float(np.sum(p_uxty * val))
+def _g_tables(p_uxty: np.ndarray, f: FunctionSpec, d: DistortionSpec) -> np.ndarray:
+    """`optimal_g`'s rule on each row of a stacked p(u, xt, y): tables (B, |u|, |y|)."""
+    p = _function_joint(p_uxty, f)  # (b, u, y, f)
+    risk = p @ d.table  # risk[b, u, y, fhat] = sum_f p(u, y, f) d(f, fhat)
+    global_best = np.argmax(p.sum(axis=(1, 2)), axis=-1)
+    return np.where(p.sum(axis=3) > 0.0, np.argmin(risk, axis=3), global_best[:, None, None])
+
+
+def _mean_distortion(p_uxty: np.ndarray, f: FunctionSpec, g: np.ndarray,
+                     d: DistortionSpec) -> np.ndarray:
+    """E d(f(xt, y), g(u, y)) of each row of a stacked p(u, xt, y) and
+    reconstruction tables g of shape (B, |u|, |y|)."""
+    val = d.table[f.table[None, None], g[:, :, None, :]]
+    return np.sum(p_uxty * val, axis=(1, 2, 3))
 
 
 def expected_distortion(m: SourceModel, aux: AuxSystem, f: FunctionSpec,
                         g: ReconstructionFn, d: DistortionSpec) -> float:
     """E d(f(xt, y), g(u, y)) under the model and the auxiliary system."""
-    return _mean_distortion(_source(m, aux).marginal(_single_names(m, aux)).table, f, g, d)
+    p = _source(m, aux).rows(_single_names(m, aux))
+    return float(_mean_distortion(p, f, g.table[None], d)[0])
 
 
 def eval_lossy_corner(m: SourceModel, aux: AuxSystem, f: FunctionSpec,
@@ -438,8 +556,8 @@ def eval_lossy_corner(m: SourceModel, aux: AuxSystem, f: FunctionSpec,
     """Rate corner plus expected distortion; no admissibility requirement."""
     aux.validate_cardinalities(m.xt_alphabet.size, "lossy")
     rates, _, src = _corner_rates(m, aux)
-    return replace(rates, d=_mean_distortion(src.marginal(_single_names(m, aux)).table,
-                                             f, g, d))
+    p = src.rows(_single_names(m, aux))
+    return replace(rates, d=float(_mean_distortion(p, f, g.table[None], d)[0]))
 
 
 @dataclass(frozen=True)
@@ -499,7 +617,14 @@ def _alphabet_of_size(name: str, n: int) -> Alphabet:
 
 
 class _AuxParam:
-    """Flat simplex-block parameterization of an auxiliary system."""
+    """Flat simplex-block parameterization of auxiliary systems of fixed sizes.
+
+    A point is one vector of simplex blocks: p(q) when |Q| > 1, then per
+    weight symbol one p(u | xt) block per xt and, when |V| > 1, one
+    p(v | u) block per u. Move 2c of a sweep steps coordinate c up, move
+    2c + 1 steps it down. `batch` systems fill TABLE_CELL_CAP with their arm
+    factors, so a stack of candidates is split into chunks of that many.
+    """
 
     def __init__(self, m: SourceModel, u_size: int, v_size: int, q_size: int):
         self.m = m
@@ -507,73 +632,105 @@ class _AuxParam:
         self.u_alpha = _alphabet_of_size("u", u_size)
         self.v_alpha = _alphabet_of_size("v", v_size)
         xt = m.xt_alphabet.size
-        self.blocks: list[int] = []
-        if q_size > 1:
-            self.blocks.append(q_size)
-        for _ in range(q_size):
-            self.blocks.extend([u_size] * xt)
-            if v_size > 1:
-                self.blocks.extend([v_size] * u_size)
+        sizes = [q_size] if q_size > 1 else []
+        sizes += ([u_size] * xt + ([v_size] * u_size if v_size > 1 else [])) * q_size
+        self.spans = list(zip(np.cumsum([0] + sizes[:-1]).tolist(), sizes))  # (start, size)
+        self.size = sum(sizes)
+        per_system = math.prod(a.size for a in (self.q_alpha, m.x_alphabet, m.xt_alphabet,
+                                                self.u_alpha, self.v_alpha, m.y_alphabet,
+                                                m.z_alphabet))
+        self.batch = max(1, TABLE_CELL_CAP // per_system)
+        self._model_h: dict = {}  # model-only entropies, shared by every batch
 
-    def random(self, seed: int) -> list[np.ndarray]:
-        total = sum(self.blocks)
-        raw = -np.log(np.maximum(uniforms(seed, 0, total), 1e-300))
-        out, at = [], 0
-        for size in self.blocks:
-            chunk = raw[at:at + size]
-            out.append(chunk / chunk.sum())
-            at += size
-        return out
+    def random(self, seed: int) -> np.ndarray:
+        raw = -np.log(np.maximum(uniforms(seed, 0, self.size), 1e-300))
+        return np.concatenate([raw[at:at + n] / raw[at:at + n].sum() for at, n in self.spans])
 
-    def to_aux(self, blocks: list[np.ndarray]) -> AuxSystem:
-        xt = self.m.xt_alphabet.size
-        at = 0
-        if self.q_alpha.size > 1:
-            p_q = Dist(self.q_alpha, _renorm(blocks[at]))
-            at += 1
-        else:
-            p_q = uniform(self.q_alpha)
-        pairs = []
-        for _ in range(self.q_alpha.size):
-            u_rows = np.stack([_renorm(blocks[at + i]) for i in range(xt)])
-            at += xt
-            if self.v_alpha.size > 1:
-                v_rows = np.stack([_renorm(blocks[at + i]) for i in range(self.u_alpha.size)])
-                at += self.u_alpha.size
-            else:
-                v_rows = np.ones((self.u_alpha.size, 1))
-            pairs.append(AuxPair(CondDist(self.m.xt_alphabet, self.u_alpha, u_rows),
-                                 CondDist(self.u_alpha, self.v_alpha, v_rows)))
-        return AuxSystem(p_q, tuple(pairs))
+    def unpack(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """p(q) (B, |q|), p(u|xt,q) (B, |q|, |xt|, |u|) and p(v|u,q) (B, |q|, |u|, |v|)
+        of a stack of points."""
+        n, xt = len(points), self.m.xt_alphabet.size
+        nq, nu, nv = self.q_alpha.size, self.u_alpha.size, self.v_alpha.size
+        p_q = _renorm(points[:, :nq]) if nq > 1 else np.ones((n, 1))
+        per_q = points[:, nq if nq > 1 else 0:].reshape(n, nq, -1)
+        p_u = _renorm(per_q[:, :, :xt * nu].reshape(n, nq, xt, nu))
+        p_v = (_renorm(per_q[:, :, xt * nu:].reshape(n, nq, nu, nv)) if nv > 1
+               else np.ones((n, nq, nu, 1)))
+        return p_q, p_u, p_v
+
+    def source(self, points: np.ndarray) -> _ProductForm:
+        """The one-arm source of a stack of points; no per-system object is built."""
+        m, (p_q, p_u, p_v) = self.m, self.unpack(points)
+        arm = (m.p_xt_given_x, self.u_alpha, self.v_alpha, p_u, p_v, m.p_yz_given_x)
+        return _ProductForm(m.p_x, self.q_alpha, p_q, (arm,), self._model_h)
+
+    def to_aux(self, point: np.ndarray) -> AuxSystem:
+        p_q, p_u, p_v = self.unpack(point[None])
+        pairs = tuple(AuxPair(CondDist(self.m.xt_alphabet, self.u_alpha, p_u[0, qi]),
+                              CondDist(self.u_alpha, self.v_alpha, p_v[0, qi]))
+                      for qi in range(self.q_alpha.size))
+        return AuxSystem(Dist(self.q_alpha, p_q[0]), pairs)
+
+    def neighbours(self, point: np.ndarray, start: int, step: float) -> np.ndarray:
+        """The candidates of moves start, start + 1, ... of a sweep from `point`,
+        at most `batch` of them, stacked in scan order."""
+        stop = min(start + self.batch, 2 * self.size)
+        out = []
+        for at, n in self.spans:
+            move = np.arange(max(start, 2 * at), min(stop, 2 * (at + n)))
+            if not move.size:
+                continue
+            block = np.repeat(point[None, at:at + n], len(move), axis=0)
+            block[np.arange(len(move)), move // 2 - at] += np.where(move % 2, -step, step)
+            cand = np.repeat(point[None], len(move), axis=0)
+            cand[:, at:at + n] = _project_simplex(block)
+            out.append(cand)
+        return np.concatenate(out)
 
 
 def _renorm(v: np.ndarray) -> np.ndarray:
+    """Clip each row (last axis) at 0 and renormalize; an all-zero row becomes uniform."""
     w = np.maximum(v, 0.0)
-    s = w.sum()
-    return w / s if s > 0 else np.full_like(w, 1.0 / len(w))
+    s = w.sum(axis=-1, keepdims=True)
+    return np.where(s > 0, w / np.where(s > 0, s, 1.0), 1.0 / v.shape[-1])
 
 
-def _coordinate_descent(objective, param: _AuxParam, blocks, iters, init_step, min_step):
-    best = objective(blocks)
+def _coordinate_descent(param: _AuxParam, point: np.ndarray, score, scanned,
+                        iters: int, init_step: float, min_step: float) -> tuple[np.ndarray, float]:
+    """First-improvement coordinate descent over `param`'s moves; one restart.
+
+    `score` maps a stack of points to their objective values. A sweep scores
+    all of its remaining moves from the current point as one speculative
+    batch (chunks of `param.batch` under the cell cap), takes the first
+    candidate in scan order that beats the best value by more than 1e-15,
+    and re-batches the moves after that coordinate from the new point; a
+    sweep without one halves the step. This is the trajectory of scoring
+    one candidate at a time. `scanned(n)` is told after each batch that its
+    first n rows are those a one-at-a-time scan would have scored; the rest
+    are discarded.
+    """
+    best = float(score(point[None])[0])
+    scanned(1)
     step = init_step
     for _ in range(iters):
-        improved = False
-        for bi in range(len(blocks)):
-            for ci in range(len(blocks[bi])):
-                for sign in (1.0, -1.0):
-                    cand = [b.copy() for b in blocks]
-                    cand[bi][ci] += sign * step
-                    cand[bi] = _project_simplex(cand[bi])
-                    val = objective(cand)
-                    if val < best - 1e-15:
-                        blocks, best = cand, val
-                        improved = True
-                        break
+        improved, start = False, 0
+        while start < 2 * param.size:
+            cands = param.neighbours(point, start, step)
+            vals = score(cands)
+            hits = np.flatnonzero(vals < best - 1e-15)
+            if not hits.size:
+                scanned(len(cands))
+                start += len(cands)
+                continue
+            k = int(hits[0])
+            scanned(k + 1)
+            point, best, improved = cands[k], float(vals[k]), True
+            start = (start + k) // 2 * 2 + 2  # the accepted coordinate's other sign is skipped
         if not improved:
             step *= 0.5
             if step < min_step:
                 break
-    return blocks, best
+    return point, best
 
 
 @dataclass(frozen=True)
@@ -584,20 +741,32 @@ class MembershipResult:
     g: ReconstructionFn | None = None
 
 
-def _eval_candidate(m, aux, f, mode, d):
-    """(rates, admissibility residual) from one source; d filled in lossy mode when given."""
-    aux.validate_cardinalities(m.xt_alphabet.size, mode)
-    rates, _, src = _corner_rates(m, aux)
-    u, xt, y = _single_names(m, aux)
+def _eval_rows(m: SourceModel, src: _ProductForm, f: FunctionSpec, mode: str,
+               d: DistortionSpec | None) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinates (B, 5) in `_COORDS` order and admissibility residuals (B,)
+    of the systems of a one-arm source. The residual is 0 in lossy mode; d is
+    filled in lossy mode when `d` is given and is 0 otherwise, the value
+    `RateTuple.dominates` reads for a missing d."""
+    rates, _ = _one_arm_rates(src)
+    (xt, u, _, y, _), = src.arm_names
+    coords, gap = np.zeros((len(rates), 5)), np.zeros(len(rates))
+    coords[:, :4] = rates
     if mode == "lossless":
-        return rates, _function_residual(src.marginal((u, aux.p_q.alphabet.name, xt, y)),
-                                         f, xt, y)
-    if d is None:
-        return rates, 0.0
-    # one (u, xt, y) marginal serves the reconstruction and the distortion
-    uxty = src.marginal((u, xt, y))
-    g = optimal_g(m, aux, f, d, uxty)
-    return replace(rates, d=_mean_distortion(uxty.table, f, g, d)), 0.0
+        gap = _function_residual(src.rows((u, src.q, xt, y)), f)
+    elif d is not None:
+        # one (u, xt, y) marginal serves the reconstruction and the distortion
+        p = src.rows((u, xt, y))
+        coords[:, 4] = _mean_distortion(p, f, _g_tables(p, f, d), d)
+    return coords, gap
+
+
+def _eval_candidate(m, aux, f, mode, d):
+    """(rates, admissibility residual) of one system; d filled in lossy mode when given."""
+    aux.validate_cardinalities(m.xt_alphabet.size, mode)
+    coords, gap = _eval_rows(m, _source(m, aux), f, mode, d)
+    row = coords[0].tolist()
+    return RateTuple(*row[:4], d=row[4] if mode == "lossy" and d is not None else None), \
+        float(gap[0])
 
 
 def membership(m: SourceModel, f: FunctionSpec, target: RateTuple, mode: str,
@@ -633,19 +802,20 @@ def membership(m: SourceModel, f: FunctionSpec, target: RateTuple, mode: str,
     u_size, v_size, q_size = budget.resolved_sizes(m, mode)
     param = _AuxParam(m, u_size, v_size, q_size)
     tcoords = target.coords()
+    cols = [_COORDS.index(k) for k in tcoords]
+    tvals = np.array(list(tcoords.values()))
 
-    def objective(blocks) -> float:
-        aux = param.to_aux(blocks)
-        rates, gap = _eval_candidate(m, aux, f, mode, d if want_d else None)
-        excess = max(rates.coords().get(k, 0.0) - v for k, v in tcoords.items())
-        return excess + 1e3 * max(gap - ADMISSIBILITY_TOL, 0.0)
+    def score(points: np.ndarray) -> np.ndarray:
+        coords, gap = _eval_rows(m, param.source(points), f, mode, d if want_d else None)
+        excess = np.max(coords[:, cols] - tvals, axis=1)
+        return excess + 1e3 * np.maximum(gap - ADMISSIBILITY_TOL, 0.0)
 
     for r in range(budget.restarts):
-        blocks = param.random(child_seed(budget.seed, 0, r))
-        blocks, val = _coordinate_descent(objective, param, blocks, budget.iters,
-                                          budget.init_step, budget.min_step)
+        point, val = _coordinate_descent(param, param.random(child_seed(budget.seed, 0, r)),
+                                         score, lambda n: None, budget.iters,
+                                         budget.init_step, budget.min_step)
         if val <= MEMBERSHIP_TOL:
-            hit = verdict(param.to_aux(blocks))
+            hit = verdict(param.to_aux(point))
             if hit:
                 return hit
     return MembershipResult(False, None, None)
@@ -692,43 +862,78 @@ def _lower_hull(points: list[tuple]) -> list[tuple]:
     return hull
 
 
+def _pool_add(pool: list, x: float, y: float, gap: float, coords: list[float],
+              witness) -> None:
+    """Offer one evaluated system to a boundary pool of (x, y, coordinates,
+    witness) entries, in evaluation order. An admissible system that no entry
+    weakly dominates in (x, y) joins and evicts the entries it dominates.
+    `witness()` builds its `AuxSystem`, called only for returned points."""
+    if gap <= ADMISSIBILITY_TOL and not any(a <= x and b <= y for a, b, _, _ in pool):
+        pool[:] = [e for e in pool if not (x <= e[0] and y <= e[1])] + [(x, y, coords, witness)]
+
+
 def trace_boundary(m: SourceModel, f: FunctionSpec, sweep: BoundarySweep, mode: str,
                    budget: SearchBudget | None = None,
                    d: DistortionSpec | None = None) -> list[BoundaryPoint]:
     """Least `minimize` coordinate subject to `coordinate` <= each grid value.
 
     A pool keeps the evaluated admissible systems none dominates in (coordinate,
-    minimize): the canonical corners, then seeded |Q| = 1 descents per grid point.
-    With `budget.q_size` = 1 a point is the best pool system within its bound;
-    with 2 it lies on the pool's lower convex hull. A hull pair is not
-    re-evaluated as one |Q| = 2 system, whose shared U alphabet lets `optimal_g`
-    pool the two reconstructions on (u, y) and lift d above the chord.
+    minimize): the canonical corners, then seeded |Q| = 1 descents per grid point,
+    each candidate the descent scans. With `budget.q_size` = 1 a point is the
+    best pool system within its bound; with 2 it lies on the pool's lower convex
+    hull. A hull pair is not re-evaluated as one |Q| = 2 system, whose shared U
+    alphabet lets `optimal_g` pool the two reconstructions on (u, y) and lift d
+    above the chord. Each returned witness is re-evaluated one system at a time
+    and must reproduce its pool coordinates within MEMBERSHIP_TOL.
     """
     budget = budget or SearchBudget()
     u_size, v_size, _ = budget.resolved_sizes(m, mode)
     use_d = "d" in (sweep.coordinate, sweep.minimize)
     if use_d and (mode != "lossy" or d is None):
         raise RegionError("sweeping distortion needs lossy mode and a distortion spec")
-    pool: list[tuple[float, float, RateTuple, AuxSystem]] = []  # (x, y, rates, witness)
+    d_used = d if use_d else None
+    keys = _COORDS if use_d else _COORDS[:4]
+    ix, iy = _COORDS.index(sweep.coordinate), _COORDS.index(sweep.minimize)
+    pool: list = []
+    batch: list = []  # the last scored stack: points, coordinates, residuals
 
-    def evaluate(aux: AuxSystem, bound: float = 0.0) -> float:
-        """Penalized objective for `bound`; an admissible system joins the pool."""
-        rates, gap = _eval_candidate(m, aux, f, mode, d if use_d else None)
-        x, y = rates.coords()[sweep.coordinate], rates.coords()[sweep.minimize]
-        if gap <= ADMISSIBILITY_TOL and not any(a <= x and b <= y for a, b, _, _ in pool):
-            pool[:] = [e for e in pool if not (x <= e[0] and y <= e[1])] + [(x, y, rates, aux)]
-        return y + 1e3 * (max(x - bound, 0.0) + max(gap - ADMISSIBILITY_TOL, 0.0))
+    def offer(coords: np.ndarray, gap: np.ndarray, witness) -> None:
+        row = coords.tolist()
+        _pool_add(pool, row[ix], row[iy], float(gap), row, witness)
 
     for aux in _canonical_corners(m):
-        evaluate(aux)
+        coords, gap = _eval_rows(m, _source(m, aux), f, mode, d_used)
+        offer(coords[0], gap[0], lambda aux=aux: aux)
     param = _AuxParam(m, u_size, v_size, 1)
+    bound = 0.0
+
+    def score(points: np.ndarray) -> np.ndarray:
+        coords, gap = _eval_rows(m, param.source(points), f, mode, d_used)
+        batch[:] = [points, coords, gap]
+        return coords[:, iy] + 1e3 * (np.maximum(coords[:, ix] - bound, 0.0)
+                                      + np.maximum(gap - ADMISSIBILITY_TOL, 0.0))
+
+    def scanned(n: int) -> None:
+        points, coords, gap = batch
+        for i in range(n):
+            offer(coords[i], gap[i], partial(param.to_aux, points[i]))
+
     for gi, bound in enumerate(sweep.grid):
         for r in range(budget.restarts):
-            _coordinate_descent(lambda blocks: evaluate(param.to_aux(blocks), bound), param,
-                                param.random(child_seed(budget.seed, gi, r)),
-                                budget.iters, budget.init_step, budget.min_step)
+            _coordinate_descent(param, param.random(child_seed(budget.seed, gi, r)), score,
+                                scanned, budget.iters, budget.init_step, budget.min_step)
     if not pool:
         raise RegionError("no evaluated auxiliary system is admissible")
+
+    def verified(entry) -> AuxSystem:
+        aux = entry[3]()
+        rates, gap = _eval_candidate(m, aux, f, mode, d_used)
+        again = rates.coords()
+        if gap > ADMISSIBILITY_TOL or any(abs(again[k] - entry[2][i]) > MEMBERSHIP_TOL
+                                          for i, k in enumerate(keys)):
+            raise RegionError("a boundary witness does not reproduce its pool coordinates")
+        return aux
+
     pool.sort(key=lambda e: e[0])  # x ascending, so y descending
     vertices = _lower_hull(pool) if budget.q_size > 1 else pool
     results = []
@@ -740,7 +945,7 @@ def trace_boundary(m: SourceModel, f: FunctionSpec, sweep: BoundarySweep, mode: 
             b = vertices[i + 1]
             w = (b[0] - bound) / (b[0] - a[0])
             parts = [(w, a), (1.0 - w, b)]
-        mean = {k: sum(w * e[2].coords()[k] for w, e in parts) for k in a[2].coords()}
-        results.append(BoundaryPoint(**mean, witnesses=tuple(e[3] for _, e in parts),
+        mean = {k: sum(w * e[2][j] for w, e in parts) for j, k in enumerate(keys)}
+        results.append(BoundaryPoint(**mean, witnesses=tuple(verified(e) for _, e in parts),
                                      weights=tuple(w for w, _ in parts), feasible=i >= 0))
     return results

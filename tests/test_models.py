@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sfcomp.models import (
     DistortionSpec,
@@ -9,6 +10,7 @@ from sfcomp.models import (
     ModelError,
     ModelFileError,
     SourceModel,
+    _project_simplex,
     admissibility_gap,
     build_joint,
     is_admissible,
@@ -210,6 +212,29 @@ class TestAdmissibility:
         m = make_model()
         const = constant_channel(XT, U)
         assert is_admissible(m, const, YPROJ)
+
+
+def project_one(v):
+    """Reference: the one-vector projection the search used before it stacked rows."""
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u) - 1.0
+    rho = np.nonzero(u - css / np.arange(1, len(v) + 1) > 0)[0][-1]
+    return np.maximum(v - css[rho] / (rho + 1.0), 0.0)
+
+
+class TestProjectSimplex:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 6), st.integers(1, 12))
+    def test_each_stacked_row_equals_the_one_vector_call(self, seed, n, rows):
+        rng = np.random.default_rng(seed)
+        # simplex points stepped by +-0.25 in one coordinate, as a descent moves them
+        stack = rng.dirichlet((1.0,) * n, size=rows)
+        stack[np.arange(rows), rng.integers(0, n, size=rows)] += rng.choice((-0.25, 0.25), rows)
+        out = _project_simplex(stack)
+        for row, got in zip(stack, out):
+            assert np.array_equal(got, _project_simplex(row))
+            assert np.array_equal(got, project_one(row))
+            assert got.min() >= 0.0 and abs(got.sum() - 1.0) <= 1e-12
 
 
 MODEL_TEXT = """

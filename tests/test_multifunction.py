@@ -25,6 +25,7 @@ from sfcomp.multifunction import (
     _arm_distortions,
     _axis_names,
     _multi_rates,
+    _multi_tuple,
     _named_arms,
     _ProductForm,
     build_multi_joint,
@@ -329,6 +330,17 @@ class TestOuterBound:
         aux = multi_from_aux([identity_aux(cascade_model)] * 2)
         assert factorizes_per_arm(mm, build_multi_joint(mm, aux))
 
+    def test_weight_axis_named_by_caller(self, cascade_model):
+        # a two-arm |Q| = 2 joint whose weight alphabet is "t" used to raise UnknownAxis
+        mm, a, _ = random_multi_system(np.random.default_rng(43), [(2, 2), (2, 2)], q_size=2)
+        a_t = MultiAuxSystem(Dist(a.p_q.alphabet.renamed("t"), a.p_q.probs), a.arms)
+        assert factorizes_per_arm(mm, build_multi_joint(mm, a_t), q_name="t")
+        other = binary_cascade_model(p=0.1, q_dec=0.2, q_eve=0.3)
+        mm, joint = shared_flip_joint(cascade_model, other)
+        t = joint.alphabet("q").renamed("t")
+        coupled = JointDist(tuple(t if ax.name == "q" else ax for ax in joint.axes), joint.table)
+        assert not factorizes_per_arm(mm, coupled, q_name="t")
+
     def test_chain_violation_is_named(self, cascade_model):
         # u1 copying the source itself breaks (q,v1,u1) -- xtilde1 -- x
         mm, joint = shared_flip_joint(cascade_model, cascade_model)
@@ -407,15 +419,11 @@ def random_multi_system(rng, sizes, q_size=1):
     return MultiModel(p_x, tuple(arms)), MultiAuxSystem(p_q, tuple(pairs)), tuple(g_list)
 
 
-class _Recorder:
-    """A marginal source that remembers every axis set read from it."""
-
-    def __init__(self, src):
-        self.src, self.seen = src, []
-
-    def marginal(self, axes):
-        self.seen.append(tuple(axes))
-        return self.src.marginal(axes)
+def _recording(src):
+    """The source, made to remember every axis set its marginals are read on."""
+    seen, rows = [], src.rows
+    src.rows = lambda names: seen.append(tuple(names)) or rows(names)
+    return src, seen
 
 
 def _fields(r):
@@ -429,31 +437,32 @@ class TestProductForm:
     def test_marginals_match_dense_joint(self, seed, j, sizes):
         mm, a, g_list = random_multi_system(np.random.default_rng(seed), sizes[:j], q_size=2)
         dense = build_multi_joint(mm, a)
-        rec = _Recorder(_ProductForm(mm.p_x, a.p_q, _named_arms(mm, a)))
+        rec, seen = _recording(_ProductForm.of(mm.p_x, a.p_q, _named_arms(mm, a)))
         _multi_rates(rec, **_axis_names(j), q="q", x="x")
         _arm_distortions(mm, rec, g_list)
         multi_chain_report(mm, rec)
         for k in range(1, j + 1):  # read by the admissibility residual
-            rec.marginal((f"u{k}", "q", f"xtilde{k}", f"y{k}"))
-        pairs = [(rec, dense)]
+            rec.rows((f"u{k}", "q", f"xtilde{k}", f"y{k}"))
+        pairs = [(rec, seen, dense)]
         if j == 1:  # the single-function evaluators' reads, under the model's names
             sm, aux = mm.arm_model(0), AuxSystem(a.p_q, a.arms[0])
-            single = _Recorder(regions._source(sm, aux))
+            single, single_seen = _recording(regions._source(sm, aux))
             regions._corner_rates(sm, aux, single)
-            single.marginal(("u", "q", "xtilde", "y"))  # read by the residual
+            single.rows(("u", "q", "xtilde", "y"))  # read by the residual
             optimal_g(sm, aux, XOR_F, HAMMING_D, single)
-            pairs.append((single, aux_mixture_joint(sm, aux)))
-        for src, ref in pairs:
-            for axes in src.seen:
-                got, want = src.src.marginal(axes), ref.marginal(axes)
+            pairs.append((single, single_seen, aux_mixture_joint(sm, aux)))
+        for src, seen, ref in pairs:
+            for axes in list(seen):
+                got, want = src.marginal(axes), ref.marginal(axes)
                 assert got.names == want.names
                 assert np.max(np.abs(got.table - want.table)) <= 1e-12
                 # trusted, yet it passes the validation it skipped
                 assert np.array_equal(JointDist(got.axes, got.table).table, got.table)
         inner = eval_inner_mf(mm, a, "lossy", g_list)
-        ref, _ = _multi_rates(dense, **_axis_names(j), q="q", x="x")
-        ref_d = _arm_distortions(mm, dense, g_list)
-        assert _fields(inner) == pytest.approx(_fields(ref) + ref_d, abs=1e-12)
+        ref, _ = _multi_rates(regions._Dense(dense), **_axis_names(j), q="q", x="x")
+        ref_d = _arm_distortions(mm, regions._Dense(dense), g_list)
+        assert _fields(inner) == pytest.approx(_fields(_multi_tuple(ref[0], j)) + ref_d,
+                                               abs=1e-12)
 
     def test_j6_arm_permutation_invariance(self):
         # J=6 is past the dense joint's cell cap (2^31 cells for these arms)

@@ -20,7 +20,14 @@ from conftest import (
     bsc_rows,
     random_binary_model,
 )
-from sfcomp.models import DistortionSpec, FunctionSpec, SourceModel, build_joint
+from sfcomp.models import (
+    ADMISSIBILITY_TOL,
+    DistortionSpec,
+    FunctionSpec,
+    SourceModel,
+    _project_simplex,
+    build_joint,
+)
 from sfcomp.probability import (
     CondDist,
     Dist,
@@ -183,9 +190,13 @@ class TestLosslessCorner:
         aux = AuxSystem(uniform(_alphabet_of_size("q", 2)), (pair, pair))
         fn = FunctionSpec(xt, y, f, np.add.outer(np.arange(16), np.arange(16)) % 16)
         start = time.perf_counter()
+        # the search's candidates are this size too; none fits, so none is built
+        search = SearchBudget(restarts=1, iters=1, u_size=400, v_size=20, q_size=2)
         for call in (lambda: eval_lossless_corner(m, aux, fn),
                      lambda: optimal_g(m, aux, fn, DistortionSpec.hamming(f)),
-                     lambda: per_q_report(m, aux)):
+                     lambda: per_q_report(m, aux),
+                     lambda: membership(m, fn, RateTuple(0.0, 0.0, 0.0, 0.0), "lossless",
+                                        search)):
             with pytest.raises(TableTooLarge):
                 call()
         assert time.perf_counter() - start < 5.0
@@ -332,8 +343,8 @@ class TestInvariants:
 
 class TestTrustedPath:
     def test_corner_rates_equal_public_rebuild_reference(self, monkeypatch):
-        # reference: every CMI on a fresh joint from the public constructor,
-        # so no derived-table shortcut or entropy memo is shared between terms
+        # reference: every entropy on a fresh joint from the public constructor,
+        # so no trusted marginal or entropy memo is shared between terms
         from sfcomp import regions
         rng = np.random.default_rng(31)
         cases = []
@@ -344,10 +355,12 @@ class TestTrustedPath:
             rates, offset, _ = _rates_with_joint(m, aux)
             cases.append((m, aux, rates, offset))
 
-        def fresh_cmi(joint, a, b, c=()):
-            return cond_mutual_info(JointDist(joint.axes, joint.table), a, b, c)
+        def fresh_entropy(src, names):
+            names = tuple(sorted(names, key=src._pos.get))
+            axes = tuple(src.axes[src._pos[n]] for n in names)
+            return np.array([entropy(JointDist(axes, row), names) for row in src.rows(names)])
 
-        monkeypatch.setattr(regions, "cond_mutual_info", fresh_cmi)
+        monkeypatch.setattr(regions._Source, "entropy", fresh_entropy)
         for m, aux, rates, offset in cases:
             ref_rates, ref_offset, _ = _rates_with_joint(m, aux)
             assert rates == ref_rates
@@ -366,6 +379,140 @@ class TestTrustedPath:
             # a search evaluation shares one (u, xt, y) marginal between g and d
             assert regions._eval_candidate(m, aux, XOR_F, "lossy", HAMMING_D) == (own, 0.0)
             assert own.d == expected_distortion(m, aux, XOR_F, g, HAMMING_D)
+
+
+def batch_and_one(m, param, f, mode, d, target):
+    """The membership objective on a stack of points, and on one point through
+    the one-system path `membership` verifies witnesses with."""
+    t = np.array(list(target.coords().values()))
+
+    def batch(points):
+        coords, gap = regions._eval_rows(m, param.source(points), f, mode, d)
+        return np.max(coords[:, :len(t)] - t, axis=1) + 1e3 * np.maximum(
+            gap - ADMISSIBILITY_TOL, 0.0)
+
+    def one(point):
+        rates, gap = regions._eval_candidate(m, param.to_aux(point), f, mode, d)
+        return max(v - w for v, w in zip(rates.coords().values(), t)) + 1e3 * max(
+            gap - ADMISSIBILITY_TOL, 0.0)
+
+    return batch, one
+
+
+def reference_descent(param, point, objective, iters, init_step, min_step):
+    """One candidate at a time: the first-improvement loop the batched descent replaces."""
+    best, step, accepted = objective(point), init_step, []
+    for _ in range(iters):
+        improved = False
+        for bi, (at, n) in enumerate(param.spans):
+            for ci in range(n):
+                for sign in (1.0, -1.0):
+                    cand = point.copy()
+                    cand[at + ci] += sign * step
+                    cand[at:at + n] = _project_simplex(cand[at:at + n])
+                    val = objective(cand)
+                    if val < best - 1e-15:
+                        assert best - val > 1e-12  # no accept a rounding flip could undo
+                        point, best, improved = cand, val, True
+                        accepted.append((bi, ci, sign))
+                        break
+        if not improved:
+            step *= 0.5
+            if step < min_step:
+                break
+    return point, best, accepted
+
+
+def batched_descent(param, point, score, iters, init_step, min_step):
+    """`_coordinate_descent` with its accepted moves read off its batches."""
+    starts, accepted = [], []
+    neighbours = param.neighbours
+
+    def spy(point, start, step):
+        starts.append(start)
+        return neighbours(point, start, step)
+
+    param.neighbours = spy
+    batches = []
+
+    def scored(points):
+        batches.append(score(points))
+        return batches[-1]
+
+    best = []
+
+    def scanned(n):
+        val = batches[-1][n - 1]
+        if not best:
+            best.append(val)
+        elif val < best[-1] - 1e-15:  # the descent's accept rule
+            best.append(val)
+            move = starts[len(batches) - 2] + n - 1
+            bi = next(i for i, (at, size) in enumerate(param.spans) if move // 2 < at + size)
+            accepted.append((bi, move // 2 - param.spans[bi][0], -1.0 if move % 2 else 1.0))
+
+    point, val = regions._coordinate_descent(param, point, scored, scanned, iters,
+                                             init_step, min_step)
+    return point, val, accepted
+
+
+class TestBatchedSearch:
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 4), st.integers(1, 3), st.integers(1, 2),
+           st.sampled_from(["lossless", "lossy"]), st.integers(1, 7))
+    def test_rows_match_one_system_evaluation(self, seed, u_size, v_size, q_size, mode, rows):
+        rng = np.random.default_rng(seed)
+        m = random_binary_model(rng)
+        f, d = (XOR_F, None) if mode == "lossless" else (XTPROJ_F, HAMMING_D)
+        param = regions._AuxParam(m, u_size, v_size, q_size)
+        points = np.stack([param.random(int(s)) for s in rng.integers(0, 2**31, size=rows)])
+        src = param.source(points)
+        coords, gap = regions._eval_rows(m, src, f, mode, d)
+        tables = regions._g_tables(src.rows(("u", "xtilde", "y")), f, HAMMING_D)
+        for point, row, res, table in zip(points, coords, gap, tables):
+            aux = param.to_aux(point)
+            rates, own_gap = regions._eval_candidate(m, aux, f, mode, d)
+            assert list(rates.coords().values()) == pytest.approx(
+                row[:len(rates.coords())].tolist(), abs=1e-12)
+            assert own_gap == pytest.approx(res, abs=1e-12)
+            assert np.array_equal(table, optimal_g(m, aux, f, HAMMING_D).table)
+
+    # seeds whose one-at-a-time run accepts no step under 1e-12 (seeds 1 and 5
+    # of the lossless case do: residual rounding times the 1e3 penalty weight)
+    @pytest.mark.parametrize("mode,seed", [("lossless", 0), ("lossless", 4), ("lossless", 6),
+                                           ("lossy", 1), ("lossy", 6)])
+    def test_descent_keeps_the_one_at_a_time_trajectory(self, cascade_model, mode, seed):
+        # lossless: the search-lossless setting, XOR at (|U|, |V|, |Q|) = (4, 3, 2)
+        # and a target under the storage floor, so the descent never meets it;
+        # lossy: the X~ projection with a distortion target at (2, 2, 2)
+        if mode == "lossless":
+            param = regions._AuxParam(cascade_model, 4, 3, 2)
+            target, f, d, iters = RateTuple(0.6, h2(DSBS_P) - 0.1, 0.6, 0.6), XOR_F, None, 4
+        else:
+            param = regions._AuxParam(cascade_model, 2, 2, 2)
+            target, f, d, iters = RateTuple(0.2, 0.2, 0.2, 0.2, d=0.05), XTPROJ_F, HAMMING_D, 6
+        batch, one = batch_and_one(cascade_model, param, f, mode, d, target)
+        start = param.random(seed)
+        ref_point, ref_val, ref_moves = reference_descent(param, start, one, iters, 0.25, 1e-6)
+        point, val, moves = batched_descent(param, start, batch, iters, 0.25, 1e-6)
+        assert moves == ref_moves and len(moves) > 0
+        assert np.max(np.abs(point - ref_point)) <= 1e-12
+        assert val == pytest.approx(ref_val, abs=1e-12)
+
+    def test_chunks_under_the_cell_cap_keep_the_trajectory(self, cascade_model, monkeypatch):
+        target = RateTuple(0.6, h2(DSBS_P) - 0.1, 0.6, 0.6)
+        runs = []
+        for cap in (regions.TABLE_CELL_CAP, 3 * 384):  # 384 cells per (4, 3, 2) system
+            monkeypatch.setattr(regions, "TABLE_CELL_CAP", cap)
+            param = regions._AuxParam(cascade_model, 4, 3, 2)
+            batch, _ = batch_and_one(cascade_model, param, XOR_F, "lossless", None, target)
+            sizes = []
+            runs.append(regions._coordinate_descent(
+                param, param.random(2), lambda p: sizes.append(len(p)) or batch(p),
+                lambda n: None, 3, 0.25, 1e-6) + (max(sizes),))
+        (p1, v1, big), (p2, v2, small) = runs
+        assert big == 84 and small == 3
+        assert np.array_equal(p1, p2) and v1 == v2
 
 
 class TestMembership:
@@ -514,14 +661,13 @@ class TestTraceBoundary:
         # reference: every (d, r_w) the sweep evaluated; one system may only
         # take the best point within the bound, two may also take any chord
         seen = []
-        evaluate = regions._eval_candidate
+        offer = regions._pool_add
 
-        def spy(*args):
-            rates, gap = evaluate(*args)
-            seen.append((rates.d, rates.r_w))
-            return rates, gap
+        def spy(pool, x, y, *rest):
+            seen.append((x, y))  # (d, r_w) of every system the sweep scanned
+            offer(pool, x, y, *rest)
 
-        monkeypatch.setattr(regions, "_eval_candidate", spy)
+        monkeypatch.setattr(regions, "_pool_add", spy)
         grid = (0.02, 0.06, 0.1, 0.15)
         pts = trace_lossy(cascade_model, grid, SearchBudget(
             restarts=1, iters=8, u_size=2, v_size=1, q_size=q_size, seed=3))
