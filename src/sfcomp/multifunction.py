@@ -51,7 +51,7 @@ from .regions import (
     _multi_tuple,
     _ProductForm,
     _require_admissible,
-    _source_of,
+    _Source,
     single_arm_tuple,  # re-exported: part of this module's public names
 )
 
@@ -190,7 +190,7 @@ def multi_chain_report(m: MultiModel, joint: JointDist, tol: float = CHAIN_TOL,
     """
     j = m.j
     q, x = q_name, m.p_x.alphabet.name
-    src = _source_of(joint)
+    src = joint if isinstance(joint, _Source) else _Dense(joint)
     names = _axis_names(j)
     checks: list[ChainCheck] = []
     for k in range(j):
@@ -213,19 +213,21 @@ def multi_chain_report(m: MultiModel, joint: JointDist, tol: float = CHAIN_TOL,
     return tuple(checks)
 
 
-def factorizes_per_arm(m: MultiModel, joint: JointDist,
-                       tol: float = CHAIN_TOL, q_name: str = "q") -> bool:
+def factorizes_per_arm(m: MultiModel, joint: JointDist, tol: float = CHAIN_TOL) -> bool:
     """True when arms are conditionally independent given (q, x), as the
-    product-form inner bound requires. `q_name` names the time-sharing axis
-    and the source axis is named after the model's source alphabet."""
+    product-form inner bound requires. The source axis is named after the
+    model's source alphabet and the time-sharing axis is the joint's one
+    axis that is neither it nor an arm's."""
     names = _axis_names(m.j)
     if m.j == 1:
         return True
+    x = m.p_x.alphabet.name
+    q_name, = set(joint.names) - {n for grp in names.values() for n in grp} - {x}
     for k in range(m.j):
         mine = (names["v"][k], names["u"][k], names["xt"][k], names["y"][k], names["z"][k])
         others = tuple(n for grp in ("v", "u", "xt", "y", "z")
                        for i, n in enumerate(names[grp]) if i != k)
-        if cond_mutual_info(joint, mine, others, (q_name, m.p_x.alphabet.name)) > tol:
+        if cond_mutual_info(joint, mine, others, (q_name, x)) > tol:
             return False
     return True
 

@@ -317,11 +317,12 @@ class _Source:
         """H(names) of each system, read once per source (per search when the
         axes are the model's alone); a pure function of the axis set."""
         key = frozenset(names)
-        memo = self._model_h if key <= self._model_axes else self._h
-        h = memo.get(key)
-        if h is None:
-            h = memo[key] = _entropy_rows(self.rows(tuple(sorted(names, key=self._pos.get))))
-        return h
+        model = key <= self._model_axes
+        memo = self._model_h if model else self._h
+        if key not in memo:
+            h = _entropy_rows(self.rows(tuple(sorted(names, key=self._pos.get))))
+            memo[key] = h[:1] if model else h  # (1,) broadcasts over any later batch
+        return memo[key]
 
     def cmi(self, a, b, c=()) -> np.ndarray:
         """I(A;B|C) of each system, as H(A,C) + H(B,C) - H(A,B,C) - H(C)."""
@@ -336,10 +337,9 @@ class _ProductForm(_Source):
     p(q, x, ...) = p(q) p(x) prod_j f_j[q, x, xt_j, u_j, v_j, y_j, z_j] with
     f_j = p(xt_j | x) p(u_j | xt_j, q) p(v_j | u_j, q) p(y_j, z_j | x), the
     channels stacked over the B systems. A marginal multiplies out only the
-    axes asked for, summing each chain x -> xt -> u -> v as it goes, and one
-    over model axes alone is read without the systems. TABLE_CELL_CAP bounds
-    each arm's stacked factor, which bounds every table built, and each
-    marginal read.
+    axes asked for, summing each chain x -> xt -> u -> v as it goes (`_chain`),
+    so no arm's whole factor is formed. TABLE_CELL_CAP bounds each arm's
+    stacked factor, which bounds every table built, and each marginal read.
     """
 
     def __init__(self, p_x: Dist, q: Alphabet, p_q: np.ndarray,
@@ -380,45 +380,37 @@ class _ProductForm(_Source):
         return cls(p_x, p_q.alphabet, p_q.probs[None], stacked)
 
     def rows(self, names: tuple[str, ...]) -> np.ndarray:
-        stacked = not self._model_axes.issuperset(names)
-        _check_cells([self.axes[self._pos[n]] for n in names], "marginal",
-                     len(self._p_q) if stacked else 1)
-        # einsum labels: output axes first, then the batch, q and x; p(q) sums
-        # to 1, so a marginal on model axes alone takes q as a constant
+        _check_cells([self.axes[self._pos[n]] for n in names], "marginal", len(self._p_q))
+        # einsum labels: output axes first, then the batch, q and x
         label = {n: i for i, n in enumerate(names)}
         b, q, x = len(names), label.get(self.q, len(names) + 1), label.get(self.x, len(names) + 2)
-        operands = [self._p_q if stacked else np.ones((1, 1)), [b, q], self._p_x, [x]]
-        for local, *channels in self._arms:
+        operands = [self._p_q, [b, q], self._p_x, [x]]
+        for local, p_xt, p_u, p_v, p_yz in self._arms:
+            # an arm's axes summed out whole, or the tail of either branch, sum to 1
             keep = [i for i, alph in enumerate(local) if alph.name in label]
-            if keep:  # an arm summed out whole contributes a factor of 1
-                operands += [_arm_factor(keep, *channels),
-                             [b, q, x] + [label[local[i].name] for i in keep]]
+            chain, yz = [i for i in keep if i < 3], [i for i in keep if i >= 3]
+            if chain:
+                operands += [_chain(chain, p_xt, p_u, p_v, [local[i].size for i in chain]),
+                             [b, q, x] + [label[local[i].name] for i in chain]]
+            if yz:
+                operands += [p_yz.sum(axis=tuple(i - 2 for i in (3, 4) if i not in yz)),
+                             [x] + [label[local[i].name] for i in yz]]
         return np.einsum(*operands, [b] + list(range(len(names))))
 
 
-def _arm_factor(keep: list[int], p_xt: np.ndarray, p_u: np.ndarray, p_v: np.ndarray,
-                p_yz: np.ndarray) -> np.ndarray:
-    """One arm's factor on (b, q, x, kept local axes), the other local axes
-    summed out; `keep` indexes the local axes (xt, u, v, y, z) in order."""
-    out, kept = None, 0
-    chain = [i for i in keep if i < 3]
-    if chain:
-        out = p_xt[None, None]  # (b, q, x, kept chain axes..., the chain's latest axis)
-        for axis, link in ((1, p_u), (2, p_v)):
-            if axis > chain[-1]:
-                break
-            link = link.reshape(link.shape[:2] + (1,) * (1 + kept) + link.shape[2:])
-            out = out[..., None] * link
-            if axis - 1 in keep:
-                kept += 1
-            else:
-                out = out.sum(axis=-2)
-    if 3 in keep or 4 in keep:
-        yz = p_yz if 4 in keep else p_yz.sum(axis=2)
-        yz = yz if 3 in keep else yz.sum(axis=1)
-        yz = yz.reshape((1, 1, len(yz)) + (1,) * len(chain) + yz.shape[1:])
-        out = yz if out is None else out.reshape(out.shape + (1,) * (yz.ndim - out.ndim)) * yz
-    return out
+def _chain(keep: list[int], p_xt: np.ndarray, p_u: np.ndarray, p_v: np.ndarray,
+           sizes: list[int]) -> np.ndarray:
+    """p(x, kept axes | q) of each system's chain x -> xt -> u -> v, shape
+    (b, q, x, kept sizes); `keep` indexes (xt, u, v) in order. The chain runs
+    to its last kept axis; a link's matmul sums the axis it leaves behind."""
+    out = p_xt[None, None]  # (b, q, x and the kept axes so far, flattened, current axis)
+    for axis, link in zip((1, 2), (p_u, p_v)[:keep[-1]]):
+        if axis - 1 in keep:
+            out = out[..., None] * link[:, :, None]
+            out = out.reshape(out.shape[:2] + (-1, out.shape[-1]))
+        else:
+            out = out @ link
+    return out.reshape(out.shape[:2] + (len(p_xt), *sizes))
 
 
 class _Dense(_Source):
@@ -430,10 +422,6 @@ class _Dense(_Source):
 
     def rows(self, names: tuple[str, ...]) -> np.ndarray:
         return self.joint.marginal(names).reorder(names).table[None]
-
-
-def _source_of(joint: "JointDist | _Source") -> _Source:
-    return joint if isinstance(joint, _Source) else _Dense(joint)
 
 
 def _clamp_rates(values: np.ndarray) -> np.ndarray:
@@ -514,17 +502,14 @@ def eval_lossless_corner(m: SourceModel, aux: AuxSystem, f: FunctionSpec) -> Rat
 
 
 def optimal_g(m: SourceModel, aux: AuxSystem, f: FunctionSpec,
-              d: DistortionSpec, joint: "JointDist | _Source | None" = None,
-              ) -> ReconstructionFn:
+              d: DistortionSpec) -> ReconstructionFn:
     """Reconstruction minimizing conditional expected distortion cell by cell.
 
     Under Hamming distortion this is the most-likely-function-value rule.
     Cells with zero probability get the globally most likely function symbol;
-    ties break toward the lowest symbol index. `joint`, when given, is the
-    system's source or any marginal of it that keeps (u, xt, y).
+    ties break toward the lowest symbol index.
     """
-    src = _source(m, aux) if joint is None else _source_of(joint)
-    table = _g_tables(src.rows(_single_names(m, aux)), f, d)[0]
+    table = _g_tables(_source(m, aux).rows(_single_names(m, aux)), f, d)[0]
     return ReconstructionFn(aux.u_alphabet, m.y_alphabet, f.output, table)
 
 
@@ -741,7 +726,7 @@ class MembershipResult:
     g: ReconstructionFn | None = None
 
 
-def _eval_rows(m: SourceModel, src: _ProductForm, f: FunctionSpec, mode: str,
+def _eval_rows(src: _ProductForm, f: FunctionSpec, mode: str,
                d: DistortionSpec | None) -> tuple[np.ndarray, np.ndarray]:
     """Coordinates (B, 5) in `_COORDS` order and admissibility residuals (B,)
     of the systems of a one-arm source. The residual is 0 in lossy mode; d is
@@ -763,7 +748,7 @@ def _eval_rows(m: SourceModel, src: _ProductForm, f: FunctionSpec, mode: str,
 def _eval_candidate(m, aux, f, mode, d):
     """(rates, admissibility residual) of one system; d filled in lossy mode when given."""
     aux.validate_cardinalities(m.xt_alphabet.size, mode)
-    coords, gap = _eval_rows(m, _source(m, aux), f, mode, d)
+    coords, gap = _eval_rows(_source(m, aux), f, mode, d)
     row = coords[0].tolist()
     return RateTuple(*row[:4], d=row[4] if mode == "lossy" and d is not None else None), \
         float(gap[0])
@@ -806,7 +791,7 @@ def membership(m: SourceModel, f: FunctionSpec, target: RateTuple, mode: str,
     tvals = np.array(list(tcoords.values()))
 
     def score(points: np.ndarray) -> np.ndarray:
-        coords, gap = _eval_rows(m, param.source(points), f, mode, d if want_d else None)
+        coords, gap = _eval_rows(param.source(points), f, mode, d if want_d else None)
         excess = np.max(coords[:, cols] - tvals, axis=1)
         return excess + 1e3 * np.maximum(gap - ADMISSIBILITY_TOL, 0.0)
 
@@ -902,13 +887,12 @@ def trace_boundary(m: SourceModel, f: FunctionSpec, sweep: BoundarySweep, mode: 
         _pool_add(pool, row[ix], row[iy], float(gap), row, witness)
 
     for aux in _canonical_corners(m):
-        coords, gap = _eval_rows(m, _source(m, aux), f, mode, d_used)
+        coords, gap = _eval_rows(_source(m, aux), f, mode, d_used)
         offer(coords[0], gap[0], lambda aux=aux: aux)
     param = _AuxParam(m, u_size, v_size, 1)
-    bound = 0.0
 
     def score(points: np.ndarray) -> np.ndarray:
-        coords, gap = _eval_rows(m, param.source(points), f, mode, d_used)
+        coords, gap = _eval_rows(param.source(points), f, mode, d_used)
         batch[:] = [points, coords, gap]
         return coords[:, iy] + 1e3 * (np.maximum(coords[:, ix] - bound, 0.0)
                                       + np.maximum(gap - ADMISSIBILITY_TOL, 0.0))

@@ -334,12 +334,12 @@ class TestOuterBound:
         # a two-arm |Q| = 2 joint whose weight alphabet is "t" used to raise UnknownAxis
         mm, a, _ = random_multi_system(np.random.default_rng(43), [(2, 2), (2, 2)], q_size=2)
         a_t = MultiAuxSystem(Dist(a.p_q.alphabet.renamed("t"), a.p_q.probs), a.arms)
-        assert factorizes_per_arm(mm, build_multi_joint(mm, a_t), q_name="t")
+        assert factorizes_per_arm(mm, build_multi_joint(mm, a_t))
         other = binary_cascade_model(p=0.1, q_dec=0.2, q_eve=0.3)
         mm, joint = shared_flip_joint(cascade_model, other)
         t = joint.alphabet("q").renamed("t")
         coupled = JointDist(tuple(t if ax.name == "q" else ax for ax in joint.axes), joint.table)
-        assert not factorizes_per_arm(mm, coupled, q_name="t")
+        assert not factorizes_per_arm(mm, coupled)
 
     def test_chain_violation_is_named(self, cascade_model):
         # u1 copying the source itself breaks (q,v1,u1) -- xtilde1 -- x
@@ -449,7 +449,7 @@ class TestProductForm:
             single, single_seen = _recording(regions._source(sm, aux))
             regions._corner_rates(sm, aux, single)
             single.rows(("u", "q", "xtilde", "y"))  # read by the residual
-            optimal_g(sm, aux, XOR_F, HAMMING_D, single)
+            regions._g_tables(single.rows(("u", "xtilde", "y")), XOR_F, HAMMING_D)
             pairs.append((single, single_seen, aux_mixture_joint(sm, aux)))
         for src, seen, ref in pairs:
             for axes in list(seen):
