@@ -22,12 +22,12 @@ as joints supplied to the outer bound, which `_Dense` reads the same way.
 
 Searches are seeded multi-start coordinate descent with step halving and
 simplex projection; restart r of grid point g uses child_seed(seed, g, r).
-A sweep scores its remaining moves speculatively from the current point as
-one stacked batch, split into chunks that fit TABLE_CELL_CAP; it takes the
-first improving candidate in scan order and re-batches the moves after it
-from the new point, which is the trajectory of scoring one move at a time.
-Time sharing makes the region convex, so `trace_boundary` searches |Q| = 1
-systems and reads each grid point off the lower convex hull of all it scanned.
+Descents run in lockstep: a round scores the remaining moves of every live
+descent's sweep as one stack, in chunks that fit TABLE_CELL_CAP, and each takes
+its first improving candidate in scan order, the trajectory of scoring one move
+at a time. Time sharing makes the region convex, so `trace_boundary` runs its
+|Q| = 1 descents in one call and reads each grid point off the lower convex
+hull of the pool of all they scanned, built in one pass.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
@@ -608,7 +607,7 @@ class _AuxParam:
     weight symbol one p(u | xt) block per xt and, when |V| > 1, one
     p(v | u) block per u. Move 2c of a sweep steps coordinate c up, move
     2c + 1 steps it down. `batch` systems fill TABLE_CELL_CAP with their arm
-    factors, so a stack of candidates is split into chunks of that many.
+    factors, so a stack of candidates is scored in chunks of that many.
     """
 
     def __init__(self, m: SourceModel, u_size: int, v_size: int, q_size: int):
@@ -657,12 +656,11 @@ class _AuxParam:
         return AuxSystem(Dist(self.q_alpha, p_q[0]), pairs)
 
     def neighbours(self, point: np.ndarray, start: int, step: float) -> np.ndarray:
-        """The candidates of moves start, start + 1, ... of a sweep from `point`,
-        at most `batch` of them, stacked in scan order."""
-        stop = min(start + self.batch, 2 * self.size)
+        """The candidates of moves start, start + 1, ... to the end of a sweep
+        from `point`, stacked in scan order."""
         out = []
         for at, n in self.spans:
-            move = np.arange(max(start, 2 * at), min(stop, 2 * (at + n)))
+            move = np.arange(max(start, 2 * at), 2 * (at + n))
             if not move.size:
                 continue
             block = np.repeat(point[None, at:at + n], len(move), axis=0)
@@ -680,42 +678,61 @@ def _renorm(v: np.ndarray) -> np.ndarray:
     return np.where(s > 0, w / np.where(s > 0, s, 1.0), 1.0 / v.shape[-1])
 
 
-def _coordinate_descent(param: _AuxParam, point: np.ndarray, score, scanned,
-                        iters: int, init_step: float, min_step: float) -> tuple[np.ndarray, float]:
-    """First-improvement coordinate descent over `param`'s moves; one restart.
+def _coordinate_descent(param: _AuxParam, starts: np.ndarray, score, scanned, iters: int,
+                        init_step: float, min_step: float) -> tuple[np.ndarray, np.ndarray]:
+    """First-improvement coordinate descents over `param`'s moves from each of
+    the (R, n) `starts`, in lockstep; returns the (R, n) points and (R,) values.
 
-    `score` maps a stack of points to their objective values. A sweep scores
-    all of its remaining moves from the current point as one speculative
-    batch (chunks of `param.batch` under the cell cap), takes the first
-    candidate in scan order that beats the best value by more than 1e-15,
-    and re-batches the moves after that coordinate from the new point; a
-    sweep without one halves the step. This is the trajectory of scoring
-    one candidate at a time. `scanned(n)` is told after each batch that its
-    first n rows are those a one-at-a-time scan would have scored; the rest
-    are discarded.
+    A round stacks each live descent's remaining moves of its sweep, in
+    descent order, and scores them in chunks of `param.batch` rows as
+    `score(points, owner)`, `owner[i]` the descent of row i. Each descent
+    takes the first row of its slice that beats its best value by more than
+    1e-15 and re-batches the moves after that coordinate; a sweep without one
+    halves its step, and a descent stops after `iters` sweeps or below
+    `min_step`. Each trajectory is that of scoring one candidate at a time,
+    whatever R or the chunking. `scanned(mask)` is told after each round
+    which of the rows it scored, in scoring order, a one-at-a-time scan
+    would have scored; the rest are discarded.
     """
-    best = float(score(point[None])[0])
-    scanned(1)
-    step = init_step
-    for _ in range(iters):
-        improved, start = False, 0
-        while start < 2 * param.size:
-            cands = param.neighbours(point, start, step)
-            vals = score(cands)
-            hits = np.flatnonzero(vals < best - 1e-15)
-            if not hits.size:
-                scanned(len(cands))
-                start += len(cands)
-                continue
-            k = int(hits[0])
-            scanned(k + 1)
-            point, best, improved = cands[k], float(vals[k]), True
-            start = (start + k) // 2 * 2 + 2  # the accepted coordinate's other sign is skipped
-        if not improved:
-            step *= 0.5
-            if step < min_step:
-                break
-    return point, best
+    points = np.array(starts, dtype=float)
+    live = list(range(len(points)))
+
+    def scored(stack: np.ndarray, owner: np.ndarray, best: np.ndarray):
+        """Values of the stack's rows and which rows were scored; a chunk
+        skips the rows of the descents an earlier chunk has hit."""
+        vals, done = np.full(len(stack), np.inf), np.zeros(len(stack), dtype=bool)
+        todo, stopped = np.arange(len(stack)), np.zeros(len(best), dtype=bool)
+        while todo.size:
+            rows, todo = todo[:param.batch], todo[param.batch:]
+            vals[rows], done[rows] = score(stack[rows], owner[rows]), True
+            stopped[owner[rows][vals[rows] < best[owner[rows]] - 1e-15]] = True
+            todo = todo[~stopped[owner[todo]]]
+        return vals, done
+
+    best, _ = scored(points, np.arange(len(points)), np.full(len(points), -np.inf))
+    scanned(np.ones(len(points), dtype=bool))
+    step, start, sweeps, improved = ([v] * len(live) for v in (init_step, 0, 0, False))
+    while live:
+        cands = [param.neighbours(points[k], start[k], step[k]) for k in live]
+        vals, done = scored(np.concatenate(cands), np.repeat(live, [len(c) for c in cands]), best)
+        mask, at = np.zeros(len(vals), dtype=bool), 0
+        for k, cand in zip(list(live), cands):
+            hits = np.flatnonzero(vals[at:at + len(cand)] < best[k] - 1e-15)
+            n = int(hits[0]) + 1 if hits.size else len(cand)  # the rows scanned
+            if hits.size:
+                points[k], best[k], improved[k] = cand[n - 1], vals[at + n - 1], True
+            mask[at:at + n] = True
+            at += len(cand)
+            # past the last row scanned and, after an accept, its coordinate's other sign
+            start[k] = (start[k] + n + 1) // 2 * 2
+            if start[k] == 2 * param.size:  # the sweep is over
+                if not improved[k]:
+                    step[k] *= 0.5
+                sweeps[k], start[k], improved[k] = sweeps[k] + 1, 0, False
+                if sweeps[k] == iters or step[k] < min_step:
+                    live.remove(k)
+        scanned(mask[done])
+    return points, best
 
 
 @dataclass(frozen=True)
@@ -790,15 +807,16 @@ def membership(m: SourceModel, f: FunctionSpec, target: RateTuple, mode: str,
     cols = [_COORDS.index(k) for k in tcoords]
     tvals = np.array(list(tcoords.values()))
 
-    def score(points: np.ndarray) -> np.ndarray:
+    def score(points: np.ndarray, owner: np.ndarray) -> np.ndarray:
         coords, gap = _eval_rows(param.source(points), f, mode, d if want_d else None)
         excess = np.max(coords[:, cols] - tvals, axis=1)
         return excess + 1e3 * np.maximum(gap - ADMISSIBILITY_TOL, 0.0)
 
+    # one descent per call, so the restarts after a hit are never run
     for r in range(budget.restarts):
-        point, val = _coordinate_descent(param, param.random(child_seed(budget.seed, 0, r)),
-                                         score, lambda n: None, budget.iters,
-                                         budget.init_step, budget.min_step)
+        (point,), (val,) = _coordinate_descent(
+            param, param.random(child_seed(budget.seed, 0, r))[None], score,
+            lambda mask: None, budget.iters, budget.init_step, budget.min_step)
         if val <= MEMBERSHIP_TOL:
             hit = verdict(param.to_aux(point))
             if hit:
@@ -818,9 +836,10 @@ class BoundarySweep:
         object.__setattr__(self, "grid", tuple(float(g) for g in self.grid))
         if not self.grid:
             raise RegionError("boundary sweep needs a nonempty grid")
-        names = ("r_s", "r_w", "r_dec", "r_eve", "d")
-        if self.coordinate not in names or self.minimize not in names:
-            raise RegionError(f"sweep coordinates must be among {names}")
+        if not all(math.isfinite(g) for g in self.grid):
+            raise RegionError("boundary sweep grid values must be finite")
+        if self.coordinate not in _COORDS or self.minimize not in _COORDS:
+            raise RegionError(f"sweep coordinates must be among {_COORDS}")
 
 
 @dataclass(frozen=True)
@@ -847,14 +866,15 @@ def _lower_hull(points: list[tuple]) -> list[tuple]:
     return hull
 
 
-def _pool_add(pool: list, x: float, y: float, gap: float, coords: list[float],
-              witness) -> None:
-    """Offer one evaluated system to a boundary pool of (x, y, coordinates,
-    witness) entries, in evaluation order. An admissible system that no entry
-    weakly dominates in (x, y) joins and evicts the entries it dominates.
-    `witness()` builds its `AuxSystem`, called only for returned points."""
-    if gap <= ADMISSIBILITY_TOL and not any(a <= x and b <= y for a, b, _, _ in pool):
-        pool[:] = [e for e in pool if not (x <= e[0] and y <= e[1])] + [(x, y, coords, witness)]
+def _pareto_front(x: np.ndarray, y: np.ndarray, gap: np.ndarray) -> np.ndarray:
+    """Indices, in x order, of the admissible offers no other admissible offer
+    weakly dominates in (x, y), the first of exact ties kept: the entries of a
+    pool offered them one at a time that admits an offer no entry weakly
+    dominates and evicts the entries it weakly dominates."""
+    ok = np.flatnonzero(gap <= ADMISSIBILITY_TOL)
+    ok = ok[np.lexsort((ok, y[ok], x[ok]))]
+    # in this order every earlier offer has x <= this one's; keep y below them all
+    return ok[y[ok] < np.minimum.accumulate(np.concatenate(([np.inf], y[ok])))[:-1]]
 
 
 def trace_boundary(m: SourceModel, f: FunctionSpec, sweep: BoundarySweep, mode: str,
@@ -862,14 +882,16 @@ def trace_boundary(m: SourceModel, f: FunctionSpec, sweep: BoundarySweep, mode: 
                    d: DistortionSpec | None = None) -> list[BoundaryPoint]:
     """Least `minimize` coordinate subject to `coordinate` <= each grid value.
 
-    A pool keeps the evaluated admissible systems none dominates in (coordinate,
-    minimize): the canonical corners, then seeded |Q| = 1 descents per grid point,
-    each candidate the descent scans. With `budget.q_size` = 1 a point is the
-    best pool system within its bound; with 2 it lies on the pool's lower convex
-    hull. A hull pair is not re-evaluated as one |Q| = 2 system, whose shared U
-    alphabet lets `optimal_g` pool the two reconstructions on (u, y) and lift d
-    above the chord. Each returned witness is re-evaluated one system at a time
-    and must reproduce its pool coordinates within MEMBERSHIP_TOL.
+    One lockstep call runs the |Q| = 1 descents, g * restarts + r from
+    child_seed(seed, g, r) under grid value g. The pool, built once after them
+    (`_pareto_front`), keeps the admissible systems none dominates in
+    (coordinate, minimize) among the canonical corners, then each descent's
+    scanned candidates. With `budget.q_size` = 1 a point is the best pool
+    system within its bound; with 2 it lies on the pool's lower convex hull. A
+    hull pair is not re-evaluated as one |Q| = 2 system, whose shared U alphabet
+    lets `optimal_g` pool the two reconstructions on (u, y) and lift d above
+    the chord. Each returned witness is built and re-evaluated one system at a
+    time and must reproduce its pool coordinates within MEMBERSHIP_TOL.
     """
     budget = budget or SearchBudget()
     u_size, v_size, _ = budget.resolved_sizes(m, mode)
@@ -879,38 +901,37 @@ def trace_boundary(m: SourceModel, f: FunctionSpec, sweep: BoundarySweep, mode: 
     d_used = d if use_d else None
     keys = _COORDS if use_d else _COORDS[:4]
     ix, iy = _COORDS.index(sweep.coordinate), _COORDS.index(sweep.minimize)
-    pool: list = []
-    batch: list = []  # the last scored stack: points, coordinates, residuals
-
-    def offer(coords: np.ndarray, gap: np.ndarray, witness) -> None:
-        row = coords.tolist()
-        _pool_add(pool, row[ix], row[iy], float(gap), row, witness)
-
-    for aux in _canonical_corners(m):
-        coords, gap = _eval_rows(_source(m, aux), f, mode, d_used)
-        offer(coords[0], gap[0], lambda aux=aux: aux)
+    corners = _canonical_corners(m)
     param = _AuxParam(m, u_size, v_size, 1)
+    corner_rows = [_eval_rows(_source(m, aux), f, mode, d_used) for aux in corners]
+    # owner, point, coordinates and residual of each row scored, and which rows
+    # were scanned; the corners come first, owner -1, each its own witness
+    found = [(np.full(len(corners), -1), np.zeros((len(corners), param.size)),
+              *map(np.concatenate, zip(*corner_rows)))]
+    masks = [np.ones(len(corners), dtype=bool)]
+    bounds = np.repeat(sweep.grid, budget.restarts)
 
-    def score(points: np.ndarray) -> np.ndarray:
+    def score(points: np.ndarray, owner: np.ndarray) -> np.ndarray:
         coords, gap = _eval_rows(param.source(points), f, mode, d_used)
-        batch[:] = [points, coords, gap]
-        return coords[:, iy] + 1e3 * (np.maximum(coords[:, ix] - bound, 0.0)
+        found.append((owner, points, coords, gap))
+        return coords[:, iy] + 1e3 * (np.maximum(coords[:, ix] - bounds[owner], 0.0)
                                       + np.maximum(gap - ADMISSIBILITY_TOL, 0.0))
 
-    def scanned(n: int) -> None:
-        points, coords, gap = batch
-        for i in range(n):
-            offer(coords[i], gap[i], partial(param.to_aux, points[i]))
-
-    for gi, bound in enumerate(sweep.grid):
-        for r in range(budget.restarts):
-            _coordinate_descent(param, param.random(child_seed(budget.seed, gi, r)), score,
-                                scanned, budget.iters, budget.init_step, budget.min_step)
-    if not pool:
+    starts = [param.random(child_seed(budget.seed, gi, r))
+              for gi in range(len(sweep.grid)) for r in range(budget.restarts)]
+    _coordinate_descent(param, np.reshape(starts, (-1, param.size)), score, masks.append,
+                        budget.iters, budget.init_step, budget.min_step)
+    keep = np.concatenate(masks)
+    owner, points, coords, gap = (np.concatenate(col)[keep] for col in zip(*found))
+    order = np.argsort(owner, kind="stable")  # offers: the corners, then descent by descent
+    kept = order[_pareto_front(coords[order, ix], coords[order, iy], gap[order])].tolist()
+    if not kept:
         raise RegionError("no evaluated auxiliary system is admissible")
+    pool = [(row[ix], row[iy], row, i) for i, row in zip(kept, coords[kept].tolist())]
 
     def verified(entry) -> AuxSystem:
-        aux = entry[3]()
+        at = entry[3]
+        aux = corners[at] if at < len(corners) else param.to_aux(points[at])
         rates, gap = _eval_candidate(m, aux, f, mode, d_used)
         again = rates.coords()
         if gap > ADMISSIBILITY_TOL or any(abs(again[k] - entry[2][i]) > MEMBERSHIP_TOL
@@ -918,7 +939,6 @@ def trace_boundary(m: SourceModel, f: FunctionSpec, sweep: BoundarySweep, mode: 
             raise RegionError("a boundary witness does not reproduce its pool coordinates")
         return aux
 
-    pool.sort(key=lambda e: e[0])  # x ascending, so y descending
     vertices = _lower_hull(pool) if budget.q_size > 1 else pool
     results = []
     for bound in sweep.grid:

@@ -425,37 +425,70 @@ def reference_descent(param, point, objective, iters, init_step, min_step):
     return point, best, accepted
 
 
-def batched_descent(param, point, score, iters, init_step, min_step):
-    """`_coordinate_descent` with its accepted moves read off its batches."""
-    starts, accepted = [], []
-    neighbours = param.neighbours
+def lockstep_descent(param, starts, score, iters, init_step, min_step):
+    """`_coordinate_descent` from a stack of starts, with each descent's scanned
+    rows (move, point, value), a start's move being -1, its accepted (block,
+    coordinate, sign) moves read off the rounds, and per round the rows it
+    had scored and scanned."""
+    neighbours, sweep_starts, chunks = param.neighbours, [], []
+    rows, counts = [[] for _ in starts], [[] for _ in starts]
 
     def spy(point, start, step):
-        starts.append(start)
+        sweep_starts.append(start)
         return neighbours(point, start, step)
 
+    def scored(points, owner):
+        chunks.append((owner, points, score(points, owner)))
+        return chunks[-1][2]
+
+    def scanned(mask):
+        owner, points, vals = (np.concatenate(col) for col in zip(*chunks))
+        # a descent's scored rows are the first moves of its slice, in order;
+        # every live descent has one, so the owners seen are the live descents
+        first = dict(zip(np.unique(owner).tolist(), sweep_starts or itertools.repeat(-1)))
+        for k in first:
+            mine = owner == k
+            counts[k].append((int(mine.sum()), int(mask[mine].sum())))
+            moves = first[k] + np.arange(mine.sum()) if sweep_starts else [-1]
+            for move, point, val in zip(moves, points[mine][mask[mine]], vals[mine][mask[mine]]):
+                rows[k].append((int(move), point, float(val)))
+        sweep_starts.clear()
+        chunks.clear()
+
     param.neighbours = spy
-    batches = []
+    try:
+        points, vals = regions._coordinate_descent(param, starts, scored, scanned, iters,
+                                                   init_step, min_step)
+    finally:
+        del param.neighbours
+    accepted = []
+    for descent in rows:
+        best, accepted_here = descent[0][2], []
+        for move, _, val in descent[1:]:
+            if val < best - 1e-15:  # the descent's accept rule
+                best = val
+                bi = next(i for i, (at, n) in enumerate(param.spans) if move // 2 < at + n)
+                accepted_here.append((bi, move // 2 - param.spans[bi][0],
+                                      -1.0 if move % 2 else 1.0))
+        accepted.append(accepted_here)
+    return points, vals, rows, accepted, counts
 
-    def scored(points):
-        batches.append(score(points))
-        return batches[-1]
 
-    best = []
-
-    def scanned(n):
-        val = batches[-1][n - 1]
-        if not best:
-            best.append(val)
-        elif val < best[-1] - 1e-15:  # the descent's accept rule
-            best.append(val)
-            move = starts[len(batches) - 2] + n - 1
-            bi = next(i for i, (at, size) in enumerate(param.spans) if move // 2 < at + size)
-            accepted.append((bi, move // 2 - param.spans[bi][0], -1.0 if move % 2 else 1.0))
-
-    point, val = regions._coordinate_descent(param, point, scored, scanned, iters,
-                                             init_step, min_step)
+def batched_descent(param, point, score, iters, init_step, min_step):
+    """`_coordinate_descent` from one start, with its accepted moves."""
+    (point,), (val,), _, (accepted,), _ = lockstep_descent(
+        param, point[None], lambda points, owner: score(points), iters, init_step, min_step)
     return point, val, accepted
+
+
+def reference_pool(x, y, gap, witnesses):
+    """The boundary pool built one offer at a time: an admissible offer no
+    entry weakly dominates in (x, y) joins and evicts the entries it dominates."""
+    pool = []
+    for a, b, g, w in zip(x, y, gap, witnesses):
+        if g <= ADMISSIBILITY_TOL and not any(ea <= a and eb <= b for ea, eb, _ in pool):
+            pool = [e for e in pool if not (a <= e[0] and b <= e[1])] + [(a, b, w)]
+    return sorted(pool, key=lambda e: e[0])
 
 
 class TestBatchedSearch:
@@ -510,11 +543,67 @@ class TestBatchedSearch:
             batch, _ = batch_and_one(cascade_model, param, XOR_F, "lossless", None, target)
             sizes = []
             runs.append(regions._coordinate_descent(
-                param, param.random(2), lambda p: sizes.append(len(p)) or batch(p),
-                lambda n: None, 3, 0.25, 1e-6) + (max(sizes),))
+                param, param.random(2)[None], lambda p, owner: sizes.append(len(p)) or batch(p),
+                lambda mask: None, 3, 0.25, 1e-6) + (max(sizes),))
         (p1, v1, big), (p2, v2, small) = runs
         assert big == 84 and small == 3
-        assert np.array_equal(p1, p2) and v1 == v2
+        assert np.array_equal(p1, p2) and np.array_equal(v1, v2)
+
+    @pytest.mark.parametrize("small_cap", [False, True])
+    @pytest.mark.parametrize("mode", ["lossless", "lossy"])
+    def test_lockstep_descents_keep_their_single_start_trajectories(
+            self, cascade_model, monkeypatch, mode, small_cap):
+        # lossless: the search-lossless setting (4, 3, 2) with one target;
+        # lossy: the trace-lossy setting (2, 1, 1), each descent its own bound
+        sizes, per_system = ((4, 3, 2), 384) if mode == "lossless" else ((2, 1, 1), 32)
+        if small_cap:  # three systems a chunk, fewer than one neighbourhood
+            monkeypatch.setattr(regions, "TABLE_CELL_CAP", 3 * per_system)
+        param = regions._AuxParam(cascade_model, *sizes)
+        assert (param.batch < 2 * param.size) == small_cap
+        if mode == "lossless":
+            target = RateTuple(0.6, h2(DSBS_P) - 0.1, 0.6, 0.6)
+            batch, _ = batch_and_one(cascade_model, param, XOR_F, mode, None, target)
+            score, iters, starts = (lambda points, owner: batch(points)), 4, (0, 2, 6)
+        else:
+            bounds = np.array([0.02, 0.06, 0.1, 0.15])
+
+            def score(points, owner):
+                coords, _ = regions._eval_rows(param.source(points), XTPROJ_F, mode, HAMMING_D)
+                return coords[:, 1] + 1e3 * np.maximum(coords[:, 4] - bounds[owner], 0.0)
+
+            iters, starts = 30, (1, 2, 3, 4)
+        starts = np.stack([param.random(s) for s in starts])
+        calls = []
+
+        def counted(points, owner, k=0):
+            calls.append(k)
+            return score(points, owner + k)
+
+        points, vals, rows, moves, _ = lockstep_descent(param, starts, counted, iters, 0.25,
+                                                        1e-6)
+        lockstep_calls = len(calls)
+        for k, start in enumerate(starts):
+            (point,), (val,), (own_rows,), (own_moves,), (rounds,) = lockstep_descent(
+                param, start[None], lambda p, o, k=k: counted(p, o, k), iters, 0.25, 1e-6)
+            # no chunk is scored past the one that holds the descent's hit
+            assert all(n <= -(-seen // param.batch) * param.batch for n, seen in rounds)
+            assert moves[k] == own_moves and len(own_moves) > 0
+            assert np.array_equal(points[k], point) and vals[k] == val
+            assert [(mv, v) for mv, _, v in rows[k]] == [(mv, v) for mv, _, v in own_rows]
+            assert all(np.array_equal(a, b) for (_, a, _), (_, b, _) in zip(rows[k], own_rows))
+        assert lockstep_calls < len(calls) - lockstep_calls  # rounds share their stacks
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4),
+                              st.sampled_from([0.0, ADMISSIBILITY_TOL, 1.0])), max_size=30))
+    def test_one_pass_pool_matches_offering_one_at_a_time(self, offers):
+        # small integer coordinates make exact ties and weak dominance common
+        x, y, gap = np.array(offers, dtype=float).reshape(-1, 3).T
+        witnesses = [object() for _ in offers]
+        kept = regions._pareto_front(x, y, gap).tolist()
+        ref = reference_pool(x.tolist(), y.tolist(), gap.tolist(), witnesses)
+        assert [(x[i], y[i]) for i in kept] == [(a, b) for a, b, _ in ref]
+        assert all(witnesses[i] is w for i, (_, _, w) in zip(kept, ref))
 
 
 class TestMembership:
@@ -604,6 +693,13 @@ class TestTraceBoundary:
         with pytest.raises(RegionError):
             BoundarySweep("r_s", (), "r_eve")
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_grid_rejected(self, bad):
+        # a NaN bound used to score NaN on every candidate of its descent and
+        # come back as an infeasible (0.0, 0.7056) point
+        with pytest.raises(RegionError, match="finite"):
+            BoundarySweep("d", (bad, 0.1), "r_w")
+
     def test_unknown_mode_rejected(self, cascade_model):
         sweep = BoundarySweep("d", (0.1,), "r_w")
         with pytest.raises(RegionError, match="mode"):
@@ -663,13 +759,13 @@ class TestTraceBoundary:
         # reference: every (d, r_w) the sweep evaluated; one system may only
         # take the best point within the bound, two may also take any chord
         seen = []
-        offer = regions._pool_add
+        front = regions._pareto_front
 
-        def spy(pool, x, y, *rest):
-            seen.append((x, y))  # (d, r_w) of every system the sweep scanned
-            offer(pool, x, y, *rest)
+        def spy(x, y, gap):
+            seen.extend(zip(x, y))  # (d, r_w) of every system the sweep scanned
+            return front(x, y, gap)
 
-        monkeypatch.setattr(regions, "_pool_add", spy)
+        monkeypatch.setattr(regions, "_pareto_front", spy)
         grid = (0.02, 0.06, 0.1, 0.15)
         pts = trace_lossy(cascade_model, grid, SearchBudget(
             restarts=1, iters=8, u_size=2, v_size=1, q_size=q_size, seed=3))
@@ -688,6 +784,60 @@ class TestTraceBoundary:
             xa, ya = xs[left][:, None], ys[left][:, None]
             chords = ya + (ys[right][None, :] - ya) * (bound - xa) / (xs[right][None, :] - xa)
             assert pt.r_w == pytest.approx(min(best, chords.min(initial=np.inf)), abs=1e-7)
+
+    def test_pool_is_offered_the_corners_then_one_descent_at_a_time(self, cascade_model,
+                                                                     monkeypatch):
+        # exact (d, r_w) ties go to the first offer, so the offer order must be
+        # that of running the descents one after another, not round by round
+        offered, rows = [], {}
+        descent, front = regions._coordinate_descent, regions._pareto_front
+
+        def descent_spy(param, starts, score, scanned, *rest):
+            chunks = []  # (owner, (d, r_w)) of each row scored this round
+
+            def scored(points, owner):
+                coords, _ = regions._eval_rows(param.source(points), XTPROJ_F, "lossy",
+                                               HAMMING_D)
+                chunks.extend(zip(owner.tolist(), coords[:, [4, 1]].tolist()))
+                return score(points, owner)
+
+            def seen(mask):
+                for (k, xy), keep in zip(chunks, mask):
+                    if keep:
+                        rows.setdefault(k, []).append(tuple(xy))
+                chunks.clear()
+                scanned(mask)
+
+            return descent(param, starts, scored, seen, *rest)
+
+        def front_spy(x, y, gap):
+            offered.extend(zip(x.tolist(), y.tolist()))
+            return front(x, y, gap)
+
+        monkeypatch.setattr(regions, "_coordinate_descent", descent_spy)
+        monkeypatch.setattr(regions, "_pareto_front", front_spy)
+        trace_lossy(cascade_model, (0.05, 0.12), SearchBudget(
+            restarts=2, iters=10, u_size=2, v_size=1, q_size=2, seed=4))
+        assert sorted(rows) == [0, 1, 2, 3]
+        assert offered[3:] == [xy for k in sorted(rows) for xy in rows[k]]
+
+    def test_two_restarts_per_grid_point_keep_their_points(self, cascade_model):
+        # values of the one-descent-at-a-time trace; with two restarts per grid
+        # point, descents of the same bound share each scoring round
+        pts = trace_lossy(cascade_model, (0.03, 0.09, 0.15), SearchBudget(
+            restarts=2, iters=30, u_size=2, v_size=1, q_size=2, seed=1))
+        pinned = [
+            (0.5538438732415578, 0.5538438732415576, 0.31931405525906015, 0.3193140552590599,
+             0.03, (0.8293126152385094, 0.1706873847614906)),
+            (0.3440987228972883, 0.34409872289728805, 0.20172948055877857, 0.2017294805587783,
+             0.09, (0.6698121888031673, 0.3301878111968327)),
+            (0.14168770942829514, 0.14168770942829503, 0.08306508023008541, 0.08306508023008528,
+             0.15, (0.27580501891895115, 0.7241949810810488)),
+        ]
+        for pt, (*coords, weights) in zip(pts, pinned):
+            assert pt.feasible
+            assert list(pt.coords().values()) == pytest.approx(coords, abs=1e-12)
+            assert pt.weights == pytest.approx(weights, abs=1e-12)
 
     def test_unmet_bound_is_flagged(self, cascade_model):
         # every admissible system for XOR stores at least H(X~|Y) = H_b(p)
