@@ -77,6 +77,15 @@ class SourceModel:
         return self.p_yz_given_x.output.parts[1]
 
 
+def _symbol_table(table, error: type[Exception], what: str) -> np.ndarray:
+    """`table` as int64 symbol indices; a non-finite or non-integral entry
+    raises `error` before the cast could truncate it or warn."""
+    raw = np.asarray(table)
+    if raw.dtype.kind == "f" and not np.all(np.isfinite(raw) & (raw == np.trunc(raw))):
+        raise error(f"{what} entries must be integral symbol indices")
+    return np.asarray(raw, dtype=np.int64)
+
+
 @dataclass(frozen=True)
 class FunctionSpec:
     """Total per-letter function table on (encoder observation, decoder observation)."""
@@ -87,7 +96,7 @@ class FunctionSpec:
     table: np.ndarray  # symbol indices, shape (|xt|, |y|)
 
     def __post_init__(self) -> None:
-        table = np.asarray(self.table, dtype=np.int64)
+        table = _symbol_table(self.table, ModelError, "function table")
         if table.shape != (self.xt_alphabet.size, self.y_alphabet.size):
             raise ModelError(f"function table shape {table.shape} does not cover the domain")
         if table.min() < 0 or table.max() >= self.output.size:

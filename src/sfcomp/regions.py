@@ -8,26 +8,23 @@ leading terms are evaluated on the mixture itself. A per-weight diagnostic
 report is available for the averaged view.
 
 A single function is the one-arm case of the multi-function bounds. Every
-evaluator reads one source, `_ProductForm`: the mixture joints of a stack of
-B systems on one model, kept as per-arm factors, whose marginals are
-contractions of validated tables and so are trusted like
-`JointDist.marginal`'s. One system is B = 1; the search scores B candidates
-in one call of the same code. A CMI is read from the source's entropies,
-each computed once per source and, on model axes alone, once per search;
-admissibility is H(F|U,Q,Y) on the (u, q, xt, y) marginal
-(`models._function_residual`). TABLE_CELL_CAP bounds each stacked per-arm
-factor and each marginal before it is allocated. Dense joints remain as the
-tests' `compose`-built references (`_dense_joint`, `aux_mixture_joint`) and
-as joints supplied to the outer bound, which `_Dense` reads the same way.
+evaluator reads one source, `_ProductForm`: the mixture joints of B systems on
+one model, kept as per-arm factors, whose marginals are trusted contractions of
+validated tables, each within TABLE_CELL_CAP. One system is B = 1; a search
+scores B candidates in one call. A CMI is read from the source's entropies,
+each computed once per source (per search on model axes alone); admissibility
+is H(F|U,Q,Y). Dense joints remain as the tests' references (`_dense_joint`)
+and as joints supplied to the outer bound (`_Dense`).
 
 Searches are seeded multi-start coordinate descent with step halving and
 simplex projection; restart r of grid point g uses child_seed(seed, g, r).
-Descents run in lockstep: a round scores the remaining moves of every live
-descent's sweep as one stack, in chunks that fit TABLE_CELL_CAP, and each takes
-its first improving candidate in scan order, the trajectory of scoring one move
-at a time. Time sharing makes the region convex, so `trace_boundary` runs its
-|Q| = 1 descents in one call and reads each grid point off the lower convex
-hull of the pool of all they scanned, built in one pass.
+Descents run in lockstep: a round builds the remaining moves of every live
+descent's sweep as one stack and scores it in chunks that fit TABLE_CELL_CAP,
+each descent keeping the trajectory of scoring one move at a time. A scored
+row holds only the coordinates its objective reads, the rest NaN. Time sharing
+makes the region convex, so `trace_boundary` reads each grid point off the
+lower convex hull of all its |Q| = 1 descents scanned, and scores the other
+coordinates of that pool's systems afterwards.
 """
 
 from __future__ import annotations
@@ -46,6 +43,7 @@ from .models import (
     _function_joint,
     _function_residual,
     _project_simplex,
+    _symbol_table,
 )
 from .probability import (
     TABLE_CELL_CAP,
@@ -203,7 +201,7 @@ class ReconstructionFn:
     table: np.ndarray  # symbol indices, shape (|u|, |y|)
 
     def __post_init__(self) -> None:
-        table = np.asarray(self.table, dtype=np.int64)
+        table = _symbol_table(self.table, RegionError, "reconstruction table")
         if table.shape != (self.u_alphabet.size, self.y_alphabet.size):
             raise RegionError(f"reconstruction table shape {table.shape} does not cover the domain")
         if table.min() < 0 or table.max() >= self.output.size:
@@ -283,14 +281,15 @@ def _source(m: SourceModel, aux: AuxSystem) -> "_ProductForm":
 class _Source:
     """Stacked marginals of B systems and their CMIs, each entropy read once.
 
-    A subclass sets its canonical `axes` and gives `rows(names)`: the
-    (B, ...) stacked marginal over `names`, in the order given. Entropies of
+    A subclass sets its canonical `axes` and `batch` B and gives `rows(names)`:
+    the (B, ...) stacked marginal over `names`, in the order given. Entropies of
     axis sets within `_model_axes` are the same for every system on one
     model, so they live in `_model_h`, which a search shares between the
     sources it builds; the rest live in this source's own memo.
     """
 
     _model_axes: frozenset = frozenset()
+    batch = 1
 
     def __init__(self, axes: tuple[Alphabet, ...], model_h: dict | None = None) -> None:
         self.axes = axes
@@ -312,14 +311,15 @@ class _Source:
                               f"{tuple(self._pos)}")
         return JointDist._derived(kept, self.rows(tuple(a.name for a in kept))[0])
 
-    def entropy(self, names: tuple[str, ...]) -> np.ndarray:
-        """H(names) of each system, read once per source (per search when the
-        axes are the model's alone); a pure function of the axis set."""
+    def entropy(self, names: tuple[str, ...], table: np.ndarray | None = None) -> np.ndarray:
+        """H(names) of each system, once per source (per search on model axes
+        alone), from `table`, the marginal in any axis order, when given."""
         key = frozenset(names)
         model = key <= self._model_axes
         memo = self._model_h if model else self._h
         if key not in memo:
-            h = _entropy_rows(self.rows(tuple(sorted(names, key=self._pos.get))))
+            h = _entropy_rows(self.rows(tuple(sorted(names, key=self._pos.get)))
+                              if table is None else table)
             memo[key] = h[:1] if model else h  # (1,) broadcasts over any later batch
         return memo[key]
 
@@ -347,15 +347,17 @@ class _ProductForm(_Source):
                  model_h: dict | None = None) -> None:
         """`p_q` is (B, |q|); an arm is (p(xt|x), U, V, p(u|xt,q) as (B, |q|, |xt|, |u|),
         p(v|u,q) as (B, |q|, |u|, |v|), p(yz|x)), its tables already validated."""
-        self._p_q, self._p_x = p_q, p_x.probs
+        self._p_q, self._p_x, self.batch = p_q, p_x.probs, len(p_q)
         self.q, self.x = q.name, p_x.alphabet.name
-        self._arms = []  # (local axes (xt, u, v, y, z), p(xt|x), p(u|xt,q), p(v|u,q), p(y,z|x))
-        for p_xt, u, v, p_u, p_v, p_yz in arms:
+        self._arms = []  # (local axes (xt, u, v, y, z), p(xt|x), p(u|xt,q), p(v|u,q))
+        self._parts = {}  # arm k's p(y,z|x) sums and chain products (`_chain`) by kept axes
+        for k, (p_xt, u, v, p_u, p_v, p_yz) in enumerate(arms):
             y, z = p_yz.output.parts
             local = (p_xt.output, u, v, y, z)
             _check_cells((q, p_x.alphabet) + local, "arm factor", len(p_q))
-            self._arms.append((local, p_xt.rows, p_u, p_v,
-                               p_yz.rows.reshape(p_x.alphabet.size, y.size, z.size)))
+            self._arms.append((local, p_xt.rows, p_u, p_v))
+            yz = p_yz.rows.reshape(p_x.alphabet.size, y.size, z.size)
+            self._parts.update({(k, (3, 4)): yz, (k, (3,)): yz.sum(2), (k, (4,)): yz.sum(1)})
         per_arm = [tuple(arm[0][i] for arm in self._arms) for i in range(5)]
         super().__init__((q,) + per_arm[2] + per_arm[1] + per_arm[0] + (p_x.alphabet,)
                          + per_arm[3] + per_arm[4], model_h)
@@ -384,21 +386,19 @@ class _ProductForm(_Source):
         label = {n: i for i, n in enumerate(names)}
         b, q, x = len(names), label.get(self.q, len(names) + 1), label.get(self.x, len(names) + 2)
         operands = [self._p_q, [b, q], self._p_x, [x]]
-        for local, p_xt, p_u, p_v, p_yz in self._arms:
+        for k, (local, p_xt, p_u, p_v) in enumerate(self._arms):
             # an arm's axes summed out whole, or the tail of either branch, sum to 1
             keep = [i for i, alph in enumerate(local) if alph.name in label]
-            chain, yz = [i for i in keep if i < 3], [i for i in keep if i >= 3]
-            if chain:
-                operands += [_chain(chain, p_xt, p_u, p_v, [local[i].size for i in chain]),
-                             [b, q, x] + [label[local[i].name] for i in chain]]
-            if yz:
-                operands += [p_yz.sum(axis=tuple(i - 2 for i in (3, 4) if i not in yz)),
-                             [x] + [label[local[i].name] for i in yz]]
+            chain, yz = tuple(i for i in keep if i < 3), tuple(i for i in keep if i >= 3)
+            if chain and (k, chain) not in self._parts:
+                self._parts[k, chain] = _chain(chain, p_xt, p_u, p_v)
+            for part, lead in ((chain, [b, q, x]), (yz, [x])):
+                if part:
+                    operands += [self._parts[k, part], lead + [label[local[i].name] for i in part]]
         return np.einsum(*operands, [b] + list(range(len(names))))
 
 
-def _chain(keep: list[int], p_xt: np.ndarray, p_u: np.ndarray, p_v: np.ndarray,
-           sizes: list[int]) -> np.ndarray:
+def _chain(keep: tuple, p_xt: np.ndarray, p_u: np.ndarray, p_v: np.ndarray) -> np.ndarray:
     """p(x, kept axes | q) of each system's chain x -> xt -> u -> v, shape
     (b, q, x, kept sizes); `keep` indexes (xt, u, v) in order. The chain runs
     to its last kept axis; a link's matmul sums the axis it leaves behind."""
@@ -409,7 +409,7 @@ def _chain(keep: list[int], p_xt: np.ndarray, p_u: np.ndarray, p_v: np.ndarray,
             out = out.reshape(out.shape[:2] + (-1, out.shape[-1]))
         else:
             out = out @ link
-    return out.reshape(out.shape[:2] + (len(p_xt), *sizes))
+    return out.reshape(out.shape[:2] + (len(p_xt), *((p_xt, p_u, p_v)[i].shape[-1] for i in keep)))
 
 
 class _Dense(_Source):
@@ -423,31 +423,32 @@ class _Dense(_Source):
         return self.joint.marginal(names).reorder(names).table[None]
 
 
-def _clamp_rates(values: np.ndarray) -> np.ndarray:
-    if np.any(values < -RATE_NEG_TOL):
-        raise RegionError(f"rate coordinate {float(values.min())!r} is negative beyond tolerance")
-    return np.maximum(values, 0.0)
-
-
 def _multi_rates(src: _Source, u: tuple[str, ...], v: tuple[str, ...], xt: tuple[str, ...],
                  y: tuple[str, ...], z: tuple[str, ...], q: str, x: str,
-                 ) -> tuple[np.ndarray, np.ndarray]:
+                 cols: Sequence[int] | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Rates and offsets of the J-arm systems a source holds; `u` ... `z` name
     one axis per arm. Rates are rows of (r_s, r_w per arm, sum_w, r_dec per
-    arm, r_eve), as `_multi_tuple` reads them.
+    arm, r_eve), as `_multi_tuple` reads them; only `cols` (all when None) are
+    scored, the rest NaN like the offset when neither r_s nor r_eve is wanted.
 
     Each auxiliary absorbs the time-sharing label, so the leading terms use
     (U, Q) while the offset conditions on (V, Q); with heterogeneous branches
     only this reading keeps every coordinate >= 0.
     """
     uq, vq = u + (q,), v + (q,)
-    offset = np.minimum(src.cmi(u, z, vq) - src.cmi(u, y, vq), 0.0)
-    r_w = [src.cmi((uk, q), xk, yk) for uk, xk, yk in zip(u, xt, y)]
-    # one arm's sum-storage term is its storage term, read from the same entropies
-    sum_w = r_w[0] if len(u) == 1 else src.cmi(uq, xt, y)
-    r_dec = [src.cmi((uk, q), x, yk) for uk, yk in zip(u, y)]
-    cols = [src.cmi(uq, xt, z) + offset, *r_w, sum_w, *r_dec, src.cmi(uq, x, z) + offset]
-    return _clamp_rates(np.stack(cols, axis=1)), offset
+    # (A, B, C) of each column's I(A; B | C); one arm's sum_w reads its r_w's entropies
+    terms = [(uq, xt, z), *(((uk, q), xk, yk) for uk, xk, yk in zip(u, xt, y)), (uq, xt, y),
+             *(((uk, q), x, yk) for uk, yk in zip(u, y)), (uq, x, z)]
+    want = range(len(terms)) if cols is None else cols
+    offset = (np.minimum(src.cmi(u, z, vq) - src.cmi(u, y, vq), 0.0)
+              if {0, len(terms) - 1} & set(want) else np.full(src.batch, np.nan))
+    rates = np.full((src.batch, len(terms)), np.nan)
+    for c in want:
+        rates[:, c] = src.cmi(*terms[c])
+    rates[:, [0, -1]] += offset[:, None]
+    if np.any(rates < -RATE_NEG_TOL):
+        raise RegionError(f"rate {float(np.nanmin(rates))!r} is negative beyond tolerance")
+    return np.maximum(rates, 0.0), offset
 
 
 def _multi_tuple(row: np.ndarray, j: int, d: tuple[float, ...] | None = None) -> MultiRateTuple:
@@ -457,32 +458,32 @@ def _multi_tuple(row: np.ndarray, j: int, d: tuple[float, ...] | None = None) ->
                           v[2 * j + 2], d)
 
 
-# Single-function coordinates; `_one_arm_rates` fills the first four, d is the fifth.
+# Single-function coordinates: one arm's `_multi_rates` columns _ONE_ARM, then d.
 _COORDS = ("r_s", "r_w", "r_dec", "r_eve", "d")
-
-
-def _one_arm_rates(src: _ProductForm) -> tuple[np.ndarray, np.ndarray]:
-    """(B, 4) rows of r_s, r_w, r_dec, r_eve and the offsets of a one-arm source."""
-    (xt, u, v, y, z), = src.arm_names
-    rates, offset = _multi_rates(src, (u,), (v,), (xt,), (y,), (z,), src.q, src.x)
-    return rates[:, [0, 1, 3, 4]], offset  # column 2, sum_w, repeats r_w
+_ONE_ARM = [0, 1, 3, 4]  # column 2, sum_w, repeats r_w
 
 
 def _corner_rates(m: SourceModel, aux: AuxSystem, src: _ProductForm | None = None,
                   ) -> tuple[RateTuple, float, _ProductForm]:
     """Rate corner, offset and the source it was read from (built when not given)."""
-    if src is None:
-        src = _source(m, aux)
-    rates, offset = _one_arm_rates(src)
-    return RateTuple(*rates[0].tolist()), float(offset[0]), src
+    src = _source(m, aux) if src is None else src
+    (xt, u, v, y, z), = src.arm_names
+    rates, offset = _multi_rates(src, (u,), (v,), (xt,), (y,), (z,), src.q, src.x)
+    return RateTuple(*rates[0, _ONE_ARM].tolist()), float(offset[0]), src
+
+
+def _residual(src: _Source, f: FunctionSpec, q: str, u: str, xt: str, y: str) -> np.ndarray:
+    """H(F | U, Q, Y) of each system; its (q, u, xt, y) table's entropy stays for r_w."""
+    src.entropy((q, u, xt, y), p := src.rows((q, u, xt, y)))
+    return _function_residual(p, f)
 
 
 def _require_admissible(src: _Source, arms: Sequence[tuple[FunctionSpec, str, str, str]],
                         q: str) -> None:
-    """Raise unless each arm's residual H(F | U, Q, Y), read on the source's
-    (u, q, xt, y) marginal, is zero; `arms` holds (f, u, xt, y) per arm."""
+    """Raise unless each arm's residual H(F | U, Q, Y) is zero; `arms` holds
+    (f, u, xt, y) per arm."""
     for f, u, xt, y in arms:
-        gap = float(_function_residual(src.rows((u, q, xt, y)), f)[0])
+        gap = float(_residual(src, f, q, u, xt, y)[0])
         if gap > ADMISSIBILITY_TOL:
             raise InadmissibleAuxiliary(
                 f"({u}, {q}, {y}) leave {gap:.3g} bits of the function undetermined")
@@ -620,6 +621,8 @@ class _AuxParam:
         sizes += ([u_size] * xt + ([v_size] * u_size if v_size > 1 else [])) * q_size
         self.spans = list(zip(np.cumsum([0] + sizes[:-1]).tolist(), sizes))  # (start, size)
         self.size = sum(sizes)
+        # per move: the start and width of its coordinate's block
+        self._at, self._width = np.repeat(self.spans, [2 * n for n in sizes], axis=0).T
         per_system = math.prod(a.size for a in (self.q_alpha, m.x_alphabet, m.xt_alphabet,
                                                 self.u_alpha, self.v_alpha, m.y_alphabet,
                                                 m.z_alphabet))
@@ -655,20 +658,23 @@ class _AuxParam:
                       for qi in range(self.q_alpha.size))
         return AuxSystem(Dist(self.q_alpha, p_q[0]), pairs)
 
-    def neighbours(self, point: np.ndarray, start: int, step: float) -> np.ndarray:
-        """The candidates of moves start, start + 1, ... to the end of a sweep
-        from `point`, stacked in scan order."""
-        out = []
-        for at, n in self.spans:
-            move = np.arange(max(start, 2 * at), 2 * (at + n))
-            if not move.size:
-                continue
-            block = np.repeat(point[None, at:at + n], len(move), axis=0)
-            block[np.arange(len(move)), move // 2 - at] += np.where(move % 2, -step, step)
-            cand = np.repeat(point[None], len(move), axis=0)
-            cand[:, at:at + n] = _project_simplex(block)
-            out.append(cand)
-        return np.concatenate(out)
+    def neighbours(self, points: np.ndarray, starts: np.ndarray, steps: np.ndarray,
+                   ) -> tuple[np.ndarray, np.ndarray]:
+        """The candidates of moves starts[k], starts[k] + 1, ... to the end of a
+        sweep from each of the (R, n) `points` under steps[k], stacked point by
+        point in scan order, and each point's count; one projection per width."""
+        counts = 2 * self.size - starts
+        owner = np.repeat(np.arange(len(points)), counts)
+        move = np.arange(counts.sum()) + np.repeat(starts + counts - np.cumsum(counts), counts)
+        cand, widths = points[owner], self._width[move]
+        for width in set(widths.tolist()):
+            rows = np.flatnonzero(widths == width)
+            mv, step = move[rows], steps[owner[rows]]
+            cols = (rows[:, None], self._at[mv][:, None] + np.arange(width))
+            block = cand[cols]
+            block[np.arange(len(rows)), mv // 2 - self._at[mv]] += np.where(mv % 2, -step, step)
+            cand[cols] = _project_simplex(block)
+        return cand, counts
 
 
 def _renorm(v: np.ndarray) -> np.ndarray:
@@ -683,16 +689,16 @@ def _coordinate_descent(param: _AuxParam, starts: np.ndarray, score, scanned, it
     """First-improvement coordinate descents over `param`'s moves from each of
     the (R, n) `starts`, in lockstep; returns the (R, n) points and (R,) values.
 
-    A round stacks each live descent's remaining moves of its sweep, in
-    descent order, and scores them in chunks of `param.batch` rows as
-    `score(points, owner)`, `owner[i]` the descent of row i. Each descent
-    takes the first row of its slice that beats its best value by more than
-    1e-15 and re-batches the moves after that coordinate; a sweep without one
-    halves its step, and a descent stops after `iters` sweeps or below
-    `min_step`. Each trajectory is that of scoring one candidate at a time,
-    whatever R or the chunking. `scanned(mask)` is told after each round
-    which of the rows it scored, in scoring order, a one-at-a-time scan
-    would have scored; the rest are discarded.
+    A round builds each live descent's remaining moves of its sweep in one
+    `param.neighbours` call, in descent order, and scores them in chunks of
+    `param.batch` rows as `score(points, owner)`, `owner[i]` the descent of row
+    i, which reads only the coordinates its objective needs. Each descent takes
+    the first row of its slice that beats its best value by more than 1e-15 and
+    re-batches the moves after that coordinate; a sweep without one halves its
+    step, and a descent stops after `iters` sweeps or below `min_step`. Each
+    trajectory is that of scoring one candidate at a time, whatever R or the
+    chunking. `scanned(mask)` is told after each round which of the rows it
+    scored, in scoring order, a one-at-a-time scan would have scored.
     """
     points = np.array(starts, dtype=float)
     live = list(range(len(points)))
@@ -711,18 +717,18 @@ def _coordinate_descent(param: _AuxParam, starts: np.ndarray, score, scanned, it
 
     best, _ = scored(points, np.arange(len(points)), np.full(len(points), -np.inf))
     scanned(np.ones(len(points), dtype=bool))
-    step, start, sweeps, improved = ([v] * len(live) for v in (init_step, 0, 0, False))
+    step, start, sweeps, improved = (np.full(len(live), v) for v in (init_step, 0, 0, False))
     while live:
-        cands = [param.neighbours(points[k], start[k], step[k]) for k in live]
-        vals, done = scored(np.concatenate(cands), np.repeat(live, [len(c) for c in cands]), best)
+        cands, counts = param.neighbours(points[live], start[live], step[live])
+        vals, done = scored(cands, np.repeat(live, counts), best)
         mask, at = np.zeros(len(vals), dtype=bool), 0
-        for k, cand in zip(list(live), cands):
-            hits = np.flatnonzero(vals[at:at + len(cand)] < best[k] - 1e-15)
-            n = int(hits[0]) + 1 if hits.size else len(cand)  # the rows scanned
+        for k, count in zip(list(live), counts.tolist()):
+            hits = np.flatnonzero(vals[at:at + count] < best[k] - 1e-15)
+            n = int(hits[0]) + 1 if hits.size else count  # the rows scanned
             if hits.size:
-                points[k], best[k], improved[k] = cand[n - 1], vals[at + n - 1], True
+                points[k], best[k], improved[k] = cands[at + n - 1], vals[at + n - 1], True
             mask[at:at + n] = True
-            at += len(cand)
+            at += count
             # past the last row scanned and, after an accept, its coordinate's other sign
             start[k] = (start[k] + n + 1) // 2 * 2
             if start[k] == 2 * param.size:  # the sweep is over
@@ -743,22 +749,21 @@ class MembershipResult:
     g: ReconstructionFn | None = None
 
 
-def _eval_rows(src: _ProductForm, f: FunctionSpec, mode: str,
-               d: DistortionSpec | None) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinates (B, 5) in `_COORDS` order and admissibility residuals (B,)
-    of the systems of a one-arm source. The residual is 0 in lossy mode; d is
-    filled in lossy mode when `d` is given and is 0 otherwise, the value
-    `RateTuple.dominates` reads for a missing d."""
-    rates, _ = _one_arm_rates(src)
-    (xt, u, _, y, _), = src.arm_names
-    coords, gap = np.zeros((len(rates), 5)), np.zeros(len(rates))
-    coords[:, :4] = rates
-    if mode == "lossless":
-        gap = _function_residual(src.rows((u, src.q, xt, y)), f)
-    elif d is not None:
-        # one (u, xt, y) marginal serves the reconstruction and the distortion
-        p = src.rows((u, xt, y))
-        coords[:, 4] = _mean_distortion(p, f, _g_tables(p, f, d), d)
+def _eval_rows(src: _ProductForm, f: FunctionSpec, mode: str, d: DistortionSpec | None,
+               cols: Sequence[int] = range(5)) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinates (B, 5) in `_COORDS` order, NaN and unread outside `cols`, and
+    admissibility residuals (B,) of the systems of a one-arm source. The residual
+    is 0 in lossy mode; d is filled in lossy mode when `d` is given and is 0
+    otherwise, the value `RateTuple.dominates` reads for a missing d."""
+    (xt, u, v, y, z), = src.arm_names
+    # the residual first: its table's entropy is the storage rate's H(U, Q, X~, Y)
+    gap = _residual(src, f, src.q, u, xt, y) if mode == "lossless" else np.zeros(src.batch)
+    coords = np.full((src.batch, 5), np.nan)
+    coords[:, :4] = _multi_rates(src, (u,), (v,), (xt,), (y,), (z,), src.q, src.x,
+                                 [_ONE_ARM[c] for c in cols if c < 4])[0][:, _ONE_ARM]
+    if 4 in cols:  # one (u, xt, y) marginal serves the reconstruction and the distortion
+        p = src.rows((u, xt, y)) if mode == "lossy" and d is not None else None
+        coords[:, 4] = 0.0 if p is None else _mean_distortion(p, f, _g_tables(p, f, d), d)
     return coords, gap
 
 
@@ -808,7 +813,7 @@ def membership(m: SourceModel, f: FunctionSpec, target: RateTuple, mode: str,
     tvals = np.array(list(tcoords.values()))
 
     def score(points: np.ndarray, owner: np.ndarray) -> np.ndarray:
-        coords, gap = _eval_rows(param.source(points), f, mode, d if want_d else None)
+        coords, gap = _eval_rows(param.source(points), f, mode, d if want_d else None, cols)
         excess = np.max(coords[:, cols] - tvals, axis=1)
         return excess + 1e3 * np.maximum(gap - ADMISSIBILITY_TOL, 0.0)
 
@@ -883,15 +888,16 @@ def trace_boundary(m: SourceModel, f: FunctionSpec, sweep: BoundarySweep, mode: 
     """Least `minimize` coordinate subject to `coordinate` <= each grid value.
 
     One lockstep call runs the |Q| = 1 descents, g * restarts + r from
-    child_seed(seed, g, r) under grid value g. The pool, built once after them
+    child_seed(seed, g, r) under grid value g, scoring only `coordinate`,
+    `minimize` and the residual. The pool, built once after them
     (`_pareto_front`), keeps the admissible systems none dominates in
     (coordinate, minimize) among the canonical corners, then each descent's
-    scanned candidates. With `budget.q_size` = 1 a point is the best pool
-    system within its bound; with 2 it lies on the pool's lower convex hull. A
-    hull pair is not re-evaluated as one |Q| = 2 system, whose shared U alphabet
-    lets `optimal_g` pool the two reconstructions on (u, y) and lift d above
-    the chord. Each returned witness is built and re-evaluated one system at a
-    time and must reproduce its pool coordinates within MEMBERSHIP_TOL.
+    scanned candidates, whose other coordinates are then scored in one batch.
+    With `budget.q_size` = 1 a point is the best pool system within its bound;
+    with 2 it lies on the pool's lower convex hull. A hull pair is not
+    re-evaluated as one |Q| = 2 system, whose shared U alphabet lets `optimal_g`
+    pool the two reconstructions on (u, y) and lift d above the chord. Each
+    witness is re-evaluated alone and must reproduce its pool coordinates within MEMBERSHIP_TOL.
     """
     budget = budget or SearchBudget()
     u_size, v_size, _ = budget.resolved_sizes(m, mode)
@@ -912,7 +918,7 @@ def trace_boundary(m: SourceModel, f: FunctionSpec, sweep: BoundarySweep, mode: 
     bounds = np.repeat(sweep.grid, budget.restarts)
 
     def score(points: np.ndarray, owner: np.ndarray) -> np.ndarray:
-        coords, gap = _eval_rows(param.source(points), f, mode, d_used)
+        coords, gap = _eval_rows(param.source(points), f, mode, d_used, (ix, iy))
         found.append((owner, points, coords, gap))
         return coords[:, iy] + 1e3 * (np.maximum(coords[:, ix] - bounds[owner], 0.0)
                                       + np.maximum(gap - ADMISSIBILITY_TOL, 0.0))
@@ -924,10 +930,14 @@ def trace_boundary(m: SourceModel, f: FunctionSpec, sweep: BoundarySweep, mode: 
     keep = np.concatenate(masks)
     owner, points, coords, gap = (np.concatenate(col)[keep] for col in zip(*found))
     order = np.argsort(owner, kind="stable")  # offers: the corners, then descent by descent
-    kept = order[_pareto_front(coords[order, ix], coords[order, iy], gap[order])].tolist()
-    if not kept:
+    kept = order[_pareto_front(coords[order, ix], coords[order, iy], gap[order])]
+    if not kept.size:
         raise RegionError("no evaluated auxiliary system is admissible")
-    pool = [(row[ix], row[iy], row, i) for i, row in zip(kept, coords[kept].tolist())]
+    fill = kept[owner[kept] >= 0]  # kept descent rows, scored whole; corners already are
+    for at in range(0, len(fill), param.batch):
+        rows = fill[at:at + param.batch]
+        coords[rows] = _eval_rows(param.source(points[rows]), f, mode, d_used)[0]
+    pool = [(row[ix], row[iy], row, i) for i, row in zip(kept.tolist(), coords[kept].tolist())]
 
     def verified(entry) -> AuxSystem:
         at = entry[3]

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -79,6 +80,20 @@ class TestSpecs:
     def test_function_symbols_in_range(self):
         with pytest.raises(ModelError):
             FunctionSpec(XT, Y, F, np.array([[0, 2], [1, 0]]))
+
+    @pytest.mark.parametrize("bad", [[[0.7, 1.2], [0.0, 1.0]], [[np.nan, 1.0], [0.0, 1.0]],
+                                     [[0.0, np.inf], [1.0, 0.0]]])
+    def test_function_table_entries_must_be_integral(self, bad):
+        # the int64 cast used to accept [[0.7, 1.2], [0, 1]] as [[0, 1], [0, 1]],
+        # and NaN warned in the cast before an "out of range" error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ModelError, match="integral"):
+                FunctionSpec(XT, Y, F, np.array(bad))
+
+    def test_integral_float_function_table_accepted(self):
+        f = FunctionSpec(XT, Y, F, np.array([[0.0, 1.0], [1.0, 0.0]]))
+        assert f.table.dtype == np.int64 and f.table.tolist() == [[0, 1], [1, 0]]
 
     def test_distortion_zero_diagonal(self):
         with pytest.raises(ModelError):

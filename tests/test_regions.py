@@ -1,6 +1,7 @@
 import itertools
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -251,6 +252,22 @@ class TestOptimalG:
         assert np.all(g.table == 0)
 
 
+class TestReconstructionFn:
+    @pytest.mark.parametrize("bad", [[[0.7, 1.2], [0.0, 1.0]], [[np.nan, 1.0], [0.0, 1.0]],
+                                     [[0.0, -np.inf], [1.0, 0.0]]])
+    def test_table_entries_must_be_integral(self, bad):
+        # the int64 cast used to accept [[0.7, 1.2], [0, 1]] as [[0, 1], [0, 1]],
+        # and NaN warned in the cast before an "out of range" error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RegionError, match="integral"):
+                ReconstructionFn(U2, Y, F, np.array(bad))
+
+    def test_integral_float_table_accepted(self):
+        g = ReconstructionFn(U2, Y, F, np.array([[1.0, 0.0], [0.0, 1.0]]))
+        assert g.table.dtype == np.int64 and g.table.tolist() == [[1, 0], [0, 1]]
+
+
 class TestInvariants:
     def test_rates_nonnegative_on_random_systems(self):
         rng = np.random.default_rng(7)
@@ -425,6 +442,22 @@ def reference_descent(param, point, objective, iters, init_step, min_step):
     return point, best, accepted
 
 
+def reference_neighbours(param, point, start, step):
+    """The candidates of moves start, start + 1, ... to the end of a sweep from
+    one point, built span by span with one projection per span."""
+    out = []
+    for at, n in param.spans:
+        move = np.arange(max(start, 2 * at), 2 * (at + n))
+        if not move.size:
+            continue
+        block = np.repeat(point[None, at:at + n], len(move), axis=0)
+        block[np.arange(len(move)), move // 2 - at] += np.where(move % 2, -step, step)
+        cand = np.repeat(point[None], len(move), axis=0)
+        cand[:, at:at + n] = _project_simplex(block)
+        out.append(cand)
+    return np.concatenate(out)
+
+
 def lockstep_descent(param, starts, score, iters, init_step, min_step):
     """`_coordinate_descent` from a stack of starts, with each descent's scanned
     rows (move, point, value), a start's move being -1, its accepted (block,
@@ -433,9 +466,9 @@ def lockstep_descent(param, starts, score, iters, init_step, min_step):
     neighbours, sweep_starts, chunks = param.neighbours, [], []
     rows, counts = [[] for _ in starts], [[] for _ in starts]
 
-    def spy(point, start, step):
-        sweep_starts.append(start)
-        return neighbours(point, start, step)
+    def spy(points, starts, steps):
+        sweep_starts.extend(starts.tolist())
+        return neighbours(points, starts, steps)
 
     def scored(points, owner):
         chunks.append((owner, points, score(points, owner)))
@@ -592,6 +625,81 @@ class TestBatchedSearch:
             assert [(mv, v) for mv, _, v in rows[k]] == [(mv, v) for mv, _, v in own_rows]
             assert all(np.array_equal(a, b) for (_, a, _), (_, b, _) in zip(rows[k], own_rows))
         assert lockstep_calls < len(calls) - lockstep_calls  # rounds share their stacks
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 4), st.integers(1, 3), st.integers(1, 2),
+           st.lists(st.tuples(st.integers(0, 10_000), st.floats(0.0, 1.0),
+                              st.sampled_from([0.25, 0.125, 1e-3, 0.7])), min_size=1, max_size=5))
+    def test_stacked_neighbours_equal_the_per_span_loop(self, seed, u_size, v_size, q_size,
+                                                        descents):
+        param = regions._AuxParam(random_binary_model(np.random.default_rng(seed)), u_size,
+                                  v_size, q_size)
+        points = np.stack([param.random(s) for s, _, _ in descents])
+        starts = np.array([int(at * (2 * param.size - 1)) for _, at, _ in descents])
+        steps = np.array([step for _, _, step in descents])
+        cands, counts = param.neighbours(points, starts, steps)
+        ref = [reference_neighbours(param, p, int(a), float(h))
+               for p, a, h in zip(points, starts, steps)]
+        assert counts.tolist() == [len(r) for r in ref]
+        assert np.array_equal(cands, np.concatenate(ref))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 4), st.integers(1, 3), st.integers(1, 2),
+           st.sampled_from(["lossless", "lossy"]), st.integers(1, 5),
+           st.sets(st.integers(0, 4)))
+    def test_scoring_some_columns_equals_the_full_rows_on_them(self, seed, u_size, v_size,
+                                                               q_size, mode, rows, cols):
+        rng = np.random.default_rng(seed)
+        m = random_binary_model(rng)
+        f, d = (XOR_F, None) if mode == "lossless" else (XTPROJ_F, HAMMING_D)
+        points = None
+        results = []
+        for want in (range(5), sorted(cols)):  # each on its own search's sources
+            param = regions._AuxParam(m, u_size, v_size, q_size)
+            if points is None:
+                points = np.stack([param.random(int(s)) for s in rng.integers(0, 2**31, rows)])
+            src = param.source(points)
+            (xt, u, v, y, z), = src.arm_names
+            multi = [(0, 1, 3, 4)[c] for c in want if c < 4]
+            results.append((regions._eval_rows(src, f, mode, d, want),
+                            regions._multi_rates(param.source(points), (u,), (v,), (xt,), (y,),
+                                                 (z,), "q", "x", multi), multi))
+        ((full, full_gap), (full_rates, full_offset), _), ((part, gap), (rates, offset), multi) = \
+            results
+        other = [c for c in range(5) if c not in cols]
+        assert np.array_equal(part[:, sorted(cols)], full[:, sorted(cols)])
+        assert np.isnan(part[:, other]).all() and np.array_equal(gap, full_gap)
+        assert np.array_equal(rates[:, multi], full_rates[:, multi])
+        assert np.isnan(np.delete(rates, multi, axis=1)).all()
+        if {0, 4} & set(multi):
+            assert np.array_equal(offset, full_offset)
+        else:
+            assert np.isnan(offset).all()
+
+    @pytest.mark.parametrize("q_size", [1, 2])
+    @pytest.mark.parametrize("mode", ["lossless", "lossy"])
+    def test_trace_equals_a_trace_scoring_every_column(self, cascade_model, monkeypatch, mode,
+                                                        q_size):
+        # lossy: the trace-lossy setting (2, 1, 1); lossless: XOR, r_w against r_s
+        if mode == "lossy":
+            f, d, sweep = XTPROJ_F, HAMMING_D, BoundarySweep("d", (0.03, 0.09, 0.15), "r_w")
+        else:
+            f, d, sweep = XOR_F, None, BoundarySweep("r_s", (0.3, 0.5, 0.7), "r_w")
+        budget = SearchBudget(restarts=2, iters=12, u_size=2, v_size=1, q_size=q_size, seed=5)
+        runs = [trace_boundary(cascade_model, f, sweep, mode, budget, d=d)]
+        every = regions._eval_rows
+        monkeypatch.setattr(regions, "_eval_rows",
+                            lambda src, f, mode, d, cols=None: every(src, f, mode, d))
+        runs.append(trace_boundary(cascade_model, f, sweep, mode, budget, d=d))
+        (mine, ref) = runs
+        assert mine == ref
+        for a, b in zip(mine, ref):
+            assert len(a.witnesses) == len(b.witnesses)
+            for wa, wb in zip(a.witnesses, b.witnesses):
+                assert np.array_equal(wa.p_q.probs, wb.p_q.probs)
+                for pa, pb in zip(wa.per_q, wb.per_q):
+                    assert np.array_equal(pa.p_u_given_xt.rows, pb.p_u_given_xt.rows)
+                    assert np.array_equal(pa.p_v_given_u.rows, pb.p_v_given_u.rows)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4),
