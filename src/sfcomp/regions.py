@@ -21,14 +21,18 @@ simplex projection; restart r of grid point g uses child_seed(seed, g, r).
 Descents run in lockstep: a round builds the remaining moves of every live
 descent's sweep as one stack and scores it in chunks that fit TABLE_CELL_CAP,
 each descent keeping the trajectory of scoring one move at a time. A scored
-row holds only the coordinates its objective reads, the rest NaN. Time sharing
-makes the region convex, so `trace_boundary` reads each grid point off the
-lower convex hull of all its |Q| = 1 descents scanned, and scores the other
-coordinates of that pool's systems afterwards.
+row holds only the coordinates its objective reads, the rest NaN. `membership`
+scores every row's residual and storage rate, and the rest of a row only when
+those still leave it under its descent's bar; the starts are scored in full.
+Time sharing makes the region convex, so `trace_boundary` reads each grid
+point off the lower convex hull of all its |Q| = 1 descents scanned, scoring
+every row it scans in full on its objective's coordinates, and scores the
+other coordinates of that pool's systems afterwards.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
@@ -297,7 +301,7 @@ class _Source:
         if len(self._pos) != len(axes):
             raise ProbabilityError(f"duplicate axis names in joint: {[a.name for a in axes]}")
         self._h: dict = {}
-        self._model_h = self._h if model_h is None else model_h
+        self._model_h = {} if model_h is None else model_h
 
     def marginal(self, axes) -> JointDist:
         """Marginal joint of the first system held on the named axes, in the
@@ -397,6 +401,20 @@ class _ProductForm(_Source):
                     operands += [self._parts[k, part], lead + [label[local[i].name] for i in part]]
         return np.einsum(*operands, [b] + list(range(len(names))))
 
+    def take(self, rows: np.ndarray) -> "_ProductForm":
+        """The systems `rows` (indices) as a source of their own, keeping the
+        chain products and entropies computed so far, sliced to those rows;
+        the model-only memo is shared, never sliced."""
+        sub = copy.copy(self)
+        sub._p_q, sub.batch = self._p_q[rows], len(rows)
+        sub._arms = [(local, p_xt, p_u[rows], p_v[rows]) for local, p_xt, p_u, p_v in self._arms]
+        # chain products lead with the batch axis; p(x, xt) alone and the
+        # p(y,z|x) sums are the same for every system
+        sub._parts = {key: part[rows] if key[1][0] < 3 and key[1] != (0,) else part
+                      for key, part in self._parts.items()}
+        sub._h = {key: h[rows] for key, h in self._h.items()}
+        return sub
+
 
 def _chain(keep: tuple, p_xt: np.ndarray, p_u: np.ndarray, p_v: np.ndarray) -> np.ndarray:
     """p(x, kept axes | q) of each system's chain x -> xt -> u -> v, shape
@@ -430,6 +448,7 @@ def _multi_rates(src: _Source, u: tuple[str, ...], v: tuple[str, ...], xt: tuple
     one axis per arm. Rates are rows of (r_s, r_w per arm, sum_w, r_dec per
     arm, r_eve), as `_multi_tuple` reads them; only `cols` (all when None) are
     scored, the rest NaN like the offset when neither r_s nor r_eve is wanted.
+    The negative-rate guard covers only the columns scored.
 
     Each auxiliary absorbs the time-sharing label, so the leading terms use
     (U, Q) while the offset conditions on (V, Q); with heterogeneous branches
@@ -691,14 +710,17 @@ def _coordinate_descent(param: _AuxParam, starts: np.ndarray, score, scanned, it
 
     A round builds each live descent's remaining moves of its sweep in one
     `param.neighbours` call, in descent order, and scores them in chunks of
-    `param.batch` rows as `score(points, owner)`, `owner[i]` the descent of row
-    i, which reads only the coordinates its objective needs. Each descent takes
-    the first row of its slice that beats its best value by more than 1e-15 and
-    re-batches the moves after that coordinate; a sweep without one halves its
-    step, and a descent stops after `iters` sweeps or below `min_step`. Each
-    trajectory is that of scoring one candidate at a time, whatever R or the
-    chunking. `scanned(mask)` is told after each round which of the rows it
-    scored, in scoring order, a one-at-a-time scan would have scored.
+    `param.batch` rows as `score(points, owner, bar)`, `owner[i]` the descent of
+    row i, which reads only the coordinates its objective needs. A row's bar is
+    its descent's best value less 1e-15, +inf for the starts: `score` must give
+    a row valued under its bar its exact value, and may give any other row any
+    value at or over its bar. Each descent takes the first row of its slice
+    under its bar and re-batches the moves after that coordinate; a sweep
+    without one halves its step, and a descent stops after `iters` sweeps or
+    below `min_step`. Each trajectory is that of scoring one candidate at a
+    time, whatever R or the chunking. `scanned(mask)` is told after each round
+    which of the rows it scored, in scoring order, a one-at-a-time scan would
+    have scored.
     """
     points = np.array(starts, dtype=float)
     live = list(range(len(points)))
@@ -710,12 +732,14 @@ def _coordinate_descent(param: _AuxParam, starts: np.ndarray, score, scanned, it
         todo, stopped = np.arange(len(stack)), np.zeros(len(best), dtype=bool)
         while todo.size:
             rows, todo = todo[:param.batch], todo[param.batch:]
-            vals[rows], done[rows] = score(stack[rows], owner[rows]), True
-            stopped[owner[rows][vals[rows] < best[owner[rows]] - 1e-15]] = True
+            bar = best[owner[rows]] - 1e-15
+            vals[rows], done[rows] = score(stack[rows], owner[rows], bar), True
+            stopped[owner[rows][vals[rows] < bar]] = True
             todo = todo[~stopped[owner[todo]]]
         return vals, done
 
-    best, _ = scored(points, np.arange(len(points)), np.full(len(points), -np.inf))
+    # each start is its own descent's only row, so an infinite bar stops nothing
+    best, _ = scored(points, np.arange(len(points)), np.full(len(points), np.inf))
     scanned(np.ones(len(points), dtype=bool))
     step, start, sweeps, improved = (np.full(len(live), v) for v in (init_step, 0, 0, False))
     while live:
@@ -751,29 +775,68 @@ class MembershipResult:
 
 def _eval_rows(src: _ProductForm, f: FunctionSpec, mode: str, d: DistortionSpec | None,
                cols: Sequence[int] = range(5)) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinates (B, 5) in `_COORDS` order, NaN and unread outside `cols`, and
-    admissibility residuals (B,) of the systems of a one-arm source. The residual
-    is 0 in lossy mode; d is filled in lossy mode when `d` is given and is 0
-    otherwise, the value `RateTuple.dominates` reads for a missing d."""
+    """`_coords` and admissibility residuals (B,) of the systems of a one-arm
+    source; the residual is 0 in lossy mode."""
     (xt, u, v, y, z), = src.arm_names
     # the residual first: its table's entropy is the storage rate's H(U, Q, X~, Y)
     gap = _residual(src, f, src.q, u, xt, y) if mode == "lossless" else np.zeros(src.batch)
+    return _coords(src, f, mode, d, cols), gap
+
+
+def _coords(src: _ProductForm, f: FunctionSpec, mode: str, d: DistortionSpec | None,
+            cols: Sequence[int] = range(5)) -> np.ndarray:
+    """Coordinates (B, 5) in `_COORDS` order, NaN and unread outside `cols`, of
+    the systems of a one-arm source. d is filled in lossy mode when `d` is given
+    and is 0 otherwise, the value `RateTuple.dominates` reads for a missing d."""
+    (xt, u, v, y, z), = src.arm_names
     coords = np.full((src.batch, 5), np.nan)
     coords[:, :4] = _multi_rates(src, (u,), (v,), (xt,), (y,), (z,), src.q, src.x,
                                  [_ONE_ARM[c] for c in cols if c < 4])[0][:, _ONE_ARM]
     if 4 in cols:  # one (u, xt, y) marginal serves the reconstruction and the distortion
         p = src.rows((u, xt, y)) if mode == "lossy" and d is not None else None
         coords[:, 4] = 0.0 if p is None else _mean_distortion(p, f, _g_tables(p, f, d), d)
-    return coords, gap
+    return coords
 
 
-def _eval_candidate(m, aux, f, mode, d):
-    """(rates, admissibility residual) of one system; d filled in lossy mode when given."""
+def _eval_candidate(m, aux, f, mode, d, target: RateTuple | None = None):
+    """(rates, admissibility residual) of one system, d filled in lossy mode when
+    given; None, from the residual and r_w alone, when they fail `target`, so a
+    system returned against a target is admissible."""
     aux.validate_cardinalities(m.xt_alphabet.size, mode)
-    coords, gap = _eval_rows(_source(m, aux), f, mode, d)
-    row = coords[0].tolist()
+    src = _source(m, aux)
+    coords, gap = _eval_rows(src, f, mode, d, (1,))
+    if target is not None and (gap[0] > ADMISSIBILITY_TOL
+                               or coords[0, 1] > target.r_w + MEMBERSHIP_TOL):
+        return None
+    row = _coords(src, f, mode, d)[0].tolist()  # r_w again, from the source's entropies
     return RateTuple(*row[:4], d=row[4] if mode == "lossy" and d is not None else None), \
         float(gap[0])
+
+
+def _membership_score(param: _AuxParam, f: FunctionSpec, mode: str, d: DistortionSpec | None,
+                      target: RateTuple):
+    """`membership`'s objective, the largest excess of a target coordinate plus
+    1e3 times the residual's excess over ADMISSIBILITY_TOL, as the staged
+    `score(points, owner, bar)` `_coordinate_descent` takes. Stage 1 scores the
+    residual and r_w, whose excess plus the penalty bounds the objective from
+    below; stage 2 scores the other coordinates of the rows whose bound is
+    under their bar, on a `take` of the same source."""
+    tcoords = target.coords()
+    cols = [_COORDS.index(k) for k in tcoords]
+    tvals = np.array(list(tcoords.values()))
+
+    def score(points: np.ndarray, owner: np.ndarray, bar: np.ndarray) -> np.ndarray:
+        src = param.source(points)
+        coords, gap = _eval_rows(src, f, mode, d, (1,))
+        penalty = 1e3 * np.maximum(gap - ADMISSIBILITY_TOL, 0.0)
+        val = (coords[:, 1] - target.r_w) + penalty
+        go = np.flatnonzero(val < bar)
+        if go.size:  # r_w again, from the entropies `take` keeps
+            coords = _coords(src.take(go), f, mode, d, cols)
+            val[go] = np.max(coords[:, cols] - tvals, axis=1) + penalty[go]
+        return val
+
+    return score
 
 
 def membership(m: SourceModel, f: FunctionSpec, target: RateTuple, mode: str,
@@ -787,36 +850,27 @@ def membership(m: SourceModel, f: FunctionSpec, target: RateTuple, mode: str,
     corners, then seeded random restarts refined by coordinate descent.
     """
     budget = budget or SearchBudget()
-    _check_mode(mode)
+    sizes = budget.resolved_sizes(m, mode)  # checks the mode too
     if not all(np.isfinite(v) for v in target.coords().values()):
         raise RegionError("membership target must have finite coordinates")
     if mode == "lossy" and target.d is not None and d is None:
         raise RegionError("a distortion target needs a distortion spec")
-    want_d = target.d is not None
+    d_used = d if target.d is not None else None
 
     def verdict(aux: AuxSystem) -> MembershipResult | None:
-        rates, gap = _eval_candidate(m, aux, f, mode, d if want_d else None)
-        if gap <= ADMISSIBILITY_TOL and rates.dominates(target):
-            g = optimal_g(m, aux, f, d) if (want_d and d is not None) else None
-            return MembershipResult(True, aux, rates, g)
-        return None
+        rates = _eval_candidate(m, aux, f, mode, d_used, target)
+        if rates is None or not rates[0].dominates(target):
+            return None
+        g = optimal_g(m, aux, f, d) if d_used is not None else None
+        return MembershipResult(True, aux, rates[0], g)
 
     for aux in (*budget.candidates, *_canonical_corners(m)):
         hit = verdict(aux)
         if hit:
             return hit
 
-    u_size, v_size, q_size = budget.resolved_sizes(m, mode)
-    param = _AuxParam(m, u_size, v_size, q_size)
-    tcoords = target.coords()
-    cols = [_COORDS.index(k) for k in tcoords]
-    tvals = np.array(list(tcoords.values()))
-
-    def score(points: np.ndarray, owner: np.ndarray) -> np.ndarray:
-        coords, gap = _eval_rows(param.source(points), f, mode, d if want_d else None, cols)
-        excess = np.max(coords[:, cols] - tvals, axis=1)
-        return excess + 1e3 * np.maximum(gap - ADMISSIBILITY_TOL, 0.0)
-
+    param = _AuxParam(m, *sizes)
+    score = _membership_score(param, f, mode, d_used, target)
     # one descent per call, so the restarts after a hit are never run
     for r in range(budget.restarts):
         (point,), (val,) = _coordinate_descent(
@@ -897,7 +951,8 @@ def trace_boundary(m: SourceModel, f: FunctionSpec, sweep: BoundarySweep, mode: 
     with 2 it lies on the pool's lower convex hull. A hull pair is not
     re-evaluated as one |Q| = 2 system, whose shared U alphabet lets `optimal_g`
     pool the two reconstructions on (u, y) and lift d above the chord. Each
-    witness is re-evaluated alone and must reproduce its pool coordinates within MEMBERSHIP_TOL.
+    distinct witness is re-evaluated alone, once, and must reproduce its pool
+    coordinates within MEMBERSHIP_TOL.
     """
     budget = budget or SearchBudget()
     u_size, v_size, _ = budget.resolved_sizes(m, mode)
@@ -917,7 +972,8 @@ def trace_boundary(m: SourceModel, f: FunctionSpec, sweep: BoundarySweep, mode: 
     masks = [np.ones(len(corners), dtype=bool)]
     bounds = np.repeat(sweep.grid, budget.restarts)
 
-    def score(points: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    def score(points: np.ndarray, owner: np.ndarray, bar: np.ndarray) -> np.ndarray:
+        # every row is scored whole, whatever its bar: the pool reads them all
         coords, gap = _eval_rows(param.source(points), f, mode, d_used, (ix, iy))
         found.append((owner, points, coords, gap))
         return coords[:, iy] + 1e3 * (np.maximum(coords[:, ix] - bounds[owner], 0.0)
@@ -939,15 +995,19 @@ def trace_boundary(m: SourceModel, f: FunctionSpec, sweep: BoundarySweep, mode: 
         coords[rows] = _eval_rows(param.source(points[rows]), f, mode, d_used)[0]
     pool = [(row[ix], row[iy], row, i) for i, row in zip(kept.tolist(), coords[kept].tolist())]
 
+    witnesses: dict[int, AuxSystem] = {}  # by pool row: each is verified once
+
     def verified(entry) -> AuxSystem:
         at = entry[3]
-        aux = corners[at] if at < len(corners) else param.to_aux(points[at])
-        rates, gap = _eval_candidate(m, aux, f, mode, d_used)
-        again = rates.coords()
-        if gap > ADMISSIBILITY_TOL or any(abs(again[k] - entry[2][i]) > MEMBERSHIP_TOL
-                                          for i, k in enumerate(keys)):
-            raise RegionError("a boundary witness does not reproduce its pool coordinates")
-        return aux
+        if at not in witnesses:
+            aux = corners[at] if at < len(corners) else param.to_aux(points[at])
+            rates, gap = _eval_candidate(m, aux, f, mode, d_used)
+            again = rates.coords()
+            if gap > ADMISSIBILITY_TOL or any(abs(again[k] - entry[2][i]) > MEMBERSHIP_TOL
+                                              for i, k in enumerate(keys)):
+                raise RegionError("a boundary witness does not reproduce its pool coordinates")
+            witnesses[at] = aux
+        return witnesses[at]
 
     vertices = _lower_hull(pool) if budget.q_size > 1 else pool
     results = []

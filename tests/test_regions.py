@@ -2,6 +2,7 @@ import itertools
 import math
 import time
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -470,8 +471,8 @@ def lockstep_descent(param, starts, score, iters, init_step, min_step):
         sweep_starts.extend(starts.tolist())
         return neighbours(points, starts, steps)
 
-    def scored(points, owner):
-        chunks.append((owner, points, score(points, owner)))
+    def scored(points, owner, bar):
+        chunks.append((owner, points, score(points, owner, bar)))
         return chunks[-1][2]
 
     def scanned(mask):
@@ -510,7 +511,8 @@ def lockstep_descent(param, starts, score, iters, init_step, min_step):
 def batched_descent(param, point, score, iters, init_step, min_step):
     """`_coordinate_descent` from one start, with its accepted moves."""
     (point,), (val,), _, (accepted,), _ = lockstep_descent(
-        param, point[None], lambda points, owner: score(points), iters, init_step, min_step)
+        param, point[None], lambda points, owner, bar: score(points), iters, init_step,
+        min_step)
     return point, val, accepted
 
 
@@ -576,7 +578,8 @@ class TestBatchedSearch:
             batch, _ = batch_and_one(cascade_model, param, XOR_F, "lossless", None, target)
             sizes = []
             runs.append(regions._coordinate_descent(
-                param, param.random(2)[None], lambda p, owner: sizes.append(len(p)) or batch(p),
+                param, param.random(2)[None],
+                lambda p, owner, bar: sizes.append(len(p)) or batch(p),
                 lambda mask: None, 3, 0.25, 1e-6) + (max(sizes),))
         (p1, v1, big), (p2, v2, small) = runs
         assert big == 84 and small == 3
@@ -596,11 +599,11 @@ class TestBatchedSearch:
         if mode == "lossless":
             target = RateTuple(0.6, h2(DSBS_P) - 0.1, 0.6, 0.6)
             batch, _ = batch_and_one(cascade_model, param, XOR_F, mode, None, target)
-            score, iters, starts = (lambda points, owner: batch(points)), 4, (0, 2, 6)
+            score, iters, starts = (lambda points, owner, bar: batch(points)), 4, (0, 2, 6)
         else:
             bounds = np.array([0.02, 0.06, 0.1, 0.15])
 
-            def score(points, owner):
+            def score(points, owner, bar):
                 coords, _ = regions._eval_rows(param.source(points), XTPROJ_F, mode, HAMMING_D)
                 return coords[:, 1] + 1e3 * np.maximum(coords[:, 4] - bounds[owner], 0.0)
 
@@ -608,16 +611,16 @@ class TestBatchedSearch:
         starts = np.stack([param.random(s) for s in starts])
         calls = []
 
-        def counted(points, owner, k=0):
+        def counted(points, owner, bar, k=0):
             calls.append(k)
-            return score(points, owner + k)
+            return score(points, owner + k, bar)
 
         points, vals, rows, moves, _ = lockstep_descent(param, starts, counted, iters, 0.25,
                                                         1e-6)
         lockstep_calls = len(calls)
         for k, start in enumerate(starts):
             (point,), (val,), (own_rows,), (own_moves,), (rounds,) = lockstep_descent(
-                param, start[None], lambda p, o, k=k: counted(p, o, k), iters, 0.25, 1e-6)
+                param, start[None], lambda p, o, b, k=k: counted(p, o, b, k), iters, 0.25, 1e-6)
             # no chunk is scored past the one that holds the descent's hit
             assert all(n <= -(-seen // param.batch) * param.batch for n, seen in rounds)
             assert moves[k] == own_moves and len(own_moves) > 0
@@ -701,6 +704,74 @@ class TestBatchedSearch:
                     assert np.array_equal(pa.p_u_given_xt.rows, pb.p_u_given_xt.rows)
                     assert np.array_equal(pa.p_v_given_u.rows, pb.p_v_given_u.rows)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10_000), st.sampled_from([(4, 3, 2), (2, 2, 2)]),
+           st.sampled_from(["lossless", "lossy"]), st.integers(1, 8),
+           st.lists(st.floats(-0.3, 0.3), min_size=5, max_size=5), st.booleans())
+    def test_staged_score_is_exact_under_the_bar(self, seed, sizes, mode, rows, shifts, with_d):
+        rng = np.random.default_rng(seed)
+        m = random_binary_model(rng)
+        f = XOR_F if mode == "lossless" else XTPROJ_F
+        d = HAMMING_D if mode == "lossy" and with_d else None
+        param = regions._AuxParam(m, *sizes)
+        points = np.stack([param.random(int(s)) for s in rng.integers(0, 2**31, rows)])
+        # the unstaged objective, scored first as a descent scores its start
+        coords, gap = regions._eval_rows(param.source(points), f, mode, d)
+        first = coords[0] + np.array(shifts)  # a target near the first row
+        target = RateTuple(*first[:4].tolist(), d=float(first[4]) if d is not None else None)
+        t = np.array(list(target.coords().values()))
+        full = np.max(coords[:, :len(t)] - t, axis=1) + 1e3 * np.maximum(
+            gap - ADMISSIBILITY_TOL, 0.0)
+        bars = full + rng.choice([-np.inf, -0.2, -1e-9, 0.0, 1e-9, 0.2, np.inf], size=rows)
+        score = regions._membership_score(param, f, mode, d, target)
+        vals = score(points, np.zeros(rows, dtype=int), bars)
+        below = full < bars
+        assert np.array_equal(vals[below], full[below])  # bit for bit
+        assert np.all(bars[~below] <= vals[~below]) and np.all(vals[~below] <= full[~below])
+
+    @pytest.mark.parametrize("mode,seed", [("lossless", 2), ("lossless", 4), ("lossy", 1)])
+    def test_staged_score_keeps_the_unstaged_descent(self, cascade_model, mode, seed):
+        # the search-lossless setting, and the lossy one of the trajectory test
+        if mode == "lossless":
+            sizes, target, f, d = (4, 3, 2), RateTuple(0.6, h2(DSBS_P) - 0.1, 0.6, 0.6), XOR_F, None
+        else:
+            sizes, target, f, d = ((2, 2, 2), RateTuple(0.2, 0.2, 0.2, 0.2, d=0.05), XTPROJ_F,
+                                   HAMMING_D)
+        runs = []
+        for staged in (False, True):  # each on its own search's model memo
+            param = regions._AuxParam(cascade_model, *sizes)
+            batch, _ = batch_and_one(cascade_model, param, f, mode, d, target)
+            score = (regions._membership_score(param, f, mode, d, target) if staged
+                     else lambda points, owner, bar: batch(points))
+            runs.append(regions._coordinate_descent(param, param.random(seed)[None], score,
+                                                    lambda mask: None, 4, 0.25, 1e-6))
+        (p1, v1), (p2, v2) = runs
+        assert np.array_equal(p1, p2) and np.array_equal(v1, v2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10_000), st.sampled_from([(4, 3, 2), (2, 2, 2), (3, 1, 1)]),
+           st.integers(1, 8), st.data())
+    def test_take_equals_a_source_built_from_the_rows(self, seed, sizes, rows, data):
+        rng = np.random.default_rng(seed)
+        param = regions._AuxParam(random_binary_model(rng), *sizes)
+        points = np.stack([param.random(int(s)) for s in rng.integers(0, 2**31, rows)])
+        pick = np.array(data.draw(st.lists(st.integers(0, rows - 1), min_size=1, max_size=rows)))
+        src = param.source(points)
+        # some tables and entropies before the take, on model and system axes
+        sets = [("q", "u", "xtilde", "y"), ("q", "u", "y"), ("xtilde", "y"), ("y",),
+                ("q", "v", "u", "z"), ("q", "u", "x", "z"), ("x", "z"), ("v", "xtilde")]
+        for names in sets[:5]:
+            src.entropy(names)
+        model = dict(src._model_h)
+        sub, ref = src.take(pick), param.source(points[pick])
+        assert sub._model_h is src._model_h and sub.batch == ref.batch == len(pick)
+        for names in sets:
+            assert np.array_equal(sub.rows(names), ref.rows(names))
+            assert np.array_equal(sub.entropy(names), ref.entropy(names))
+        # the shared model-only memo keeps its (1,) entries, none sliced or replaced
+        assert all(src._model_h[key] is h for key, h in model.items())
+        assert all(h.shape == (1,) for h in src._model_h.values())
+
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4),
                               st.sampled_from([0.0, ADMISSIBILITY_TOL, 1.0])), max_size=30))
@@ -771,6 +842,28 @@ class TestMembership:
             eval_lossless_corner(cascade_model, aux, XOR_F)
         with pytest.raises(CardinalityError):
             membership(cascade_model, XOR_F, RateTuple(1.0, 1.0, 1.0, 1.0), "lossless", budget)
+
+    @pytest.mark.parametrize("inside", [True, False])
+    def test_budget_is_checked_before_any_candidate(self, cascade_model, inside):
+        # an oversized |Q| came back found when a canonical corner answered
+        corner = eval_lossless_corner(cascade_model, identity_aux(cascade_model), XOR_F)
+        target = corner if inside else RateTuple(0.0, 0.0, 0.0, 0.0)
+        with pytest.raises(CardinalityError):
+            membership(cascade_model, XOR_F, target, "lossless",
+                       SearchBudget(restarts=0, q_size=3))
+
+    def test_candidate_check_stops_at_the_storage_rate(self, cascade_model):
+        # identity U is admissible but stores H_b(p) > 0: r_w alone fails the
+        # target; any other failing coordinate needs the whole corner
+        aux = identity_aux(cascade_model)
+        corner = eval_lossless_corner(cascade_model, aux, XOR_F)
+        full = regions._eval_candidate(cascade_model, aux, XOR_F, "lossless", None)
+        assert full[0] == corner and full[1] <= ADMISSIBILITY_TOL
+        assert regions._eval_candidate(cascade_model, aux, XOR_F, "lossless", None,
+                                       replace(corner, r_w=corner.r_w - 0.01)) is None
+        for target in (corner, replace(corner, r_s=corner.r_s - 0.01)):
+            assert regions._eval_candidate(cascade_model, aux, XOR_F, "lossless", None,
+                                           target) == full
 
     def test_invalid_budget(self):
         with pytest.raises(RegionError):
@@ -903,11 +996,11 @@ class TestTraceBoundary:
         def descent_spy(param, starts, score, scanned, *rest):
             chunks = []  # (owner, (d, r_w)) of each row scored this round
 
-            def scored(points, owner):
+            def scored(points, owner, bar):
                 coords, _ = regions._eval_rows(param.source(points), XTPROJ_F, "lossy",
                                                HAMMING_D)
                 chunks.extend(zip(owner.tolist(), coords[:, [4, 1]].tolist()))
-                return score(points, owner)
+                return score(points, owner, bar)
 
             def seen(mask):
                 for (k, xy), keep in zip(chunks, mask):
@@ -946,6 +1039,35 @@ class TestTraceBoundary:
             assert pt.feasible
             assert list(pt.coords().values()) == pytest.approx(coords, abs=1e-12)
             assert pt.weights == pytest.approx(weights, abs=1e-12)
+
+    @pytest.mark.parametrize("restarts", [0, 2])
+    def test_each_witness_is_verified_once(self, cascade_model, monkeypatch, restarts):
+        # the corners alone serve several grid points each
+        calls = []
+        evaluate = regions._eval_candidate
+
+        def spy(m, aux, *rest):
+            calls.append(aux)
+            return evaluate(m, aux, *rest)
+
+        monkeypatch.setattr(regions, "_eval_candidate", spy)
+        pts = trace_lossy(cascade_model, (0.0, 0.03, 0.1, 0.19, 0.3), SearchBudget(
+            restarts=restarts, iters=6, u_size=2, v_size=1, q_size=2, seed=2))
+        slots = [w for pt in pts for w in pt.witnesses]
+        assert len(calls) == len({id(w) for w in slots}) < len(slots)
+        assert {id(w) for w in calls} == {id(w) for w in slots}
+
+    def test_witness_off_its_pool_coordinates_is_rejected(self, cascade_model, monkeypatch):
+        evaluate = regions._eval_candidate
+
+        def drifted(*args):
+            rates, gap = evaluate(*args)
+            return replace(rates, r_w=rates.r_w + 1e-6), gap
+
+        monkeypatch.setattr(regions, "_eval_candidate", drifted)
+        with pytest.raises(RegionError, match="reproduce its pool coordinates"):
+            trace_lossy(cascade_model, (0.03, 0.1), SearchBudget(
+                restarts=1, iters=4, u_size=2, v_size=1, q_size=2, seed=2))
 
     def test_unmet_bound_is_flagged(self, cascade_model):
         # every admissible system for XOR stores at least H(X~|Y) = H_b(p)
