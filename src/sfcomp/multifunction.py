@@ -7,12 +7,12 @@ the same expressions on any supplied joint whose arms each satisfy the
 per-arm Markov chain; couplings across arms beyond the product form are
 allowed there, and that relaxation is the only difference between the two.
 
-A single function is the one-arm case: the rate formulas, the factor source
-`_ProductForm`, the dense reference builder, the size policy and the
-admissibility residual live in `regions` and serve both; see there why the
-source's marginals are trusted. `_named_arms` names a system's arms for
-`_ProductForm`, which `eval_inner_mf`, and `eval_outer_mf` given a
-`MultiAuxSystem`, read without forming the joint (its cell count is
+A single function is the one-arm case: the rate formulas, the dense
+reference builder, the size policy and the admissibility residual live in
+`regions` and the factor source `_ProductForm` in `sources`, and serve both;
+see there why the source's marginals are trusted. `_named_arms` names a
+system's arms for `_ProductForm`, which `eval_inner_mf`, and `eval_outer_mf`
+given a `MultiAuxSystem`, read without forming the joint (its cell count is
 exponential in J), and for `build_multi_joint`, the dense reference. A dense
 `JointDist` supplied to `eval_outer_mf` is read the same way, as a `_Dense`
 source. A bound evaluates one system, the B = 1 case of the batched code
@@ -33,8 +33,9 @@ from .probability import (
     CondDist,
     Dist,
     JointDist,
+    ProductAlphabet,
+    _trusted,
     cond_mutual_info,
-    product_alphabet,
 )
 from .regions import (
     AuxPair,
@@ -44,16 +45,14 @@ from .regions import (
     RegionError,
     _check_mode,
     _check_sizes,
-    _Dense,
     _dense_joint,
     _mean_distortion,
     _multi_rates,
     _multi_tuple,
-    _ProductForm,
     _require_admissible,
-    _Source,
     single_arm_tuple,  # re-exported: part of this module's public names
 )
+from .sources import _Dense, _ProductForm, _Source
 
 CHAIN_TOL = 1e-9
 MODEL_MATCH_TOL = 1e-9
@@ -102,21 +101,24 @@ def _axis_names(j: int) -> dict[str, tuple[str, ...]]:
 def _named_arms(m: MultiModel, a: MultiAuxSystem,
                 ) -> list[tuple[CondDist, tuple[AuxPair, ...], CondDist]]:
     """Arm triples (p(xtilde_j|x), one `AuxPair` per weight symbol, p(y_j z_j|x))
-    under the axis names of `_axis_names`, as `_ProductForm` and `_dense_joint` take."""
+    under the axis names of `_axis_names`, as `_ProductForm` and `_dense_joint` take.
+    `m` and `a` were validated when built, so their tables are only renamed
+    here, as trusted objects (`_trusted`), not checked again."""
     if a.j != m.j:
         raise RegionError(f"auxiliary system has {a.j} arms, model has {m.j}")
     names = _axis_names(m.j)
     arms = []
-    for j, arm in enumerate(m.arms):
-        xt_j = arm.p_xt_given_x.output.renamed(names["xt"][j])
-        u_j = a.arms[j][0].u_alphabet.renamed(names["u"][j])
-        v_j = a.arms[j][0].v_alphabet.renamed(names["v"][j])
-        pairs = tuple(AuxPair(CondDist(xt_j, u_j, p.p_u_given_xt.rows),
-                              CondDist(u_j, v_j, p.p_v_given_u.rows)) for p in a.arms[j])
-        y, z = arm.p_yz_given_x.output.parts
-        yz_j = product_alphabet(f"yz{j + 1}", y.renamed(names["y"][j]), z.renamed(names["z"][j]))
-        arms.append((CondDist(arm.p_xt_given_x.input, xt_j, arm.p_xt_given_x.rows), pairs,
-                     CondDist(arm.p_yz_given_x.input, yz_j, arm.p_yz_given_x.rows)))
+    for j, (arm, pairs) in enumerate(zip(m.arms, a.arms)):
+        p_xt, p_yz = arm.p_xt_given_x, arm.p_yz_given_x
+        xt, u, v, y, z = (alph.renamed(names[key][j]) for key, alph in zip(
+            ("xt", "u", "v", "y", "z"),
+            (p_xt.output, pairs[0].u_alphabet, pairs[0].v_alphabet, *p_yz.output.parts)))
+        yz = _trusted(ProductAlphabet, f"yz{j + 1}", p_yz.output.labels, (y, z))
+        arms.append((_trusted(CondDist, p_xt.input, xt, p_xt.rows),
+                     tuple(_trusted(AuxPair, _trusted(CondDist, xt, u, p.p_u_given_xt.rows),
+                                    _trusted(CondDist, u, v, p.p_v_given_u.rows))
+                           for p in pairs),
+                     _trusted(CondDist, p_yz.input, yz, p_yz.rows)))
     return arms
 
 

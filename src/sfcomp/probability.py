@@ -11,9 +11,12 @@ Inputs are validated once, where they enter: `Dist`, `CondDist`, the public
 `push_function` reject NaN, negative entries, mass away from 1, duplicate
 axis names and tables over the cell cap. Tables derived from a validated
 joint by `marginal`, `reorder` and `split`, and the factor-source marginals
-of `regions`, are trusted and skip those checks: a sum of nonnegative finite
+of `sources`, are trusted and skip those checks: a sum of nonnegative finite
 cells is nonnegative and finite and keeps the parent's mass up to rounding,
 and the cell cap is checked before a factor-source marginal is built.
+Renaming is trusted too (`Alphabet.renamed`, and the per-arm names
+`multifunction` gives validated channels through `_trusted`): a new name
+changes no symbol and no table.
 
 Every object here is immutable after construction; all operations are pure
 functions and safe to call concurrently. A joint memoizes the entropies
@@ -27,7 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,6 +62,15 @@ class OverlappingAxes(ProbabilityError):
 
 class TableTooLarge(ProbabilityError):
     """A dense table would exceed the 2^24 cell cap."""
+
+
+def _trusted(cls, *values):
+    """An instance of the frozen dataclass `cls` with `values` as its fields,
+    in order, and no check run: for objects renamed from validated ones."""
+    out = object.__new__(cls)
+    for name, value in zip(cls.__dataclass_fields__, values):
+        object.__setattr__(out, name, value)
+    return out
 
 
 def _check_cells(axes: Sequence[Alphabet], what: str, rows: int = 1) -> None:
@@ -95,7 +107,10 @@ class Alphabet:
             raise ProbabilityError(f"label {label!r} not in alphabet {self.name!r}") from None
 
     def renamed(self, name: str) -> "Alphabet":
-        return replace(self, name=name)
+        """The same symbols under another name; trusted, as they were checked here."""
+        out = object.__new__(type(self))
+        out.__dict__.update(vars(self), name=name)
+        return out
 
 
 @dataclass(frozen=True)
@@ -107,9 +122,6 @@ class ProductAlphabet(Alphabet):
     """
 
     parts: tuple[Alphabet, ...] = ()
-
-    def renamed(self, name: str) -> "ProductAlphabet":
-        return replace(self, name=name)
 
 
 def product_alphabet(name: str, *parts: Alphabet) -> ProductAlphabet:

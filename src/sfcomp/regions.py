@@ -8,13 +8,15 @@ leading terms are evaluated on the mixture itself. A per-weight diagnostic
 report is available for the averaged view.
 
 A single function is the one-arm case of the multi-function bounds. Every
-evaluator reads one source, `_ProductForm`: the mixture joints of B systems on
-one model, kept as per-arm factors, whose marginals are trusted contractions of
-validated tables, each within TABLE_CELL_CAP. One system is B = 1; a search
-scores B candidates in one call. A CMI is read from the source's entropies,
-each computed once per source (per search on model axes alone); admissibility
-is H(F|U,Q,Y). Dense joints remain as the tests' references (`_dense_joint`)
-and as joints supplied to the outer bound (`_Dense`).
+evaluator reads one source, `sources._ProductForm`: the mixture joints of B
+systems on one model, kept as per-arm factors. One system is B = 1; a search
+scores B candidates in one call. How a marginal is contracted is planned once
+per source structure and axis set, and a search re-stacks every batch it
+scores from one template source of its structure. A CMI is read from the
+source's entropies, each computed once per source (per search on model axes
+alone); admissibility is H(F|U,Q,Y). Dense joints remain as the tests'
+references (`_dense_joint`) and as joints supplied to the outer bound
+(`sources._Dense`).
 
 Searches are seeded multi-start coordinate descent with step halving and
 simplex projection; restart r of grid point g uses child_seed(seed, g, r).
@@ -32,7 +34,6 @@ other coordinates of that pool's systems afterwards.
 
 from __future__ import annotations
 
-import copy
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
@@ -55,10 +56,6 @@ from .probability import (
     CondDist,
     Dist,
     JointDist,
-    ProbabilityError,
-    UnknownAxis,
-    _check_cells,
-    _entropy_rows,
     compose,
     constant_channel,
     identity_channel,
@@ -66,9 +63,13 @@ from .probability import (
     uniform,
 )
 from .seeding import child_seed, uniforms
+from .sources import _ProductForm, _Source
 
 RATE_NEG_TOL = 1e-9
 MEMBERSHIP_TOL = 1e-9
+# A descent accepts a move that lowers its objective by more than this: well
+# above the rounding of values whose penalties weigh residuals by 1e3.
+ACCEPT_MARGIN = 1e-12
 
 
 class RegionError(ValueError):
@@ -277,168 +278,11 @@ def aux_mixture_joint(m: SourceModel, aux: AuxSystem) -> JointDist:
     return _dense_joint(m.p_x, aux.p_q, ((m.p_xt_given_x, aux.per_q, m.p_yz_given_x),))
 
 
-def _source(m: SourceModel, aux: AuxSystem) -> "_ProductForm":
-    """The source the single-function evaluators read: the one-arm factor form."""
-    return _ProductForm.of(m.p_x, aux.p_q, ((m.p_xt_given_x, aux.per_q, m.p_yz_given_x),))
-
-
-class _Source:
-    """Stacked marginals of B systems and their CMIs, each entropy read once.
-
-    A subclass sets its canonical `axes` and `batch` B and gives `rows(names)`:
-    the (B, ...) stacked marginal over `names`, in the order given. Entropies of
-    axis sets within `_model_axes` are the same for every system on one
-    model, so they live in `_model_h`, which a search shares between the
-    sources it builds; the rest live in this source's own memo.
-    """
-
-    _model_axes: frozenset = frozenset()
-    batch = 1
-
-    def __init__(self, axes: tuple[Alphabet, ...], model_h: dict | None = None) -> None:
-        self.axes = axes
-        self._pos = {alph.name: i for i, alph in enumerate(axes)}
-        if len(self._pos) != len(axes):
-            raise ProbabilityError(f"duplicate axis names in joint: {[a.name for a in axes]}")
-        self._h: dict = {}
-        self._model_h = {} if model_h is None else model_h
-
-    def marginal(self, axes) -> JointDist:
-        """Marginal joint of the first system held on the named axes, in the
-        canonical axis order; trusted, as a contraction of validated tables."""
-        want = {axes} if isinstance(axes, str) else set(axes)
-        if not want:
-            raise ProbabilityError("marginal needs a nonempty axis set")
-        kept = tuple(alph for alph in self.axes if alph.name in want)
-        if len(kept) != len(want):
-            raise UnknownAxis(f"axes {sorted(want - set(self._pos))} not in joint over "
-                              f"{tuple(self._pos)}")
-        return JointDist._derived(kept, self.rows(tuple(a.name for a in kept))[0])
-
-    def entropy(self, names: tuple[str, ...], table: np.ndarray | None = None) -> np.ndarray:
-        """H(names) of each system, once per source (per search on model axes
-        alone), from `table`, the marginal in any axis order, when given."""
-        key = frozenset(names)
-        model = key <= self._model_axes
-        memo = self._model_h if model else self._h
-        if key not in memo:
-            h = _entropy_rows(self.rows(tuple(sorted(names, key=self._pos.get)))
-                              if table is None else table)
-            memo[key] = h[:1] if model else h  # (1,) broadcasts over any later batch
-        return memo[key]
-
-    def cmi(self, a, b, c=()) -> np.ndarray:
-        """I(A;B|C) of each system, as H(A,C) + H(B,C) - H(A,B,C) - H(C)."""
-        a, b, c = ((s,) if isinstance(s, str) else tuple(s) for s in (a, b, c))
-        h_c = self.entropy(c) if c else 0.0
-        return self.entropy(a + c) + self.entropy(b + c) - self.entropy(a + b + c) - h_c
-
-
-class _ProductForm(_Source):
-    """The mixture joints of B systems on one model, kept as per-arm factors.
-
-    p(q, x, ...) = p(q) p(x) prod_j f_j[q, x, xt_j, u_j, v_j, y_j, z_j] with
-    f_j = p(xt_j | x) p(u_j | xt_j, q) p(v_j | u_j, q) p(y_j, z_j | x), the
-    channels stacked over the B systems. A marginal multiplies out only the
-    axes asked for, summing each chain x -> xt -> u -> v as it goes (`_chain`),
-    so no arm's whole factor is formed. TABLE_CELL_CAP bounds each arm's
-    stacked factor, which bounds every table built, and each marginal read.
-    """
-
-    def __init__(self, p_x: Dist, q: Alphabet, p_q: np.ndarray,
-                 arms: Sequence[tuple[CondDist, Alphabet, Alphabet, np.ndarray, np.ndarray,
-                                      CondDist]],
-                 model_h: dict | None = None) -> None:
-        """`p_q` is (B, |q|); an arm is (p(xt|x), U, V, p(u|xt,q) as (B, |q|, |xt|, |u|),
-        p(v|u,q) as (B, |q|, |u|, |v|), p(yz|x)), its tables already validated."""
-        self._p_q, self._p_x, self.batch = p_q, p_x.probs, len(p_q)
-        self.q, self.x = q.name, p_x.alphabet.name
-        self._arms = []  # (local axes (xt, u, v, y, z), p(xt|x), p(u|xt,q), p(v|u,q))
-        self._parts = {}  # arm k's p(y,z|x) sums and chain products (`_chain`) by kept axes
-        for k, (p_xt, u, v, p_u, p_v, p_yz) in enumerate(arms):
-            y, z = p_yz.output.parts
-            local = (p_xt.output, u, v, y, z)
-            _check_cells((q, p_x.alphabet) + local, "arm factor", len(p_q))
-            self._arms.append((local, p_xt.rows, p_u, p_v))
-            yz = p_yz.rows.reshape(p_x.alphabet.size, y.size, z.size)
-            self._parts.update({(k, (3, 4)): yz, (k, (3,)): yz.sum(2), (k, (4,)): yz.sum(1)})
-        per_arm = [tuple(arm[0][i] for arm in self._arms) for i in range(5)]
-        super().__init__((q,) + per_arm[2] + per_arm[1] + per_arm[0] + (p_x.alphabet,)
-                         + per_arm[3] + per_arm[4], model_h)
-        self.arm_names = [tuple(alph.name for alph in arm[0]) for arm in self._arms]
-        self._model_axes = frozenset(alph.name for i in (0, 3, 4) for alph in per_arm[i]
-                                     ) | {self.x}
-
-    @classmethod
-    def of(cls, p_x: Dist, p_q: Dist,
-           arms: Sequence[tuple[CondDist, Sequence[AuxPair], CondDist]]) -> "_ProductForm":
-        """The one system (B = 1) of the arm triples `_dense_joint` takes."""
-        stacked = []
-        for p_xt, per_q, p_yz in arms:
-            first = per_q[0]  # every weight symbol shares its alphabets
-            if first.p_u_given_xt.input != p_xt.output:
-                raise ProbabilityError(f"auxiliary channel is not fed by the observation "
-                                       f"{p_xt.output.name!r}")
-            stacked.append((p_xt, first.u_alphabet, first.v_alphabet,
-                            np.stack([p.p_u_given_xt.rows for p in per_q])[None],
-                            np.stack([p.p_v_given_u.rows for p in per_q])[None], p_yz))
-        return cls(p_x, p_q.alphabet, p_q.probs[None], stacked)
-
-    def rows(self, names: tuple[str, ...]) -> np.ndarray:
-        _check_cells([self.axes[self._pos[n]] for n in names], "marginal", len(self._p_q))
-        # einsum labels: output axes first, then the batch, q and x
-        label = {n: i for i, n in enumerate(names)}
-        b, q, x = len(names), label.get(self.q, len(names) + 1), label.get(self.x, len(names) + 2)
-        operands = [self._p_q, [b, q], self._p_x, [x]]
-        for k, (local, p_xt, p_u, p_v) in enumerate(self._arms):
-            # an arm's axes summed out whole, or the tail of either branch, sum to 1
-            keep = [i for i, alph in enumerate(local) if alph.name in label]
-            chain, yz = tuple(i for i in keep if i < 3), tuple(i for i in keep if i >= 3)
-            if chain and (k, chain) not in self._parts:
-                self._parts[k, chain] = _chain(chain, p_xt, p_u, p_v)
-            for part, lead in ((chain, [b, q, x]), (yz, [x])):
-                if part:
-                    operands += [self._parts[k, part], lead + [label[local[i].name] for i in part]]
-        return np.einsum(*operands, [b] + list(range(len(names))))
-
-    def take(self, rows: np.ndarray) -> "_ProductForm":
-        """The systems `rows` (indices) as a source of their own, keeping the
-        chain products and entropies computed so far, sliced to those rows;
-        the model-only memo is shared, never sliced."""
-        sub = copy.copy(self)
-        sub._p_q, sub.batch = self._p_q[rows], len(rows)
-        sub._arms = [(local, p_xt, p_u[rows], p_v[rows]) for local, p_xt, p_u, p_v in self._arms]
-        # chain products lead with the batch axis; p(x, xt) alone and the
-        # p(y,z|x) sums are the same for every system
-        sub._parts = {key: part[rows] if key[1][0] < 3 and key[1] != (0,) else part
-                      for key, part in self._parts.items()}
-        sub._h = {key: h[rows] for key, h in self._h.items()}
-        return sub
-
-
-def _chain(keep: tuple, p_xt: np.ndarray, p_u: np.ndarray, p_v: np.ndarray) -> np.ndarray:
-    """p(x, kept axes | q) of each system's chain x -> xt -> u -> v, shape
-    (b, q, x, kept sizes); `keep` indexes (xt, u, v) in order. The chain runs
-    to its last kept axis; a link's matmul sums the axis it leaves behind."""
-    out = p_xt[None, None]  # (b, q, x and the kept axes so far, flattened, current axis)
-    for axis, link in zip((1, 2), (p_u, p_v)[:keep[-1]]):
-        if axis - 1 in keep:
-            out = out[..., None] * link[:, :, None]
-            out = out.reshape(out.shape[:2] + (-1, out.shape[-1]))
-        else:
-            out = out @ link
-    return out.reshape(out.shape[:2] + (len(p_xt), *((p_xt, p_u, p_v)[i].shape[-1] for i in keep)))
-
-
-class _Dense(_Source):
-    """A dense `JointDist`, such as one supplied to the outer bound, as a source."""
-
-    def __init__(self, joint: JointDist) -> None:
-        super().__init__(joint.axes)
-        self.joint = joint
-
-    def rows(self, names: tuple[str, ...]) -> np.ndarray:
-        return self.joint.marginal(names).reorder(names).table[None]
+def _source(m: SourceModel, aux: AuxSystem, model_h: dict | None = None) -> "_ProductForm":
+    """The source the single-function evaluators read: the one-arm factor form,
+    on a search's model-only entropy memo when given."""
+    return _ProductForm.of(m.p_x, aux.p_q, ((m.p_xt_given_x, aux.per_q, m.p_yz_given_x),),
+                           model_h)
 
 
 def _multi_rates(src: _Source, u: tuple[str, ...], v: tuple[str, ...], xt: tuple[str, ...],
@@ -647,6 +491,10 @@ class _AuxParam:
                                                 m.z_alphabet))
         self.batch = max(1, TABLE_CELL_CAP // per_system)
         self._model_h: dict = {}  # model-only entropies, shared by every batch
+        # the template source, of no system, that `source` re-stacks
+        self._template = _ProductForm(m.p_x, self.q_alpha, ((m.p_xt_given_x, self.u_alpha,
+                                                         self.v_alpha, m.p_yz_given_x),),
+                                  self._model_h)
 
     def random(self, seed: int) -> np.ndarray:
         raw = -np.log(np.maximum(uniforms(seed, 0, self.size), 1e-300))
@@ -665,10 +513,10 @@ class _AuxParam:
         return p_q, p_u, p_v
 
     def source(self, points: np.ndarray) -> _ProductForm:
-        """The one-arm source of a stack of points; no per-system object is built."""
-        m, (p_q, p_u, p_v) = self.m, self.unpack(points)
-        arm = (m.p_xt_given_x, self.u_alpha, self.v_alpha, p_u, p_v, m.p_yz_given_x)
-        return _ProductForm(m.p_x, self.q_alpha, p_q, (arm,), self._model_h)
+        """The one-arm source of a stack of points, re-stacked from the
+        template; no per-system object is built."""
+        p_q, p_u, p_v = self.unpack(points)
+        return self._template.restacked(p_q, ((p_u, p_v),))
 
     def to_aux(self, point: np.ndarray) -> AuxSystem:
         p_q, p_u, p_v = self.unpack(point[None])
@@ -712,7 +560,8 @@ def _coordinate_descent(param: _AuxParam, starts: np.ndarray, score, scanned, it
     `param.neighbours` call, in descent order, and scores them in chunks of
     `param.batch` rows as `score(points, owner, bar)`, `owner[i]` the descent of
     row i, which reads only the coordinates its objective needs. A row's bar is
-    its descent's best value less 1e-15, +inf for the starts: `score` must give
+    its descent's best value less ACCEPT_MARGIN (1e-12, so a change of the
+    order of rounding is never a move), +inf for the starts: `score` must give
     a row valued under its bar its exact value, and may give any other row any
     value at or over its bar. Each descent takes the first row of its slice
     under its bar and re-batches the moves after that coordinate; a sweep
@@ -732,7 +581,7 @@ def _coordinate_descent(param: _AuxParam, starts: np.ndarray, score, scanned, it
         todo, stopped = np.arange(len(stack)), np.zeros(len(best), dtype=bool)
         while todo.size:
             rows, todo = todo[:param.batch], todo[param.batch:]
-            bar = best[owner[rows]] - 1e-15
+            bar = best[owner[rows]] - ACCEPT_MARGIN
             vals[rows], done[rows] = score(stack[rows], owner[rows], bar), True
             stopped[owner[rows][vals[rows] < bar]] = True
             todo = todo[~stopped[owner[todo]]]
@@ -747,7 +596,7 @@ def _coordinate_descent(param: _AuxParam, starts: np.ndarray, score, scanned, it
         vals, done = scored(cands, np.repeat(live, counts), best)
         mask, at = np.zeros(len(vals), dtype=bool), 0
         for k, count in zip(list(live), counts.tolist()):
-            hits = np.flatnonzero(vals[at:at + count] < best[k] - 1e-15)
+            hits = np.flatnonzero(vals[at:at + count] < best[k] - ACCEPT_MARGIN)
             n = int(hits[0]) + 1 if hits.size else count  # the rows scanned
             if hits.size:
                 points[k], best[k], improved[k] = cands[at + n - 1], vals[at + n - 1], True
@@ -798,12 +647,14 @@ def _coords(src: _ProductForm, f: FunctionSpec, mode: str, d: DistortionSpec | N
     return coords
 
 
-def _eval_candidate(m, aux, f, mode, d, target: RateTuple | None = None):
+def _eval_candidate(m, aux, f, mode, d, target: RateTuple | None = None,
+                    model_h: dict | None = None):
     """(rates, admissibility residual) of one system, d filled in lossy mode when
     given; None, from the residual and r_w alone, when they fail `target`, so a
-    system returned against a target is admissible."""
+    system returned against a target is admissible. `model_h` is a search's
+    model-only entropy memo, which any system of |Q| = 1 may read."""
     aux.validate_cardinalities(m.xt_alphabet.size, mode)
-    src = _source(m, aux)
+    src = _source(m, aux, model_h)
     coords, gap = _eval_rows(src, f, mode, d, (1,))
     if target is not None and (gap[0] > ADMISSIBILITY_TOL
                                or coords[0, 1] > target.r_w + MEMBERSHIP_TOL):
@@ -817,7 +668,8 @@ def _membership_score(param: _AuxParam, f: FunctionSpec, mode: str, d: Distortio
                       target: RateTuple):
     """`membership`'s objective, the largest excess of a target coordinate plus
     1e3 times the residual's excess over ADMISSIBILITY_TOL, as the staged
-    `score(points, owner, bar)` `_coordinate_descent` takes. Stage 1 scores the
+    `score(points, owner, bar)` `_coordinate_descent` takes, a row's bar being
+    its descent's best value less ACCEPT_MARGIN (1e-12). Stage 1 scores the
     residual and r_w, whose excess plus the penalty bounds the objective from
     below; stage 2 scores the other coordinates of the rows whose bound is
     under their bar, on a `take` of the same source."""
@@ -964,7 +816,10 @@ def trace_boundary(m: SourceModel, f: FunctionSpec, sweep: BoundarySweep, mode: 
     ix, iy = _COORDS.index(sweep.coordinate), _COORDS.index(sweep.minimize)
     corners = _canonical_corners(m)
     param = _AuxParam(m, u_size, v_size, 1)
-    corner_rows = [_eval_rows(_source(m, aux), f, mode, d_used) for aux in corners]
+    # every system here has |Q| = 1, so p(q) = 1.0 exactly and the search's
+    # model-only entropies are those of any of them
+    corner_rows = [_eval_rows(_source(m, aux, param._model_h), f, mode, d_used)
+                   for aux in corners]
     # owner, point, coordinates and residual of each row scored, and which rows
     # were scanned; the corners come first, owner -1, each its own witness
     found = [(np.full(len(corners), -1), np.zeros((len(corners), param.size)),
@@ -1001,7 +856,7 @@ def trace_boundary(m: SourceModel, f: FunctionSpec, sweep: BoundarySweep, mode: 
         at = entry[3]
         if at not in witnesses:
             aux = corners[at] if at < len(corners) else param.to_aux(points[at])
-            rates, gap = _eval_candidate(m, aux, f, mode, d_used)
+            rates, gap = _eval_candidate(m, aux, f, mode, d_used, model_h=param._model_h)
             again = rates.coords()
             if gap > ADMISSIBILITY_TOL or any(abs(again[k] - entry[2][i]) > MEMBERSHIP_TOL
                                               for i, k in enumerate(keys)):

@@ -1,0 +1,227 @@
+"""Sources: the stacked marginals of B auxiliary systems that every rate
+evaluator reads, and their entropies and CMIs.
+
+`_ProductForm` keeps the mixture joints of B systems on one model as per-arm
+factors; its marginals are trusted contractions of validated tables, each
+within TABLE_CELL_CAP. A source is built as structure alone (the model's
+tables and every axis), and `restacked` gives it systems: a search restacks
+one structure for every batch it scores, and `take` restacks a subset of a
+source's systems with what was computed of them. How a marginal is
+contracted depends only on the structure and the axes asked for, so each
+such layout is planned once (`_layout`) and every later read is one einsum.
+`_Dense` serves a dense `JointDist` the same way.
+"""
+
+from __future__ import annotations
+
+import copy
+import functools
+import math
+from collections.abc import Sequence
+
+import numpy as np
+
+from .probability import (
+    TABLE_CELL_CAP,
+    Alphabet,
+    CondDist,
+    Dist,
+    JointDist,
+    ProbabilityError,
+    UnknownAxis,
+    _check_cells,
+    _entropy_rows,
+)
+
+# einsum's labels for the integers 0, 1, ... of its sublist form
+_LABELS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
+
+
+class _Source:
+    """Stacked marginals of B systems and their CMIs, each entropy read once.
+
+    A subclass sets its canonical `axes` and `batch` B and gives `rows(names)`:
+    the (B, ...) stacked marginal over `names`, in the order given. Entropies of
+    axis sets within `_model_axes` are the same for every system on one
+    model, so they live in `_model_h`, which a search shares between the
+    sources it builds; the rest live in this source's own memo.
+    """
+
+    _model_axes: frozenset = frozenset()
+    batch = 1
+
+    def __init__(self, axes: tuple[Alphabet, ...], model_h: dict | None = None) -> None:
+        self.axes = axes
+        self._pos = {alph.name: i for i, alph in enumerate(axes)}
+        if len(self._pos) != len(axes):
+            raise ProbabilityError(f"duplicate axis names in joint: {[a.name for a in axes]}")
+        self._h: dict = {}
+        self._model_h = {} if model_h is None else model_h
+
+    def marginal(self, axes) -> JointDist:
+        """Marginal joint of the first system held on the named axes, in the
+        canonical axis order; trusted, as a contraction of validated tables."""
+        want = {axes} if isinstance(axes, str) else set(axes)
+        if not want:
+            raise ProbabilityError("marginal needs a nonempty axis set")
+        kept = tuple(alph for alph in self.axes if alph.name in want)
+        if len(kept) != len(want):
+            raise UnknownAxis(f"axes {sorted(want - set(self._pos))} not in joint over "
+                              f"{tuple(self._pos)}")
+        return JointDist._derived(kept, self.rows(tuple(a.name for a in kept))[0])
+
+    def entropy(self, names: tuple[str, ...], table: np.ndarray | None = None) -> np.ndarray:
+        """H(names) of each system, once per source (per search on model axes
+        alone), from `table`, the marginal in any axis order, when given."""
+        key = frozenset(names)
+        model = key <= self._model_axes
+        memo = self._model_h if model else self._h
+        if key not in memo:
+            h = _entropy_rows(self.rows(tuple(sorted(names, key=self._pos.get)))
+                              if table is None else table)
+            memo[key] = h[:1] if model else h  # (1,) broadcasts over any later batch
+        return memo[key]
+
+    def cmi(self, a, b, c=()) -> np.ndarray:
+        """I(A;B|C) of each system, as H(A,C) + H(B,C) - H(A,B,C) - H(C)."""
+        a, b, c = ((s,) if isinstance(s, str) else tuple(s) for s in (a, b, c))
+        h_c = self.entropy(c) if c else 0.0
+        return self.entropy(a + c) + self.entropy(b + c) - self.entropy(a + b + c) - h_c
+
+
+class _ProductForm(_Source):
+    """The mixture joints of B systems on one model, kept as per-arm factors.
+
+    p(q, x, ...) = p(q) p(x) prod_j f_j[q, x, xt_j, u_j, v_j, y_j, z_j] with
+    f_j = p(xt_j | x) p(u_j | xt_j, q) p(v_j | u_j, q) p(y_j, z_j | x), the
+    channels stacked over the B systems. A marginal multiplies out only the
+    axes asked for, summing each chain x -> xt -> u -> v as it goes (`_chain`),
+    so no arm's whole factor is formed. TABLE_CELL_CAP bounds each arm's
+    stacked factor, which bounds every table built, and each marginal read.
+    A source is built as structure alone, and `restacked` gives it systems.
+    """
+
+    def __init__(self, p_x: Dist, q: Alphabet,
+                 arms: Sequence[tuple[CondDist, Alphabet, Alphabet, CondDist]],
+                 model_h: dict | None = None) -> None:
+        """A source of no system; an arm is (p(xt|x), U, V, p(yz|x)), validated."""
+        self._p_x, self.q, self.x = p_x.probs, q.name, p_x.alphabet.name
+        self._arms = []  # (local axes (xt, u, v, y, z), p(xt|x))
+        self._parts = {}  # arm k's p(y,z|x) sums and chain products (`_chain`) by kept axes
+        for k, (p_xt, u, v, p_yz) in enumerate(arms):
+            y, z = p_yz.output.parts
+            self._arms.append(((p_xt.output, u, v, y, z), p_xt.rows))
+            yz = p_yz.rows.reshape(p_x.alphabet.size, y.size, z.size)
+            self._parts.update({(k, (3, 4)): yz, (k, (3,)): yz.sum(2), (k, (4,)): yz.sum(1)})
+        per_arm = [tuple(local[i] for local, _ in self._arms) for i in range(5)]
+        super().__init__((q,) + per_arm[2] + per_arm[1] + per_arm[0] + (p_x.alphabet,)
+                         + per_arm[3] + per_arm[4], model_h)
+        self.arm_names = [tuple(alph.name for alph in local) for local, _ in self._arms]
+        self._model_axes = frozenset(alph.name for i in (0, 3, 4) for alph in per_arm[i]
+                                     ) | {self.x}
+        # all `rows` needs to plan a marginal (`_layout`)
+        self._structure = ((self.q, q.size), (self.x, p_x.alphabet.size),
+                           tuple(tuple((a.name, a.size) for a in local) for local, _ in self._arms))
+
+    @classmethod
+    def of(cls, p_x: Dist, p_q: Dist,
+           arms: Sequence[tuple[CondDist, Sequence, CondDist]],
+           model_h: dict | None = None) -> "_ProductForm":
+        """The one system (B = 1) of the arm triples `regions._dense_joint`
+        takes: (p(xt|x), one `AuxPair` per weight symbol, p(yz|x))."""
+        for p_xt, per_q, _ in arms:  # every weight symbol shares its alphabets
+            if per_q[0].p_u_given_xt.input != p_xt.output:
+                raise ProbabilityError(f"auxiliary channel is not fed by the observation "
+                                       f"{p_xt.output.name!r}")
+        form = cls(p_x, p_q.alphabet, [(p_xt, per_q[0].u_alphabet, per_q[0].v_alphabet, p_yz)
+                                       for p_xt, per_q, p_yz in arms], model_h)
+        return form.restacked(p_q.probs[None], [
+            (np.stack([p.p_u_given_xt.rows for p in per_q])[None],
+             np.stack([p.p_v_given_u.rows for p in per_q])[None]) for _, per_q, _ in arms])
+
+    def rows(self, names: tuple[str, ...]) -> np.ndarray:
+        cells, subscripts, parts = _layout(self._structure, names)
+        if cells * self.batch > TABLE_CELL_CAP:
+            _check_cells([self.axes[self._pos[n]] for n in names], "marginal", self.batch)
+        operands = [self._p_q, self._p_x]
+        for k, kept in parts:
+            if (k, kept) not in self._parts:  # a chain product; the p(y,z|x) sums are there
+                self._parts[k, kept] = _chain(kept, self._arms[k][1], *self._links[k])
+            operands.append(self._parts[k, kept])
+        return np.einsum(subscripts, *operands)
+
+    def restacked(self, p_q: np.ndarray, links: Sequence[tuple[np.ndarray, np.ndarray]],
+                  parts: dict | None = None, h: dict | None = None) -> "_ProductForm":
+        """This source's structure holding the systems of p(q) (B, |q|) and of
+        each arm's (p(u|xt,q), p(v|u,q)) stacked over them, with the `parts`
+        and entropies `h` known of them; the p(y,z|x) sums and the model-only
+        memo are shared."""
+        out = copy.copy(self)
+        out._p_q, out._links, out.batch = p_q, links, len(p_q)
+        for local, _ in self._arms:
+            _check_cells((self.axes[0], self.axes[self._pos[self.x]]) + local, "arm factor",
+                         out.batch)
+        out._parts = {key: part for key, part in self._parts.items() if key[1][0] >= 3}
+        out._parts.update(parts or {})
+        out._h = {} if h is None else h
+        return out
+
+    def take(self, rows: np.ndarray) -> "_ProductForm":
+        """The systems `rows` (indices) as a source of their own, keeping the
+        chain products and entropies computed so far, sliced to those rows."""
+        # chain products lead with the batch axis, but p(x, xt) alone is the
+        # same for every system
+        return self.restacked(
+            self._p_q[rows], [(p_u[rows], p_v[rows]) for p_u, p_v in self._links],
+            {key: part if key[1] == (0,) else part[rows]
+             for key, part in self._parts.items() if key[1][0] < 3},
+            {key: h[rows] for key, h in self._h.items()})
+
+
+@functools.lru_cache(maxsize=4096)
+def _layout(structure: tuple, names: tuple[str, ...]) -> tuple:
+    """How `_ProductForm.rows` reads the marginal over `names` off sources of
+    one `structure`: one system's cells, the einsum subscripts of p(q), p(x)
+    and the (arm, kept axes) parts, and those parts' keys. An arm's axes
+    summed out whole, or the tail of either branch, sum to 1 and are left out."""
+    (q, nq), (x, nx), arms = structure
+    size = dict([(q, nq), (x, nx), *(axis for arm in arms for axis in arm)])
+    cells = math.prod(size[n] for n in names)
+    # labels: the output axes first, then the batch, q and x
+    label = {n: _LABELS[i] for i, n in enumerate(names)}
+    b = _LABELS[len(names)]
+    lq, lx = label.get(q, _LABELS[len(names) + 1]), label.get(x, _LABELS[len(names) + 2])
+    terms, parts = [b + lq, lx], []
+    for k, local in enumerate(arms):
+        keep = [i for i, (n, _) in enumerate(local) if n in label]
+        for part, lead in ((tuple(i for i in keep if i < 3), b + lq + lx),
+                           (tuple(i for i in keep if i >= 3), lx)):
+            if part:
+                parts.append((k, part))
+                terms.append(lead + "".join(label[local[i][0]] for i in part))
+    return cells, ",".join(terms) + "->" + b + "".join(label[n] for n in names), tuple(parts)
+
+
+def _chain(keep: tuple, p_xt: np.ndarray, p_u: np.ndarray, p_v: np.ndarray) -> np.ndarray:
+    """p(x, kept axes | q) of each system's chain x -> xt -> u -> v, shape
+    (b, q, x, kept sizes); `keep` indexes (xt, u, v) in order. The chain runs
+    to its last kept axis; a link's matmul sums the axis it leaves behind."""
+    out = p_xt[None, None]  # (b, q, x and the kept axes so far, flattened, current axis)
+    for axis, link in zip((1, 2), (p_u, p_v)[:keep[-1]]):
+        if axis - 1 in keep:
+            out = out[..., None] * link[:, :, None]
+            out = out.reshape(out.shape[:2] + (-1, out.shape[-1]))
+        else:
+            out = out @ link
+    return out.reshape(out.shape[:2] + (len(p_xt), *((p_xt, p_u, p_v)[i].shape[-1] for i in keep)))
+
+
+class _Dense(_Source):
+    """A dense `JointDist`, such as one supplied to the outer bound, as a source."""
+
+    def __init__(self, joint: JointDist) -> None:
+        super().__init__(joint.axes)
+        self.joint = joint
+
+    def rows(self, names: tuple[str, ...]) -> np.ndarray:
+        return self.joint.marginal(names).reorder(names).table[None]

@@ -46,7 +46,7 @@ from sfcomp.probability import (
     identity_channel,
     uniform,
 )
-from sfcomp import regions
+from sfcomp import regions, sources
 from sfcomp.regions import (
     AuxPair,
     AuxSystem,
@@ -459,8 +459,8 @@ class TestProductForm:
                 # trusted, yet it passes the validation it skipped
                 assert np.array_equal(JointDist(got.axes, got.table).table, got.table)
         inner = eval_inner_mf(mm, a, "lossy", g_list)
-        ref, _ = _multi_rates(regions._Dense(dense), **_axis_names(j), q="q", x="x")
-        ref_d = _arm_distortions(mm, regions._Dense(dense), g_list)
+        ref, _ = _multi_rates(sources._Dense(dense), **_axis_names(j), q="q", x="x")
+        ref_d = _arm_distortions(mm, sources._Dense(dense), g_list)
         assert _fields(inner) == pytest.approx(_fields(_multi_tuple(ref[0], j)) + ref_d,
                                                abs=1e-12)
 

@@ -46,7 +46,7 @@ from sfcomp.probability import (
     push_function,
     uniform,
 )
-from sfcomp import regions
+from sfcomp import regions, sources
 from sfcomp.regions import (
     AuxPair,
     AuxSystem,
@@ -391,7 +391,7 @@ class TestTrustedPath:
             aux = random_aux(rng, q_size=int(rng.integers(1, 3)))
             g = optimal_g(m, aux, XOR_F, HAMMING_D)
             # the reconstruction rule gives the same table on the dense reference
-            dense = regions._Dense(aux_mixture_joint(m, aux))
+            dense = sources._Dense(aux_mixture_joint(m, aux))
             dense_g = regions._g_tables(dense.rows(regions._single_names(m, aux)), XOR_F,
                                         HAMMING_D)[0]
             assert np.array_equal(g.table, dense_g)
@@ -431,7 +431,7 @@ def reference_descent(param, point, objective, iters, init_step, min_step):
                     cand[at + ci] += sign * step
                     cand[at:at + n] = _project_simplex(cand[at:at + n])
                     val = objective(cand)
-                    if val < best - 1e-15:
+                    if val < best - regions.ACCEPT_MARGIN:
                         assert best - val > 1e-12  # no accept a rounding flip could undo
                         point, best, improved = cand, val, True
                         accepted.append((bi, ci, sign))
@@ -499,7 +499,7 @@ def lockstep_descent(param, starts, score, iters, init_step, min_step):
     for descent in rows:
         best, accepted_here = descent[0][2], []
         for move, _, val in descent[1:]:
-            if val < best - 1e-15:  # the descent's accept rule
+            if val < best - regions.ACCEPT_MARGIN:  # the descent's accept rule
                 best = val
                 bi = next(i for i, (at, n) in enumerate(param.spans) if move // 2 < at + n)
                 accepted_here.append((bi, move // 2 - param.spans[bi][0],
@@ -771,6 +771,20 @@ class TestBatchedSearch:
         # the shared model-only memo keeps its (1,) entries, none sliced or replaced
         assert all(src._model_h[key] is h for key, h in model.items())
         assert all(h.shape == (1,) for h in src._model_h.values())
+
+    @pytest.mark.parametrize("gain,moves", [(4.4e-13, False), (2e-12, True)])
+    def test_a_gain_of_the_order_of_rounding_is_no_move(self, cascade_model, gain, moves):
+        # 4.4e-13 is a one-ulp change of a residual near 1 under the 1e3 penalty
+        param = regions._AuxParam(cascade_model, 2, 1, 1)
+        start = param.random(0)
+
+        def score(points, owner, bar):
+            return np.where((points == start).all(axis=1), 1.0, 1.0 - gain)
+
+        (point,), (val,) = regions._coordinate_descent(param, start[None], score,
+                                                        lambda mask: None, 1, 0.25, 0.25)
+        assert (not np.array_equal(point, start)) == moves
+        assert val == (1.0 - gain if moves else 1.0)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4),
@@ -1046,9 +1060,9 @@ class TestTraceBoundary:
         calls = []
         evaluate = regions._eval_candidate
 
-        def spy(m, aux, *rest):
+        def spy(m, aux, *rest, **kw):
             calls.append(aux)
-            return evaluate(m, aux, *rest)
+            return evaluate(m, aux, *rest, **kw)
 
         monkeypatch.setattr(regions, "_eval_candidate", spy)
         pts = trace_lossy(cascade_model, (0.0, 0.03, 0.1, 0.19, 0.3), SearchBudget(
@@ -1060,8 +1074,8 @@ class TestTraceBoundary:
     def test_witness_off_its_pool_coordinates_is_rejected(self, cascade_model, monkeypatch):
         evaluate = regions._eval_candidate
 
-        def drifted(*args):
-            rates, gap = evaluate(*args)
+        def drifted(*args, **kw):
+            rates, gap = evaluate(*args, **kw)
             return replace(rates, r_w=rates.r_w + 1e-6), gap
 
         monkeypatch.setattr(regions, "_eval_candidate", drifted)

@@ -1,0 +1,213 @@
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import XOR_F, random_binary_model
+from sfcomp import regions, sources
+from sfcomp.models import MultiArm, MultiModel
+from sfcomp.multifunction import MultiAuxSystem, eval_inner_mf, eval_outer_mf
+from sfcomp.probability import (
+    CondDist,
+    Dist,
+    InvalidDistribution,
+    TableTooLarge,
+    _check_cells,
+    product_alphabet,
+)
+from sfcomp.regions import AuxPair, _alphabet_of_size
+from sfcomp.sources import _chain, _ProductForm
+
+from test_multifunction import random_multi_system
+
+TESTS = Path(__file__).resolve().parent
+
+
+def reference_rows(src, names):
+    """`_ProductForm.rows` as built before layouts were cached: the cell check,
+    the labels and the operands rebuilt on every call, in einsum's sublist
+    form, with every chain product computed afresh."""
+    _check_cells([src.axes[src._pos[n]] for n in names], "marginal", len(src._p_q))
+    # einsum labels: output axes first, then the batch, q and x
+    label = {n: i for i, n in enumerate(names)}
+    b, q, x = len(names), label.get(src.q, len(names) + 1), label.get(src.x, len(names) + 2)
+    operands = [src._p_q, [b, q], src._p_x, [x]]
+    for k, ((local, p_xt), (p_u, p_v)) in enumerate(zip(src._arms, src._links)):
+        # an arm's axes summed out whole, or the tail of either branch, sum to 1
+        keep = [i for i, alph in enumerate(local) if alph.name in label]
+        chain, yz = tuple(i for i in keep if i < 3), tuple(i for i in keep if i >= 3)
+        if chain:
+            operands += [_chain(chain, p_xt, p_u, p_v), [b, q, x] + [label[local[i].name]
+                                                                   for i in chain]]
+        if yz:
+            operands += [src._parts[k, yz], [x] + [label[local[i].name] for i in yz]]
+    return np.einsum(*operands, [b] + list(range(len(names))))
+
+
+def stochastic(rng, shape):
+    return rng.dirichlet(np.ones(shape[-1]), size=shape[:-1])
+
+
+def random_form(rng, sizes, q_size, x_size, batch):
+    """A J-arm source of `batch` random systems; sizes[k] is arm k's
+    (|xt|, |u|, |v|, |y|, |z|)."""
+    x = _alphabet_of_size("x", x_size)
+    arms, links = [], []
+    for k, (nxt, nu, nv, ny, nz) in enumerate(sizes, start=1):
+        xt, u, v, y, z = (_alphabet_of_size(f"{a}{k}", n) for a, n in
+                          zip(("xt", "u", "v", "y", "z"), (nxt, nu, nv, ny, nz)))
+        yz = product_alphabet(f"yz{k}", y, z)
+        arms.append((CondDist(x, xt, stochastic(rng, (x_size, nxt))), u, v,
+                     CondDist(x, yz, stochastic(rng, (x_size, ny * nz)))))
+        links.append((stochastic(rng, (batch, q_size, nxt, nu)),
+                      stochastic(rng, (batch, q_size, nu, nv))))
+    form = _ProductForm(Dist(x, stochastic(rng, (x_size,))), _alphabet_of_size("q", q_size), arms)
+    return form.restacked(stochastic(rng, (batch, q_size)), links)
+
+
+class TestLayouts:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**16), st.integers(1, 3), st.integers(1, 5), st.data())
+    def test_rows_equal_the_uncached_construction(self, seed, j, batch, data):
+        rng = np.random.default_rng(seed)
+        sizes = [tuple(int(n) for n in rng.integers(1, 4, size=5)) for _ in range(j)]
+        src = random_form(rng, sizes, int(rng.integers(1, 3)), int(rng.integers(1, 4)), batch)
+        names = [a.name for a in src.axes]
+        for _ in range(4):
+            order = data.draw(st.permutations(names))
+            pick = tuple(order[:data.draw(st.integers(1, min(6, len(names))))])
+            want = reference_rows(src, pick)
+            for _ in range(2):  # planning the layout, then reading it cached
+                got = src.rows(pick)
+                assert got.shape == want.shape and np.array_equal(got, want)  # bit for bit
+
+    def test_a_layout_cached_at_one_system_still_caps_a_batch(self):
+        # two arms of 64 local cells: each arm factor fits 2049 systems, but
+        # their joint marginal over every axis needs 2 * 64^2 cells per system
+        rng = np.random.default_rng(3)
+        one = random_form(rng, [(4, 4, 4, 1, 1)] * 2, 1, 2, 1)
+        names = tuple(a.name for a in one.axes)
+        assert one.rows(names).shape == (1,) + tuple(a.size for a in one.axes)
+        planned = sources._layout.cache_info().hits
+        many = one.restacked(np.ones((2049, 1)), [(np.repeat(p_u, 2049, axis=0),
+                                                  np.repeat(p_v, 2049, axis=0))
+                                                 for p_u, p_v in one._links])
+        tracemalloc.start()
+        try:
+            with pytest.raises(TableTooLarge, match="marginal"):
+                many.rows(names)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sources._layout.cache_info().hits == planned + 1  # the layout read at B = 1
+        assert peak < 2**20  # the 128 MiB marginal, and its chain products, never allocated
+        assert all(kept[0] >= 3 for _, kept in many._parts)
+
+
+class TestTemplateSources:
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10_000), st.sampled_from([(4, 3, 2), (2, 2, 2), (3, 1, 1)]),
+           st.integers(1, 6))
+    def test_a_restacked_source_equals_a_fresh_one(self, seed, sizes, rows):
+        rng = np.random.default_rng(seed)
+        m = random_binary_model(rng)
+        param = regions._AuxParam(m, *sizes)
+        points = np.stack([param.random(int(s)) for s in rng.integers(0, 2**31, rows)])
+        src = param.source(points)
+        p_q, p_u, p_v = param.unpack(points)
+        fresh = _ProductForm(m.p_x, param.q_alpha, ((m.p_xt_given_x, param.u_alpha,
+                                                    param.v_alpha, m.p_yz_given_x),))
+        fresh = fresh.restacked(p_q, ((p_u, p_v),))
+        assert fresh._model_h is not src._model_h
+        for names in [("q", "u", "xtilde", "y"), ("u", "xtilde", "y"), ("q", "v", "u", "z"),
+                      ("x", "z"), ("xtilde", "y"), ("v", "x", "q"), ("y",)]:
+            assert np.array_equal(src.rows(names), fresh.rows(names))
+            assert np.array_equal(src.entropy(names), fresh.entropy(names))
+
+    def test_sources_of_one_template_share_only_the_model(self, cascade_model):
+        param = regions._AuxParam(cascade_model, 3, 2, 2)
+        first = param.source(np.stack([param.random(1), param.random(2)]))
+        second = param.source(param.random(3)[None])
+        first.entropy(("q", "u", "xtilde", "y"))
+        first.entropy(("x", "z"))  # model axes alone
+        assert first._h and not second._h and first._h is not second._h
+        assert first._parts is not second._parts
+        chains = {key for key in first._parts if key[1][0] < 3}
+        assert chains and not chains & set(second._parts)
+        assert first._model_h is second._model_h is param._model_h
+        assert set(param._template._parts) == {(0, (3, 4)), (0, (3,)), (0, (4,))}
+        assert param._template._h == {}
+
+
+class TestTrustedArms:
+    def test_renamed_arms_build_no_validated_channel(self, monkeypatch):
+        mm, a, g_list = random_multi_system(np.random.default_rng(5), [(2, 2), (3, 1)], q_size=2)
+        inner = eval_inner_mf(mm, a, "lossy", g_list)
+        outer = eval_outer_mf(mm, a, "lossy", g_list)
+
+        def refused(self):
+            raise AssertionError("a channel was validated again")
+
+        monkeypatch.setattr(CondDist, "__post_init__", refused)
+        monkeypatch.setattr(AuxPair, "__post_init__", refused)
+        assert eval_inner_mf(mm, a, "lossy", g_list) == inner
+        assert eval_outer_mf(mm, a, "lossy", g_list) == outer
+
+    def test_a_non_stochastic_row_still_fails_at_construction(self):
+        mm, a, _ = random_multi_system(np.random.default_rng(6), [(2, 2), (2, 1)])
+        pair = a.arms[1][0]
+        bad = pair.p_u_given_xt.rows * np.array([[1.0], [1.1]])
+        with pytest.raises(InvalidDistribution):
+            MultiAuxSystem(a.p_q, (a.arms[0], (AuxPair(
+                CondDist(pair.p_u_given_xt.input, pair.u_alphabet, bad), pair.p_v_given_u),)))
+        arm = mm.arms[1]
+        with pytest.raises(InvalidDistribution):
+            MultiModel(mm.p_x, (mm.arms[0], MultiArm(
+                CondDist(arm.p_xt_given_x.input, arm.p_xt_given_x.output,
+                         arm.p_xt_given_x.rows * np.array([[1.0], [0.9]])),
+                arm.p_yz_given_x, XOR_F, arm.d)))
+
+
+# A J = 3 inner corner and a short trace, as float hex, recorded before layouts
+# were cached (numpy 2.4, x86-64 with AVX-512, whose log2 may differ by an ulp
+# from other builds); set iteration order, which PYTHONHASHSEED moves, must
+# not move them.
+CHILD = """
+import numpy as np
+from conftest import HAMMING_D, XTPROJ_F, binary_cascade_model
+from test_multifunction import random_multi_system
+from sfcomp.multifunction import eval_inner_mf
+from sfcomp.regions import BoundarySweep, SearchBudget, trace_boundary
+
+mm, a, g_list = random_multi_system(np.random.default_rng(7), [(2, 2), (3, 1), (1, 2)], q_size=2)
+r = eval_inner_mf(mm, a, "lossy", g_list)
+print(" ".join(float(v).hex() for v in (r.r_s, *r.r_w, r.sum_w, *r.r_dec, r.r_eve, *r.d)))
+pts = trace_boundary(binary_cascade_model(), XTPROJ_F, BoundarySweep("d", (0.05, 0.12), "r_w"),
+                     "lossy", SearchBudget(restarts=1, iters=6, u_size=2, v_size=1, q_size=2,
+                                           seed=3), d=HAMMING_D)
+print(" ".join(float(v).hex() for p in pts for v in (*p.coords().values(), *p.weights)))
+"""
+RECORDED = [
+    "0x1.0d442ba7920e0p-3 0x1.797cf2aa92ce0p-6 0x1.dbaaf7b8951c0p-4 0x0.0p+0 "
+    "0x1.0d1d7e7602760p-3 0x1.b71789b923600p-10 0x1.363c5137f8440p-4 0x1.8000000000000p-51 "
+    "0x1.1d96d24ac7280p-4 0x1.0567035d1ba9dp-1 0x1.abba1eac94558p-2 0x1.208b3982daa2ep-1",
+    "0x1.f92ffb86d8152p-2 0x1.f92ffb86d8156p-2 0x1.258b0f11acbd0p-2 0x1.258b0f11acbd6p-2 "
+    "0x1.999999999999ap-5 0x1.9999999999995p-2 0x1.3333333333336p-1 0x1.f6d24421fcfb9p-3 "
+    "0x1.f6d24421fcfbep-3 0x1.2cae432818079p-3 0x1.2cae43281807dp-3 0x1.eb851eb851eb8p-4 "
+    "0x1.1caa01fa11caap-1 0x1.c6abfc0bdc6acp-2",
+]
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1"])
+def test_outcomes_do_not_depend_on_hash_seed(hash_seed):
+    src = str(TESTS.parent / "src")
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+               PYTHONPATH=os.pathsep.join([src, str(TESTS)]))
+    out = subprocess.run([sys.executable, "-c", CHILD], cwd=TESTS, env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.splitlines() == RECORDED
