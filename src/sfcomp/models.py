@@ -233,6 +233,15 @@ def _function_residual(p: np.ndarray, f: FunctionSpec) -> np.ndarray:
     return _entropy_rows(_function_joint(p, f)) - _entropy_rows(p.sum(axis=2))
 
 
+def _lossless_bounds(m: SourceModel, f: FunctionSpec) -> dict[str, float]:
+    """H(F|Y) and I(F;X|Y), read off p(x, x~, y): lower bounds of r_w and r_dec.
+    A lossless corner whose residual H(F|U,Q,Y) is e has r_w = I(U,Q;X~|Y) >=
+    I(U,Q;F|Y) = H(F|Y) - e and r_dec = I(U,Q;X|Y) >= I(F;X|Y) - e."""
+    p = build_joint(m).table.sum(axis=3).transpose(1, 0, 2)[None]
+    h_f_y = float(_function_residual(p.sum(axis=1), f)[0])
+    return {"r_w": h_f_y, "r_dec": h_f_y - float(_function_residual(p, f)[0])}
+
+
 def admissibility_gap(m: SourceModel, p_u_given_xt: CondDist, f: FunctionSpec) -> float:
     """H(F | U, Y) in bits on the composed joint; zero means (U, Y) determine f."""
     if p_u_given_xt.input != m.xt_alphabet:
@@ -328,9 +337,9 @@ _REQUIRED_KEYS = ("alphabets", "p_x", "p_xtilde_given_x", "p_yz_given_x",
 
 
 def parse_model_text(text: str, source: str = "<string>") -> ParsedModel:
-    try:
-        data = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+    try:  # libyaml's parser when PyYAML was built with it, the same safe constructor
+        data = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+    except (yaml.YAMLError, UnicodeEncodeError) as exc:  # libyaml cannot encode a lone surrogate
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
         raise ModelFileError(f"{source}: malformed model file{where}: {exc}") from None

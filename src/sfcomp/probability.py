@@ -329,7 +329,7 @@ def _entropy_rows(table: np.ndarray) -> np.ndarray:
     """
     p = np.sort(table.reshape(len(table), -1), axis=1)
     p = np.where(p >= LOG_ZERO_CUTOFF, p, 1.0)  # 1 log 1 = 0
-    return -np.sum(p * np.log2(p), axis=1)
+    return -(p * np.log2(p)).sum(axis=1)
 
 
 def entropy(joint: JointDist, axes: AxisSpec) -> float:

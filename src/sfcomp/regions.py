@@ -18,6 +18,12 @@ alone); admissibility is H(F|U,Q,Y). Dense joints remain as the tests'
 references (`_dense_joint`) and as joints supplied to the outer bound
 (`sources._Dense`).
 
+`membership` answers `found` with a witness, `outside` with a certificate, or
+`unknown`. A certificate is a model-only lower bound the target sits under: every
+coordinate is >= 0, and a lossless corner has r_w >= H(F|Y) and
+r_dec >= I(F;X|Y) because (U, Q, Y) determine F. It is checked before any
+descent, so a provably outside target costs no search.
+
 Searches are seeded multi-start coordinate descent with step halving and
 simplex projection; restart r of grid point g uses child_seed(seed, g, r).
 Descents run in lockstep: a round builds the remaining moves of every live
@@ -47,6 +53,7 @@ from .models import (
     SourceModel,
     _function_joint,
     _function_residual,
+    _lossless_bounds,
     _project_simplex,
     _symbol_table,
 )
@@ -56,6 +63,7 @@ from .probability import (
     CondDist,
     Dist,
     JointDist,
+    _check_cells,
     compose,
     constant_channel,
     identity_channel,
@@ -471,7 +479,8 @@ class _AuxParam:
     weight symbol one p(u | xt) block per xt and, when |V| > 1, one
     p(v | u) block per u. Move 2c of a sweep steps coordinate c up, move
     2c + 1 steps it down. `batch` systems fill TABLE_CELL_CAP with their arm
-    factors, so a stack of candidates is scored in chunks of that many.
+    factors, so a stack of candidates is scored in chunks of that many; sizes
+    whose one system's factor exceeds the cap raise TableTooLarge here.
     """
 
     def __init__(self, m: SourceModel, u_size: int, v_size: int, q_size: int):
@@ -486,10 +495,10 @@ class _AuxParam:
         self.size = sum(sizes)
         # per move: the start and width of its coordinate's block
         self._at, self._width = np.repeat(self.spans, [2 * n for n in sizes], axis=0).T
-        per_system = math.prod(a.size for a in (self.q_alpha, m.x_alphabet, m.xt_alphabet,
-                                                self.u_alpha, self.v_alpha, m.y_alphabet,
-                                                m.z_alphabet))
-        self.batch = max(1, TABLE_CELL_CAP // per_system)
+        axes = (self.q_alpha, m.x_alphabet, m.xt_alphabet, self.u_alpha, self.v_alpha,
+                m.y_alphabet, m.z_alphabet)
+        _check_cells(axes, "arm factor")
+        self.batch = TABLE_CELL_CAP // math.prod(a.size for a in axes)
         self._model_h: dict = {}  # model-only entropies, shared by every batch
         # the template source, of no system, that `source` re-stacks
         self._template = _ProductForm(m.p_x, self.q_alpha, ((m.p_xt_given_x, self.u_alpha,
@@ -616,10 +625,20 @@ def _coordinate_descent(param: _AuxParam, starts: np.ndarray, score, scanned, it
 
 @dataclass(frozen=True)
 class MembershipResult:
+    """`membership`'s answer. `witness` and `achieved` (and `g` for a distortion
+    target) are set when found; `certificate` is (coordinate, bound) when a
+    model-only lower bound proves the target outside the region."""
+
     found: bool
     witness: AuxSystem | None
     achieved: RateTuple | None
     g: ReconstructionFn | None = None
+    certificate: tuple[str, float] | None = None
+
+    @property
+    def verdict(self) -> str:
+        """'found', 'outside' (a proof) or 'unknown' (the search found nothing)."""
+        return "found" if self.found else "unknown" if self.certificate is None else "outside"
 
 
 def _eval_rows(src: _ProductForm, f: FunctionSpec, mode: str, d: DistortionSpec | None,
@@ -652,7 +671,7 @@ def _eval_candidate(m, aux, f, mode, d, target: RateTuple | None = None,
     """(rates, admissibility residual) of one system, d filled in lossy mode when
     given; None, from the residual and r_w alone, when they fail `target`, so a
     system returned against a target is admissible. `model_h` is a search's
-    model-only entropy memo, which any system of |Q| = 1 may read."""
+    model-only entropy memo, which any system of p(q) = 1.0 may read."""
     aux.validate_cardinalities(m.xt_alphabet.size, mode)
     src = _source(m, aux, model_h)
     coords, gap = _eval_rows(src, f, mode, d, (1,))
@@ -696,10 +715,18 @@ def membership(m: SourceModel, f: FunctionSpec, target: RateTuple, mode: str,
                d: DistortionSpec | None = None) -> MembershipResult:
     """Search for an auxiliary system whose corner sits under the target.
 
-    Returns a witness when one is found; a not-found answer is *not* a proof
-    of non-membership. Deterministic given the budget seed. Candidate systems
-    supplied in the budget are verified first (witness reuse), then canonical
-    corners, then seeded random restarts refined by coordinate descent.
+    The result's `verdict` is `found` with a witness, `outside` with a
+    certificate, which is a proof of non-membership, or `unknown`, which is
+    not. Deterministic given the budget seed. Candidate systems supplied in
+    the budget are verified first (witness reuse), then canonical corners.
+    Then the search's sizes are checked against TABLE_CELL_CAP, and a target
+    coordinate under a model-only lower bound by more than ADMISSIBILITY_TOL +
+    MEMBERSHIP_TOL is answered `outside` before any descent. Every coordinate
+    is >= 0, and a lossless corner is within its residual, at most
+    ADMISSIBILITY_TOL, of `models._lossless_bounds`; a corner is accepted up
+    to MEMBERSHIP_TOL over the target, so no accepted system is ever certified
+    away. Otherwise seeded random restarts are refined by coordinate descent.
+    Every system of p(q) = 1.0 verified shares one model-only entropy memo.
     """
     budget = budget or SearchBudget()
     sizes = budget.resolved_sizes(m, mode)  # checks the mode too
@@ -708,9 +735,12 @@ def membership(m: SourceModel, f: FunctionSpec, target: RateTuple, mode: str,
     if mode == "lossy" and target.d is not None and d is None:
         raise RegionError("a distortion target needs a distortion spec")
     d_used = d if target.d is not None else None
+    model_h: dict = {}
 
     def verdict(aux: AuxSystem) -> MembershipResult | None:
-        rates = _eval_candidate(m, aux, f, mode, d_used, target)
+        # with p(q) = 1.0 exactly, a system's model-only entropies are the model's
+        shared = model_h if aux.p_q.probs.tolist() == [1.0] else None
+        rates = _eval_candidate(m, aux, f, mode, d_used, target, shared)
         if rates is None or not rates[0].dominates(target):
             return None
         g = optimal_g(m, aux, f, d) if d_used is not None else None
@@ -721,7 +751,12 @@ def membership(m: SourceModel, f: FunctionSpec, target: RateTuple, mode: str,
         if hit:
             return hit
 
-    param = _AuxParam(m, *sizes)
+    param = _AuxParam(m, *sizes)  # an oversized search raises, even on an outside target
+    floors = _lossless_bounds(m, f) if mode == "lossless" else {}
+    for k, v in target.coords().items():
+        bound = max(floors.get(k, 0.0), 0.0)
+        if v < bound - (ADMISSIBILITY_TOL + MEMBERSHIP_TOL):
+            return MembershipResult(False, None, None, certificate=(k, bound))
     score = _membership_score(param, f, mode, d_used, target)
     # one descent per call, so the restarts after a hit are never run
     for r in range(budget.restarts):

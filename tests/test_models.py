@@ -1,8 +1,11 @@
+import dataclasses
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings, strategies as st
 
 from sfcomp.models import (
@@ -400,3 +403,91 @@ class TestModelFileOnDisk:
             path = self.write(tmp_path, MODEL_TEXT + ONE_ARM_BLOCK.format(over=over))
             with pytest.raises(ModelFileError, match=r"multi\[0\]\.alphabets"):
                 parse_model_file(path)
+
+
+VALID_TEXTS = (MODEL_TEXT, MODEL_TEXT + ONE_ARM_BLOCK.format(over="{}"),
+               MODEL_TEXT + ONE_ARM_BLOCK.format(over='{xtilde: ["a", "b"], z: ["p", "q"]}'))
+# YAML syntax, line structure, numbers, and characters either loader rejects
+# (a control character, a byte-order mark, a lone surrogate)
+MUTATION_CHARS = list("[]{}:-,\"'#&*!|>?%@` \n\t.0123456789eE+") + ["\x01", "\ufeff", "\ud800",
+                                                                      "\u2028", "\x85", "\xe9"]
+
+
+def plain(obj):
+    """A parsed model as nested tuples, each array as its dtype, shape and bytes."""
+    if isinstance(obj, np.ndarray):
+        return obj.dtype.str, obj.shape, obj.tobytes()
+    if dataclasses.is_dataclass(obj):
+        return type(obj).__name__, tuple(plain(getattr(obj, f.name))
+                                         for f in dataclasses.fields(obj))
+    if isinstance(obj, tuple):
+        return tuple(plain(v) for v in obj)
+    return obj
+
+
+def parsed_or_error(text):
+    """`parse_model_text`'s model as `plain` data, or the message of the
+    ModelFileError it raised; any other exception propagates."""
+    try:
+        return plain(parse_model_text(text))
+    except ModelFileError as exc:
+        return str(exc)
+
+
+class TestModelFileLoaders:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(VALID_TEXTS),
+           st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 4),
+                              st.text(st.sampled_from(MUTATION_CHARS), max_size=3)),
+                    max_size=3))
+    def test_libyaml_and_python_loaders_agree(self, text, edits):
+        # each edit deletes up to 4 characters at a position and inserts a few
+        for at, cut, insert in edits:
+            at %= len(text) + 1
+            text = text[:at] + insert + text[at + cut:]
+        with mock.patch.object(yaml, "CSafeLoader", yaml.SafeLoader):
+            python = parsed_or_error(text)
+        fast = parsed_or_error(text)
+        if isinstance(python, str) and isinstance(fast, str):
+            return  # both raised ModelFileError, with each parser's own message
+        if fast != python:
+            # the one difference: YAML allows a tab as separating white space
+            # in a flow collection, which libyaml reads and PyYAML's scanner rejects
+            assert "found character '\\t' that cannot start any token" in python
+            assert not isinstance(fast, str)
+
+    def test_valid_texts_parse_alike_with_either_loader(self):
+        for text in VALID_TEXTS:
+            with mock.patch.object(yaml, "CSafeLoader", yaml.SafeLoader):
+                python = parsed_or_error(text)
+            assert not isinstance(python, str) and parsed_or_error(text) == python
+
+    def test_lone_surrogate_is_a_model_file_error(self):
+        # libyaml encodes the text as UTF-8 first, which a lone surrogate fails
+        with pytest.raises(ModelFileError, match="malformed"):
+            parse_model_text(MODEL_TEXT.replace('"0.5", "0.5"', '"0.5\ud800", "0.5"'))
+
+    @staticmethod
+    def record_loaders(monkeypatch) -> list:
+        """The Loader of every later `yaml.load` call, in order."""
+        loaders = []
+        load = yaml.load
+        monkeypatch.setattr(yaml, "load", lambda text, Loader: loaders.append(Loader)
+                            or load(text, Loader=Loader))
+        return loaders
+
+    @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+    def test_libyaml_parses_when_present(self, monkeypatch):
+        loaders = self.record_loaders(monkeypatch)
+        parse_model_text(MODEL_TEXT)
+        assert loaders == [yaml.CSafeLoader]
+
+    def test_pure_python_loader_is_the_fallback(self, monkeypatch):
+        # PyYAML built without libyaml has no CSafeLoader
+        expected = parsed_or_error(VALID_TEXTS[2])
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        loaders = self.record_loaders(monkeypatch)
+        assert parsed_or_error(VALID_TEXTS[2]) == expected
+        with pytest.raises(ModelFileError, match="line"):
+            parse_model_text("alphabets: [unclosed\n  x: [")
+        assert loaders == [yaml.SafeLoader] * 2

@@ -10,11 +10,13 @@ from sfcomp.probability import (
     Dist,
     InvalidDistribution,
     JointDist,
+    LOG_ZERO_CUTOFF,
     OverlappingAxes,
     ProductAlphabet,
     ProbabilityError,
     TableTooLarge,
     UnknownAxis,
+    _entropy_rows,
     binary_alphabet,
     binary_entropy,
     bsc,
@@ -111,6 +113,19 @@ class TestEntropy:
         j = two_axis([[0.25, 0.25], [0.25, 0.25]])
         with pytest.raises(UnknownAxis):
             entropy(j, "zz")
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 5), st.integers(1, 64), st.floats(0.0, 0.9))
+    def test_stacked_rows_sum_as_numpy_sum_does(self, seed, rows, cells, zeros):
+        # the method-form reduction is the same pairwise sum as np.sum's wrapper
+        rng = np.random.default_rng(seed)
+        table = rng.dirichlet((0.3,) * cells, size=rows)
+        table[rng.random(table.shape) < zeros] = 0.0
+        table[:, 0] = LOG_ZERO_CUTOFF / 2  # under the cutoff: an exact 0 term
+        p = np.sort(table, axis=1)
+        p = np.where(p >= LOG_ZERO_CUTOFF, p, 1.0)
+        reference = -np.sum(p * np.log2(p), axis=1)
+        assert _entropy_rows(table).tobytes() == reference.tobytes()
 
 
 class TestCondMutualInfo:

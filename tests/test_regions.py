@@ -3,6 +3,7 @@ import math
 import time
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,8 +28,10 @@ from sfcomp.models import (
     DistortionSpec,
     FunctionSpec,
     SourceModel,
+    _lossless_bounds,
     _project_simplex,
     build_joint,
+    parse_model_text,
 )
 from sfcomp.probability import (
     CondDist,
@@ -888,6 +891,182 @@ class TestMembership:
     def test_infinite_target_rejected(self, cascade_model):
         with pytest.raises(RegionError):
             membership(cascade_model, XOR_F, RateTuple(np.inf, 0, 0, 0), "lossless")
+
+
+def count_descents(monkeypatch) -> list:
+    """A list that grows by one on every `_coordinate_descent` call."""
+    calls = []
+    descend = regions._coordinate_descent
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return descend(*args, **kwargs)
+
+    monkeypatch.setattr(regions, "_coordinate_descent", spy)
+    return calls
+
+
+def random_model(rng, x_size, xt_size, y_size):
+    x, xt, y, z = (_alphabet_of_size(n, k) for n, k in
+                   (("x", x_size), ("xtilde", xt_size), ("y", y_size), ("z", 2)))
+    return SourceModel(Dist(x, rng.dirichlet((1.0,) * x_size)),
+                       CondDist(x, xt, rng.dirichlet((0.7,) * xt_size, size=x_size)),
+                       CondDist(x, product_alphabet("yz", y, z),
+                                rng.dirichlet((0.7,) * 2 * y_size, size=x_size)))
+
+
+def merge_consistent_with(rng, f: FunctionSpec) -> list[int]:
+    """A random grouping of X~ that merges only symbols with equal function rows,
+    so the group and Y determine F."""
+    group: list[int] = []
+    for a, row in enumerate(f.table):
+        same = [group[b] for b in range(a) if np.array_equal(f.table[b], row)]
+        group.append(same[0] if same and rng.random() < 0.7 else max(group, default=-1) + 1)
+    return group
+
+
+def merge_pair(rng, f: FunctionSpec, u_alpha, v_size: int) -> AuxPair:
+    """U reveals the group of a random merge of X~, through any channel whose
+    supports per group are disjoint; V is a random channel of U."""
+    group = merge_consistent_with(rng, f)
+    groups = max(group) + 1
+    owner = rng.permutation(list(range(groups)) + list(rng.integers(0, groups,
+                                                                    u_alpha.size - groups)))
+    rows = np.zeros((len(group), u_alpha.size))
+    for a, g in enumerate(group):
+        rows[a, owner == g] = rng.dirichlet((1.0,) * int(np.sum(owner == g)))
+    v_alpha = _alphabet_of_size("v", v_size)
+    return AuxPair(CondDist(f.xt_alphabet, u_alpha, rows),
+                   CondDist(u_alpha, v_alpha, rng.dirichlet((1.0,) * v_size, size=u_alpha.size)))
+
+
+class TestCertificate:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(2, 3), st.integers(2, 3), st.integers(2, 3),
+           st.integers(2, 3), st.integers(1, 2), st.integers(1, 2))
+    def test_every_admissible_corner_obeys_the_bounds(self, seed, x_size, xt_size, y_size,
+                                                      f_size, v_size, q_size):
+        rng = np.random.default_rng(seed)
+        m = random_model(rng, x_size, xt_size, y_size)
+        # rows drawn from a pool of two, so some X~ symbols can be merged
+        pool = rng.integers(0, f_size, size=(2, y_size))
+        f = FunctionSpec(m.xt_alphabet, m.y_alphabet, _alphabet_of_size("f", f_size),
+                         pool[rng.integers(0, 2, size=xt_size)])
+        bounds = _lossless_bounds(m, f)
+        jf = push_function(build_joint(m), ("xtilde", "y"), f.table, f.output)
+        assert bounds["r_w"] == pytest.approx(cond_entropy(jf, "f", "y"), abs=1e-12)
+        assert bounds["r_dec"] == pytest.approx(cond_mutual_info(jf, "f", "x", "y"), abs=1e-12)
+        u_alpha = _alphabet_of_size("u", xt_size + int(rng.integers(0, 3)))
+        q_alpha = _alphabet_of_size("q", q_size)
+        merged = AuxSystem(Dist(q_alpha, rng.dirichlet((1.0,) * q_size)),
+                           tuple(merge_pair(rng, f, u_alpha, v_size) for _ in range(q_size)))
+        for aux in (identity_aux(m), merged):
+            corner = eval_lossless_corner(m, aux, f)  # raises unless admissible
+            assert corner.r_w >= bounds["r_w"] - 1e-9
+            assert corner.r_dec >= bounds["r_dec"] - 1e-9
+
+    @pytest.mark.parametrize("coord", ["r_w", "r_dec"])
+    def test_target_just_under_a_bound_is_outside_after_no_descent(self, cascade_model,
+                                                                  monkeypatch, coord):
+        calls = count_descents(monkeypatch)
+        bound = _lossless_bounds(cascade_model, XOR_F)[coord]
+        target = replace(RateTuple(5.0, 5.0, 5.0, 5.0),
+                         **{coord: bound - (ADMISSIBILITY_TOL + regions.MEMBERSHIP_TOL) - 1e-10})
+        res = membership(cascade_model, XOR_F, target, "lossless",
+                         SearchBudget(restarts=3, iters=5))
+        assert (res.verdict, res.certificate) == ("outside", (coord, bound))
+        assert not res.found and res.witness is None and res.achieved is None
+        assert calls == []
+
+    def test_target_within_the_margin_is_searched(self, cascade_model, monkeypatch):
+        # the identity corner has r_w = H(F|Y) here, more than MEMBERSHIP_TOL over
+        # the target, but a system of residual up to ADMISSIBILITY_TOL could meet it
+        calls = count_descents(monkeypatch)
+        bound = _lossless_bounds(cascade_model, XOR_F)["r_w"]
+        target = RateTuple(5.0, bound - 1.5e-9, 5.0, 5.0)
+        res = membership(cascade_model, XOR_F, target, "lossless",
+                         SearchBudget(restarts=1, iters=2))
+        assert res.certificate is None and len(calls) == 1
+        assert res.verdict == ("found" if res.found else "unknown")
+
+    def test_target_just_over_the_identity_corner_is_found(self, cascade_model, monkeypatch):
+        calls = count_descents(monkeypatch)
+        corner = eval_lossless_corner(cascade_model, identity_aux(cascade_model), XOR_F)
+        target = RateTuple(*(v + 1e-12 for v in corner.coords().values()))
+        res = membership(cascade_model, XOR_F, target, "lossless", SearchBudget(restarts=2))
+        assert res.verdict == "found" and res.certificate is None and calls == []
+
+    @pytest.mark.parametrize("coord", ["r_s", "r_w", "r_dec", "r_eve", "d"])
+    def test_negative_coordinates_are_outside_in_lossy_mode(self, cascade_model, monkeypatch,
+                                                            coord):
+        calls = count_descents(monkeypatch)
+        budget = SearchBudget(restarts=2, iters=3)
+        corner = eval_lossy_corner(cascade_model, identity_aux(cascade_model), XOR_F,
+                                   optimal_g(cascade_model, identity_aux(cascade_model),
+                                             XOR_F, HAMMING_D), HAMMING_D)
+        for below, outside in ((-2.1e-9, True), (-1.9e-9, False)):
+            target = replace(corner, **{coord: below})
+            res = membership(cascade_model, XOR_F, target, "lossy", budget, d=HAMMING_D)
+            assert res.certificate == ((coord, 0.0) if outside else None)
+        assert len(calls) == budget.restarts  # only the target within the margin searched
+
+    def test_lossy_mode_has_no_storage_floor(self, cascade_model):
+        # without a distortion target the constant corner, r_w = 0, meets it
+        bound = _lossless_bounds(cascade_model, XOR_F)["r_w"]
+        res = membership(cascade_model, XOR_F, RateTuple(5.0, bound - 0.1, 5.0, 5.0), "lossy",
+                         SearchBudget(restarts=0))
+        assert res.verdict == "found" and res.achieved.r_w == 0.0
+
+    def test_bench_outside_targets_are_outside(self, monkeypatch):
+        # the benchmark's search-lossless targets under the r_w floor, seed 23 held out
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        import inputs
+
+        calls = count_descents(monkeypatch)
+        for seed in [*range(1, 11), 23]:
+            spec = inputs.search_lossless(seed)
+            parsed = parse_model_text(spec["yaml"][0])
+            for t in spec["targets"]:
+                if not t["inside"]:
+                    res = membership(parsed.model, parsed.f, RateTuple(**t["coords"]),
+                                     "lossless", SearchBudget(**spec["budget"]))
+                    assert res.verdict == "outside" and res.certificate[0] == "r_w"
+        assert calls == []
+
+    def test_unit_weight_verdicts_share_one_model_memo(self, cascade_model, monkeypatch):
+        memos = []
+        evaluate = regions._eval_candidate
+
+        def spy(m, aux, f, mode, d, target=None, model_h=None):
+            memos.append(model_h)
+            return evaluate(m, aux, f, mode, d, target, model_h)
+
+        monkeypatch.setattr(regions, "_eval_candidate", spy)
+        q1, q2 = singleton_alphabet("q"), _alphabet_of_size("q", 2)
+        mix = AuxSystem(Dist(q2, np.array([0.5, 0.5])),
+                        (bsc_aux(0.05).per_q[0], bsc_aux(0.35).per_q[0]))
+        # p(q) within MASS_TOL of 1 but not 1.0: its marginals differ by rounding
+        near = AuxSystem(Dist(q1, np.array([1.0 - 1e-13])), bsc_aux(0.1).per_q)
+        budget = SearchBudget(restarts=0, candidates=(bsc_aux(0.2), mix, near))
+        res = membership(cascade_model, XOR_F, RateTuple(0.0, 0.0, 0.0, 0.0), "lossless",
+                         budget)
+        assert res.verdict == "outside" and len(memos) == 6
+        shared = memos[0]
+        assert shared and memos[1] is None and memos[2] is None
+        assert all(memo is shared for memo in memos[3:])  # the canonical corners
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 4), st.integers(1, 3))
+    def test_a_shared_memo_leaves_every_tuple_bit_identical(self, seed, u_size, v_size):
+        m = binary_cascade_model()
+        rng = np.random.default_rng(seed)
+        shared: dict = {}
+        for aux in regions._canonical_corners(m):  # fill the memo first
+            regions._eval_candidate(m, aux, XOR_F, "lossless", None, model_h=shared)
+        for aux in (random_aux(rng, u_size, v_size), *regions._canonical_corners(m)):
+            for mode, f in (("lossless", XTPROJ_F), ("lossy", XOR_F)):
+                own = regions._eval_candidate(m, aux, f, mode, None)
+                assert regions._eval_candidate(m, aux, f, mode, None, model_h=shared) == own
 
 
 class TestTraceBoundary:
