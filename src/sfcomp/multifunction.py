@@ -7,18 +7,19 @@ the same expressions on any supplied joint whose arms each satisfy the
 per-arm Markov chain; couplings across arms beyond the product form are
 allowed there, and that relaxation is the only difference between the two.
 
-A single function is the one-arm case: the rate formulas, the dense
-reference builder, the size policy and the admissibility residual live in
-`regions` and the factor source `_ProductForm` in `sources`, and serve both;
-see there why the source's marginals are trusted. `_named_arms` names a
-system's arms for `_ProductForm`, which `eval_inner_mf`, and `eval_outer_mf`
-given a `MultiAuxSystem`, read without forming the joint (its cell count is
-exponential in J), and for `build_multi_joint`, the dense reference. A dense
-`JointDist` supplied to `eval_outer_mf` is read the same way, as a `_Dense`
-source. A bound evaluates one system, the B = 1 case of the batched code
-the search runs.
+A single function is the one-arm case: the rate formulas, the one corner
+reader `_corner_rates`, the dense reference builder, the size policy and the
+admissibility residual live in `regions` and the factor source `_ProductForm`
+in `sources`, and serve both; see there why the source's marginals are
+trusted. `_named_arms` names a system's arms for `_ProductForm`, which
+`eval_inner_mf`, and `eval_outer_mf` given a `MultiAuxSystem`, read without
+forming the joint (its cell count is exponential in J), and for
+`build_multi_joint`, the dense reference. A dense `JointDist` supplied to
+`eval_outer_mf` is read the same way, as a `_Dense` source given the names
+below. Every reader takes the axis names from the source it reads. A bound
+evaluates one system, the B = 1 case of the batched code the search runs.
 
-Axis naming convention for a J-arm joint:
+Axis naming convention for a J-arm joint (`_axis_names`):
 (q, v1..vJ, u1..uJ, xtilde1..xtildeJ, x, y1..yJ, z1..zJ).
 """
 
@@ -45,11 +46,9 @@ from .regions import (
     RegionError,
     _check_mode,
     _check_sizes,
+    _corner_rates,
     _dense_joint,
-    _mean_distortion,
-    _multi_rates,
-    _multi_tuple,
-    _require_admissible,
+    _multi_rates,  # re-exported, as the multi-function rate evaluator
     single_arm_tuple,  # re-exported: part of this module's public names
 )
 from .sources import _Dense, _ProductForm, _Source
@@ -87,15 +86,9 @@ class MultiAuxSystem:
                          arms=self.j, where=f"arm {j}: ")
 
 
-def _axis_names(j: int) -> dict[str, tuple[str, ...]]:
-    arms = range(1, j + 1)
-    return {
-        "v": tuple(f"v{k}" for k in arms),
-        "u": tuple(f"u{k}" for k in arms),
-        "xt": tuple(f"xtilde{k}" for k in arms),
-        "y": tuple(f"y{k}" for k in arms),
-        "z": tuple(f"z{k}" for k in arms),
-    }
+def _axis_names(j: int) -> list[tuple[str, ...]]:
+    """Each arm's (xt, u, v, y, z) in a J-arm joint."""
+    return [(f"xtilde{k}", f"u{k}", f"v{k}", f"y{k}", f"z{k}") for k in range(1, j + 1)]
 
 
 def _named_arms(m: MultiModel, a: MultiAuxSystem,
@@ -103,19 +96,20 @@ def _named_arms(m: MultiModel, a: MultiAuxSystem,
     """Arm triples (p(xtilde_j|x), one `AuxPair` per weight symbol, p(y_j z_j|x))
     under the axis names of `_axis_names`, as `_ProductForm` and `_dense_joint` take.
     `m` and `a` were validated when built, so their tables are only renamed
-    here, as trusted objects (`_trusted`), not checked again."""
+    here, as trusted objects (`_trusted`), not checked again. A U channel's
+    input is renamed with the observation, so `_ProductForm.of` still refuses
+    a channel not fed by the observation's symbols."""
     if a.j != m.j:
         raise RegionError(f"auxiliary system has {a.j} arms, model has {m.j}")
-    names = _axis_names(m.j)
     arms = []
-    for j, (arm, pairs) in enumerate(zip(m.arms, a.arms)):
+    for j, (arm, pairs, names) in enumerate(zip(m.arms, a.arms, _axis_names(m.j))):
         p_xt, p_yz = arm.p_xt_given_x, arm.p_yz_given_x
-        xt, u, v, y, z = (alph.renamed(names[key][j]) for key, alph in zip(
-            ("xt", "u", "v", "y", "z"),
-            (p_xt.output, pairs[0].u_alphabet, pairs[0].v_alphabet, *p_yz.output.parts)))
+        xt, u, v, y, z = (alph.renamed(name) for name, alph in zip(
+            names, (p_xt.output, pairs[0].u_alphabet, pairs[0].v_alphabet, *p_yz.output.parts)))
         yz = _trusted(ProductAlphabet, f"yz{j + 1}", p_yz.output.labels, (y, z))
+        feed = pairs[0].p_u_given_xt.input.renamed(xt.name)  # shared by every weight symbol
         arms.append((_trusted(CondDist, p_xt.input, xt, p_xt.rows),
-                     tuple(_trusted(AuxPair, _trusted(CondDist, xt, u, p.p_u_given_xt.rows),
+                     tuple(_trusted(AuxPair, _trusted(CondDist, feed, u, p.p_u_given_xt.rows),
                                     _trusted(CondDist, u, v, p.p_v_given_u.rows))
                            for p in pairs),
                      _trusted(CondDist, p_yz.input, yz, p_yz.rows)))
@@ -131,35 +125,6 @@ def build_multi_joint(m: MultiModel, a: MultiAuxSystem) -> JointDist:
     return _dense_joint(m.p_x, a.p_q, _named_arms(m, a))
 
 
-def _arm_distortions(m: MultiModel, src: "_Dense | _ProductForm",
-                     g_list: tuple[ReconstructionFn, ...]) -> tuple[float, ...]:
-    if len(g_list) != m.j:
-        raise RegionError("lossy evaluation needs one reconstruction per arm")
-    names = _axis_names(m.j)
-    out = []
-    for j, arm in enumerate(m.arms):
-        u, xt, y = names["u"][j], names["xt"][j], names["y"][j]
-        out.append(float(_mean_distortion(src.rows((u, xt, y)), arm.f, g_list[j].table[None],
-                                          arm.d)[0]))
-    return tuple(out)
-
-
-def _bound_corner(m: MultiModel, src: "_Dense | _ProductForm", q: str, mode: str,
-                  g_list: tuple[ReconstructionFn, ...] | None) -> MultiRateTuple:
-    """Rates read from `src`, after each arm's admissibility in lossless mode
-    and with per-arm distortions in lossy mode."""
-    names = _axis_names(m.j)
-    if mode == "lossless":
-        _require_admissible(src, tuple(zip([arm.f for arm in m.arms], names["u"],
-                                           names["xt"], names["y"])), q)
-    rates, _ = _multi_rates(src, **names, q=q, x=m.p_x.alphabet.name)
-    if mode != "lossy":
-        return _multi_tuple(rates[0], m.j)
-    if g_list is None:
-        raise RegionError("lossy mode needs reconstruction functions")
-    return _multi_tuple(rates[0], m.j, _arm_distortions(m, src, tuple(g_list)))
-
-
 def eval_inner_mf(m: MultiModel, a: MultiAuxSystem, mode: str,
                   g_list: tuple[ReconstructionFn, ...] | None = None) -> MultiRateTuple:
     """Inner-bound corner on the product-form joint.
@@ -170,7 +135,7 @@ def eval_inner_mf(m: MultiModel, a: MultiAuxSystem, mode: str,
     """
     a.validate_cardinalities(m, mode)
     src = _ProductForm.of(m.p_x, a.p_q, _named_arms(m, a))
-    return _bound_corner(m, src, a.p_q.alphabet.name, mode, g_list)
+    return _corner_rates(src, [arm.f for arm in m.arms], mode, [arm.d for arm in m.arms], g_list)
 
 
 @dataclass(frozen=True)
@@ -186,18 +151,16 @@ def multi_chain_report(m: MultiModel, joint: JointDist, tol: float = CHAIN_TOL,
 
     The auxiliaries of the rate terms absorb the time-sharing label, so arm j
     must satisfy (V_j,Q) -- (U_j,Q) -- X~_j -- X -- (Y_j,Z_j): its first link
-    is I(V_j; X~_j | U_j, Q) = 0. `q_name` names the time-sharing axis and
-    the source axis is named after the model's source alphabet. Reads only
-    marginals, so `joint` may also be a `_ProductForm`.
+    is I(V_j; X~_j | U_j, Q) = 0. Reads only marginals, so `joint` may also be
+    a source, which names its own axes; on a dense joint, `q_name` names the
+    time-sharing axis, the source axis is named after the model's source
+    alphabet and the arms' axes follow `_axis_names`.
     """
-    j = m.j
-    q, x = q_name, m.p_x.alphabet.name
-    src = joint if isinstance(joint, _Source) else _Dense(joint)
-    names = _axis_names(j)
+    src = joint if isinstance(joint, _Source) else _Dense(joint, _axis_names(m.j), q_name,
+                                                          m.p_x.alphabet.name)
+    q, x = src.q, src.x
     checks: list[ChainCheck] = []
-    for k in range(j):
-        v, u, xt = names["v"][k], names["u"][k], names["xt"][k]
-        y, z = names["y"][k], names["z"][k]
+    for k, (xt, u, v, y, z) in enumerate(src.arm_names):
         conds = [
             (f"arm{k + 1}: ({v},{q}) -- ({u},{q}) -- {xt}",
              src.cmi(v, xt, (u, q))[0]),
@@ -208,7 +171,7 @@ def multi_chain_report(m: MultiModel, joint: JointDist, tol: float = CHAIN_TOL,
         ]
         for name, value in conds:
             checks.append(ChainCheck(name, float(value), bool(value <= tol)))
-        got = src.marginal((xt, x, y, z)).reorder((xt, x, y, z)).table
+        got = src.rows((xt, x, y, z))[0]
         err = float(np.max(np.abs(got - build_joint(m.arm_model(k)).table)))
         checks.append(ChainCheck(f"arm{k + 1}: model marginal reproduced", err,
                                  err <= MODEL_MATCH_TOL))
@@ -224,11 +187,9 @@ def factorizes_per_arm(m: MultiModel, joint: JointDist, tol: float = CHAIN_TOL) 
     if m.j == 1:
         return True
     x = m.p_x.alphabet.name
-    q_name, = set(joint.names) - {n for grp in names.values() for n in grp} - {x}
-    for k in range(m.j):
-        mine = (names["v"][k], names["u"][k], names["xt"][k], names["y"][k], names["z"][k])
-        others = tuple(n for grp in ("v", "u", "xt", "y", "z")
-                       for i, n in enumerate(names[grp]) if i != k)
+    q_name, = set(joint.names) - {n for arm in names for n in arm} - {x}
+    for k, mine in enumerate(names):
+        others = tuple(n for i, arm in enumerate(names) if i != k for n in arm)
         if cond_mutual_info(joint, mine, others, (q_name, x)) > tol:
             return False
     return True
@@ -253,11 +214,11 @@ def eval_outer_mf(m: MultiModel, system: "MultiAuxSystem | JointDist", mode: str
     if isinstance(system, MultiAuxSystem):
         system.validate_cardinalities(m, mode)
         src = _ProductForm.of(m.p_x, system.p_q, _named_arms(m, system))
-        q = system.p_q.alphabet.name
     else:
-        src, q = _Dense(system), "q"
-    report = multi_chain_report(m, src, q_name=q)
+        src = _Dense(system, _axis_names(m.j), "q", m.p_x.alphabet.name)
+    report = multi_chain_report(m, src)
     for check in report:
         if not check.ok:
             raise ChainViolation(f"{check.name} fails with value {check.value:.3g}")
-    return _bound_corner(m, src, q, mode, g_list), report
+    fs, ds = [arm.f for arm in m.arms], [arm.d for arm in m.arms]
+    return _corner_rates(src, fs, mode, ds, g_list), report

@@ -19,10 +19,10 @@ Renaming is trusted too (`Alphabet.renamed`, and the per-arm names
 changes no symbol and no table.
 
 Every object here is immutable after construction; all operations are pure
-functions and safe to call concurrently. A joint memoizes the entropies
-asked of it; each memo entry is a pure function of the joint and its key,
-so the memo changes no observable value and two threads filling it at once
-store the same float.
+functions and safe to call concurrently. A joint keeps no memo: `entropy`
+and `cond_mutual_info` sum each marginal they read afresh. The rate
+evaluators read their entropies from a source of `sources`, whose memo is
+the only one.
 """
 
 from __future__ import annotations
@@ -190,9 +190,6 @@ class CondDist:
                                   f"P({self.output.name}|{self.input.name})")
         object.__setattr__(self, "rows", _freeze(rows))
 
-    def renamed(self, input_name: str, output_name: str) -> "CondDist":
-        return CondDist(self.input.renamed(input_name), self.output.renamed(output_name), self.rows)
-
 
 AxisSpec = "str | Iterable[str]"
 
@@ -204,8 +201,7 @@ class JointDist:
     Public construction validates the table. `marginal`, `reorder` and `split`
     return trusted joints built by `_derived`, which skips validation because
     their tables are reductions, permutations or reshapes of this validated
-    one. Each joint keeps its axis-name index and an entropy memo keyed by
-    the kept axes in joint order; both live and die with the joint.
+    one. Each joint keeps its axis-name index, which lives and dies with it.
     """
 
     axes: tuple[Alphabet, ...]
@@ -247,7 +243,6 @@ class JointDist:
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "_names", names)
         object.__setattr__(self, "_index", {n: i for i, n in enumerate(names)})
-        object.__setattr__(self, "_entropies", {})
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -337,16 +332,7 @@ def entropy(joint: JointDist, axes: AxisSpec) -> float:
     keep = _axis_tuple(joint, axes)
     if not keep:
         raise ProbabilityError("entropy needs a nonempty axis set")
-    return _entropy(joint, keep)
-
-
-def _entropy(joint: JointDist, keep: tuple[str, ...]) -> float:
-    """H(keep), memoized; `keep` is a nonempty tuple of axis names in joint order."""
-    memo = joint._entropies
-    h = memo.get(keep)
-    if h is None:
-        h = memo[keep] = float(_entropy_rows(joint.marginal(keep).table[None])[0])
-    return h
+    return float(_entropy_rows(joint.marginal(keep).table[None])[0])
 
 
 def cond_entropy(joint: JointDist, axes: AxisSpec, given: AxisSpec = ()) -> float:
@@ -373,12 +359,8 @@ def cond_mutual_info(joint: JointDist, a: AxisSpec, b: AxisSpec, c: AxisSpec = (
         raise OverlappingAxes(f"axis sets must be pairwise disjoint, got {ta}, {tb}, {tc}")
     if not ta or not tb:
         raise ProbabilityError("mutual information needs nonempty axis sets on both sides")
-    order = joint._index.__getitem__  # merges the checked sets into memo keys
-    h_ac = _entropy(joint, tuple(sorted(ta + tc, key=order)))
-    h_bc = _entropy(joint, tuple(sorted(tb + tc, key=order)))
-    h_abc = _entropy(joint, tuple(sorted(ta + tb + tc, key=order)))
-    h_c = _entropy(joint, tc) if tc else 0.0
-    return h_ac + h_bc - h_abc - h_c
+    h_c = entropy(joint, tc) if tc else 0.0
+    return entropy(joint, ta + tc) + entropy(joint, tb + tc) - entropy(joint, ta + tb + tc) - h_c
 
 
 def mutual_info(joint: JointDist, a: AxisSpec, b: AxisSpec) -> float:

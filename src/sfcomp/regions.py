@@ -18,6 +18,11 @@ alone); admissibility is H(F|U,Q,Y). Dense joints remain as the tests'
 references (`_dense_joint`) and as joints supplied to the outer bound
 (`sources._Dense`).
 
+Every reader here takes each arm's axis names, and those of q and x, from the
+source it reads. `_corner_rates` is the one exact corner reader, for one arm
+and for J arms: residuals in lossless mode, rates, and in lossy mode each
+arm's distortion, once its reconstruction and distortion fit the arm.
+
 `membership` answers `found` with a witness, `outside` with a certificate, or
 `unknown`. A certificate is a model-only lower bound the target sits under: every
 coordinate is >= 0, and a lossless corner has r_w >= H(F|Y) and
@@ -42,7 +47,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -293,12 +298,10 @@ def _source(m: SourceModel, aux: AuxSystem, model_h: dict | None = None) -> "_Pr
                            model_h)
 
 
-def _multi_rates(src: _Source, u: tuple[str, ...], v: tuple[str, ...], xt: tuple[str, ...],
-                 y: tuple[str, ...], z: tuple[str, ...], q: str, x: str,
-                 cols: Sequence[int] | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Rates and offsets of the J-arm systems a source holds; `u` ... `z` name
-    one axis per arm. Rates are rows of (r_s, r_w per arm, sum_w, r_dec per
-    arm, r_eve), as `_multi_tuple` reads them; only `cols` (all when None) are
+def _multi_rates(src: _Source, cols: Sequence[int] | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Rates and offsets of the J-arm systems a source holds, on the source's
+    axis names. Rates are rows of (r_s, r_w per arm, sum_w, r_dec per arm,
+    r_eve), as `_multi_tuple` reads them; only `cols` (all when None) are
     scored, the rest NaN like the offset when neither r_s nor r_eve is wanted.
     The negative-rate guard covers only the columns scored.
 
@@ -306,6 +309,7 @@ def _multi_rates(src: _Source, u: tuple[str, ...], v: tuple[str, ...], xt: tuple
     (U, Q) while the offset conditions on (V, Q); with heterogeneous branches
     only this reading keeps every coordinate >= 0.
     """
+    (xt, u, v, y, z), q, x = zip(*src.arm_names), src.q, src.x
     uq, vq = u + (q,), v + (q,)
     # (A, B, C) of each column's I(A; B | C); one arm's sum_w reads its r_w's entropies
     terms = [(uq, xt, z), *(((uk, q), xk, yk) for uk, xk, yk in zip(u, xt, y)), (uq, xt, y),
@@ -334,42 +338,57 @@ _COORDS = ("r_s", "r_w", "r_dec", "r_eve", "d")
 _ONE_ARM = [0, 1, 3, 4]  # column 2, sum_w, repeats r_w
 
 
-def _corner_rates(m: SourceModel, aux: AuxSystem, src: _ProductForm | None = None,
-                  ) -> tuple[RateTuple, float, _ProductForm]:
-    """Rate corner, offset and the source it was read from (built when not given)."""
-    src = _source(m, aux) if src is None else src
-    (xt, u, v, y, z), = src.arm_names
-    rates, offset = _multi_rates(src, (u,), (v,), (xt,), (y,), (z,), src.q, src.x)
-    return RateTuple(*rates[0, _ONE_ARM].tolist()), float(offset[0]), src
-
-
-def _residual(src: _Source, f: FunctionSpec, q: str, u: str, xt: str, y: str) -> np.ndarray:
-    """H(F | U, Q, Y) of each system; its (q, u, xt, y) table's entropy stays for r_w."""
-    src.entropy((q, u, xt, y), p := src.rows((q, u, xt, y)))
+def _residual(src: _Source, f: FunctionSpec, k: int) -> np.ndarray:
+    """H(F | U, Q, Y) of arm k of each system, F = f(xt, y); its (q, u, xt, y)
+    table's entropy stays for r_w."""
+    xt, u, _, y, _ = src.arm_names[k]
+    src.entropy((src.q, u, xt, y), p := src.rows((src.q, u, xt, y)))
     return _function_residual(p, f)
 
 
-def _require_admissible(src: _Source, arms: Sequence[tuple[FunctionSpec, str, str, str]],
-                        q: str) -> None:
-    """Raise unless each arm's residual H(F | U, Q, Y) is zero; `arms` holds
-    (f, u, xt, y) per arm."""
-    for f, u, xt, y in arms:
-        gap = float(_residual(src, f, q, u, xt, y)[0])
+def _require_admissible(src: _Source, fs: Sequence[FunctionSpec]) -> None:
+    """Raise unless the residual H(F | U, Q, Y) of each arm k, F = fs[k], is zero."""
+    for k, f in enumerate(fs):
+        gap = float(_residual(src, f, k)[0])
         if gap > ADMISSIBILITY_TOL:
+            _, u, _, y, _ = src.arm_names[k]
             raise InadmissibleAuxiliary(
-                f"({u}, {q}, {y}) leave {gap:.3g} bits of the function undetermined")
+                f"({u}, {src.q}, {y}) leave {gap:.3g} bits of the function undetermined")
 
 
-def _single_names(m: SourceModel, aux: AuxSystem) -> tuple[str, str, str]:
-    return aux.u_alphabet.name, m.xt_alphabet.name, m.y_alphabet.name
+def _distortion(src: _Source, k: int, f: FunctionSpec, d: DistortionSpec,
+                g: ReconstructionFn) -> float:
+    """E d(f(xt, y), g(u, y)) of arm k of a source's one system; raises
+    unless g is over the arm's (U, Y) and g and d reach f's output symbols."""
+    p = src.uxy(k)
+    sizes = (g.table.shape, g.output.size, d.alphabet.size)
+    if sizes != (p.shape[1::2], f.output.size, f.output.size):  # p is (1, u, xt, y)
+        raise RegionError(f"reconstruction table shape, output size and distortion size "
+                          f"{sizes} do not fit arm {k + 1}'s (|U|, |Y|) and function output")
+    return float(_mean_distortion(p, f, g.table[None], d)[0])
+
+
+def _corner_rates(src: _Source, fs: Sequence[FunctionSpec], mode: str,
+                  ds: Sequence[DistortionSpec] = (),
+                  gs: Sequence[ReconstructionFn] | None = None) -> MultiRateTuple:
+    """The exact corner of the one system a source holds, arm k computing
+    fs[k]: each arm's residual must be zero in lossless mode, and lossy mode
+    adds each arm's expected distortion under ds[k] and gs[k]."""
+    if mode == "lossless":
+        _require_admissible(src, fs)
+    rates, _ = _multi_rates(src)
+    if mode != "lossy":
+        return _multi_tuple(rates[0], len(fs))
+    if gs is None or len(gs) != len(fs):
+        raise RegionError("lossy mode needs one reconstruction function per arm")
+    return _multi_tuple(rates[0], len(fs), tuple(
+        _distortion(src, k, *arm) for k, arm in enumerate(zip(fs, ds, gs, strict=True))))
 
 
 def eval_lossless_corner(m: SourceModel, aux: AuxSystem, f: FunctionSpec) -> RateTuple:
     """Componentwise-minimal achievable tuple for an admissible auxiliary system."""
     aux.validate_cardinalities(m.xt_alphabet.size, "lossless")
-    src = _source(m, aux)
-    _require_admissible(src, ((f, *_single_names(m, aux)),), aux.p_q.alphabet.name)
-    return _corner_rates(m, aux, src)[0]
+    return single_arm_tuple(_corner_rates(_source(m, aux), (f,), "lossless"))
 
 
 def optimal_g(m: SourceModel, aux: AuxSystem, f: FunctionSpec,
@@ -380,7 +399,7 @@ def optimal_g(m: SourceModel, aux: AuxSystem, f: FunctionSpec,
     Cells with zero probability get the globally most likely function symbol;
     ties break toward the lowest symbol index.
     """
-    table = _g_tables(_source(m, aux).rows(_single_names(m, aux)), f, d)[0]
+    table = _g_tables(_source(m, aux).uxy(), f, d)[0]
     return ReconstructionFn(aux.u_alphabet, m.y_alphabet, f.output, table)
 
 
@@ -403,17 +422,14 @@ def _mean_distortion(p_uxty: np.ndarray, f: FunctionSpec, g: np.ndarray,
 def expected_distortion(m: SourceModel, aux: AuxSystem, f: FunctionSpec,
                         g: ReconstructionFn, d: DistortionSpec) -> float:
     """E d(f(xt, y), g(u, y)) under the model and the auxiliary system."""
-    p = _source(m, aux).rows(_single_names(m, aux))
-    return float(_mean_distortion(p, f, g.table[None], d)[0])
+    return _distortion(_source(m, aux), 0, f, d, g)
 
 
 def eval_lossy_corner(m: SourceModel, aux: AuxSystem, f: FunctionSpec,
                       g: ReconstructionFn, d: DistortionSpec) -> RateTuple:
     """Rate corner plus expected distortion; no admissibility requirement."""
     aux.validate_cardinalities(m.xt_alphabet.size, "lossy")
-    rates, _, src = _corner_rates(m, aux)
-    p = src.rows(_single_names(m, aux))
-    return replace(rates, d=float(_mean_distortion(p, f, g.table[None], d)[0]))
+    return single_arm_tuple(_corner_rates(_source(m, aux), (f,), "lossy", (d,), (g,)))
 
 
 @dataclass(frozen=True)
@@ -429,9 +445,9 @@ def per_q_report(m: SourceModel, aux: AuxSystem) -> tuple[PerQEntry, ...]:
     out = []
     for qi, pair in enumerate(aux.per_q):
         single = AuxSystem(uniform(singleton_alphabet(aux.p_q.alphabet.name)), (pair,))
-        rates, offset, _ = _corner_rates(m, single)
+        rates, offset = _multi_rates(_source(m, single))
         out.append(PerQEntry(aux.p_q.alphabet.labels[qi], float(aux.p_q.probs[qi]),
-                             rates, offset))
+                             RateTuple(*rates[0, _ONE_ARM].tolist()), float(offset[0])))
     return tuple(out)
 
 
@@ -645,9 +661,8 @@ def _eval_rows(src: _ProductForm, f: FunctionSpec, mode: str, d: DistortionSpec 
                cols: Sequence[int] = range(5)) -> tuple[np.ndarray, np.ndarray]:
     """`_coords` and admissibility residuals (B,) of the systems of a one-arm
     source; the residual is 0 in lossy mode."""
-    (xt, u, v, y, z), = src.arm_names
     # the residual first: its table's entropy is the storage rate's H(U, Q, X~, Y)
-    gap = _residual(src, f, src.q, u, xt, y) if mode == "lossless" else np.zeros(src.batch)
+    gap = _residual(src, f, 0) if mode == "lossless" else np.zeros(src.batch)
     return _coords(src, f, mode, d, cols), gap
 
 
@@ -656,12 +671,10 @@ def _coords(src: _ProductForm, f: FunctionSpec, mode: str, d: DistortionSpec | N
     """Coordinates (B, 5) in `_COORDS` order, NaN and unread outside `cols`, of
     the systems of a one-arm source. d is filled in lossy mode when `d` is given
     and is 0 otherwise, the value `RateTuple.dominates` reads for a missing d."""
-    (xt, u, v, y, z), = src.arm_names
     coords = np.full((src.batch, 5), np.nan)
-    coords[:, :4] = _multi_rates(src, (u,), (v,), (xt,), (y,), (z,), src.q, src.x,
-                                 [_ONE_ARM[c] for c in cols if c < 4])[0][:, _ONE_ARM]
+    coords[:, :4] = _multi_rates(src, [_ONE_ARM[c] for c in cols if c < 4])[0][:, _ONE_ARM]
     if 4 in cols:  # one (u, xt, y) marginal serves the reconstruction and the distortion
-        p = src.rows((u, xt, y)) if mode == "lossy" and d is not None else None
+        p = src.uxy() if mode == "lossy" and d is not None else None
         coords[:, 4] = 0.0 if p is None else _mean_distortion(p, f, _g_tables(p, f, d), d)
     return coords
 

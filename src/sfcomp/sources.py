@@ -1,6 +1,11 @@
 """Sources: the stacked marginals of B auxiliary systems that every rate
 evaluator reads, and their entropies and CMIs.
 
+A source names its axes. Each carries `arm_names`, every arm's (xt, u, v,
+y, z), and the names `q` of the time-sharing axis and `x` of the source
+axis; the readers in `regions` and `multifunction` take every name from the
+source they read. Its entropy memo is the only one an evaluator reads.
+
 `_ProductForm` keeps the mixture joints of B systems on one model as per-arm
 factors; its marginals are trusted contractions of validated tables, each
 within TABLE_CELL_CAP. A source is built as structure alone (the model's
@@ -9,7 +14,7 @@ one structure for every batch it scores, and `take` restacks a subset of a
 source's systems with what was computed of them. How a marginal is
 contracted depends only on the structure and the axes asked for, so each
 such layout is planned once (`_layout`) and every later read is one einsum.
-`_Dense` serves a dense `JointDist` the same way.
+`_Dense` serves a dense `JointDist` the same way, under names its caller gives.
 """
 
 from __future__ import annotations
@@ -28,7 +33,6 @@ from .probability import (
     Dist,
     JointDist,
     ProbabilityError,
-    UnknownAxis,
     _check_cells,
     _entropy_rows,
 )
@@ -40,35 +44,25 @@ _LABELS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
 class _Source:
     """Stacked marginals of B systems and their CMIs, each entropy read once.
 
-    A subclass sets its canonical `axes` and `batch` B and gives `rows(names)`:
-    the (B, ...) stacked marginal over `names`, in the order given. Entropies of
-    axis sets within `_model_axes` are the same for every system on one
-    model, so they live in `_model_h`, which a search shares between the
-    sources it builds; the rest live in this source's own memo.
+    A subclass sets its canonical `axes`, its names `arm_names`, `q` and `x`
+    and its batch B, and gives `rows(names)`: the (B, ...) stacked marginal
+    over `names`, in the order given. Entropies of axis sets within
+    `_model_axes` are the same for every system on one model, so they live in
+    `_model_h`, which a search shares between the sources it builds; the rest
+    live in this source's own memo.
     """
 
     _model_axes: frozenset = frozenset()
     batch = 1
 
-    def __init__(self, axes: tuple[Alphabet, ...], model_h: dict | None = None) -> None:
-        self.axes = axes
+    def __init__(self, axes: tuple[Alphabet, ...], arm_names: list[tuple[str, ...]], q: str,
+                 x: str, model_h: dict | None = None) -> None:
+        self.axes, self.arm_names, self.q, self.x = axes, arm_names, q, x
         self._pos = {alph.name: i for i, alph in enumerate(axes)}
         if len(self._pos) != len(axes):
             raise ProbabilityError(f"duplicate axis names in joint: {[a.name for a in axes]}")
         self._h: dict = {}
         self._model_h = {} if model_h is None else model_h
-
-    def marginal(self, axes) -> JointDist:
-        """Marginal joint of the first system held on the named axes, in the
-        canonical axis order; trusted, as a contraction of validated tables."""
-        want = {axes} if isinstance(axes, str) else set(axes)
-        if not want:
-            raise ProbabilityError("marginal needs a nonempty axis set")
-        kept = tuple(alph for alph in self.axes if alph.name in want)
-        if len(kept) != len(want):
-            raise UnknownAxis(f"axes {sorted(want - set(self._pos))} not in joint over "
-                              f"{tuple(self._pos)}")
-        return JointDist._derived(kept, self.rows(tuple(a.name for a in kept))[0])
 
     def entropy(self, names: tuple[str, ...], table: np.ndarray | None = None) -> np.ndarray:
         """H(names) of each system, once per source (per search on model axes
@@ -81,6 +75,11 @@ class _Source:
                               if table is None else table)
             memo[key] = h[:1] if model else h  # (1,) broadcasts over any later batch
         return memo[key]
+
+    def uxy(self, k: int = 0) -> np.ndarray:
+        """Stacked p(u, xt, y) of arm k, what a reconstruction and its distortion read."""
+        xt, u, _, y, _ = self.arm_names[k]
+        return self.rows((u, xt, y))
 
     def cmi(self, a, b, c=()) -> np.ndarray:
         """I(A;B|C) of each system, as H(A,C) + H(B,C) - H(A,B,C) - H(C)."""
@@ -105,7 +104,7 @@ class _ProductForm(_Source):
                  arms: Sequence[tuple[CondDist, Alphabet, Alphabet, CondDist]],
                  model_h: dict | None = None) -> None:
         """A source of no system; an arm is (p(xt|x), U, V, p(yz|x)), validated."""
-        self._p_x, self.q, self.x = p_x.probs, q.name, p_x.alphabet.name
+        self._p_x = p_x.probs
         self._arms = []  # (local axes (xt, u, v, y, z), p(xt|x))
         self._parts = {}  # arm k's p(y,z|x) sums and chain products (`_chain`) by kept axes
         for k, (p_xt, u, v, p_yz) in enumerate(arms):
@@ -115,8 +114,9 @@ class _ProductForm(_Source):
             self._parts.update({(k, (3, 4)): yz, (k, (3,)): yz.sum(2), (k, (4,)): yz.sum(1)})
         per_arm = [tuple(local[i] for local, _ in self._arms) for i in range(5)]
         super().__init__((q,) + per_arm[2] + per_arm[1] + per_arm[0] + (p_x.alphabet,)
-                         + per_arm[3] + per_arm[4], model_h)
-        self.arm_names = [tuple(alph.name for alph in local) for local, _ in self._arms]
+                         + per_arm[3] + per_arm[4],
+                         [tuple(alph.name for alph in local) for local, _ in self._arms],
+                         q.name, p_x.alphabet.name, model_h)
         self._model_axes = frozenset(alph.name for i in (0, 3, 4) for alph in per_arm[i]
                                      ) | {self.x}
         # all `rows` needs to plan a marginal (`_layout`)
@@ -217,10 +217,12 @@ def _chain(keep: tuple, p_xt: np.ndarray, p_u: np.ndarray, p_v: np.ndarray) -> n
 
 
 class _Dense(_Source):
-    """A dense `JointDist`, such as one supplied to the outer bound, as a source."""
+    """A dense `JointDist`, such as one supplied to the outer bound, as a source
+    of one system whose axes its caller names."""
 
-    def __init__(self, joint: JointDist) -> None:
-        super().__init__(joint.axes)
+    def __init__(self, joint: JointDist, arm_names: list[tuple[str, ...]], q: str,
+                 x: str) -> None:
+        super().__init__(joint.axes, arm_names, q, x)
         self.joint = joint
 
     def rows(self, names: tuple[str, ...]) -> np.ndarray:

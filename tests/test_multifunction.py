@@ -22,10 +22,8 @@ from sfcomp.models import DistortionSpec, FunctionSpec, MultiArm, MultiModel
 from sfcomp.multifunction import (
     ChainViolation,
     MultiAuxSystem,
-    _arm_distortions,
     _axis_names,
     _multi_rates,
-    _multi_tuple,
     _named_arms,
     _ProductForm,
     build_multi_joint,
@@ -40,6 +38,7 @@ from sfcomp.probability import (
     CondDist,
     Dist,
     JointDist,
+    ProbabilityError,
     TableTooLarge,
     bsc,
     constant_channel,
@@ -184,6 +183,36 @@ class TestInnerBound:
         with pytest.raises(RegionError, match="2 arms, model has 1"):
             eval_inner_mf(single_arm_model(cascade_model), multi_from_aux([aux, aux]),
                           "lossless")
+
+    def test_reconstruction_and_distortion_must_fit_each_arm(self, cascade_model):
+        # on the J = 1 model: a |U| = 1 table on a |U| = 2 arm, and a 3-symbol
+        # distortion on a binary function
+        aux, f3 = identity_aux(cascade_model), _alphabet_of_size("f", 3)
+        a = multi_from_aux([aux])
+        g = optimal_g(cascade_model, aux, XOR_F, HAMMING_D)
+        narrow = optimal_g(cascade_model, constant_aux(cascade_model), XOR_F, HAMMING_D)
+        for mm, g_bad in ((single_arm_model(cascade_model), narrow),
+                          (single_arm_model(cascade_model, d=DistortionSpec.hamming(f3)), g)):
+            for evaluate in (lambda: eval_inner_mf(mm, a, "lossy", (g_bad,)),
+                             lambda: eval_outer_mf(mm, a, "lossy", (g_bad,)),
+                             lambda: eval_outer_mf(mm, build_multi_joint(mm, a), "lossy",
+                                                   (g_bad,))):
+                with pytest.raises(RegionError, match="reconstruction"):
+                    evaluate()
+
+    def test_auxiliary_channel_must_be_fed_by_the_observation(self, cascade_model):
+        # a U channel on a ternary input, against the binary observation of the arm
+        t, u = _alphabet_of_size("t", 3), _alphabet_of_size("u", 2)
+        pair = AuxPair(CondDist(t, u, np.full((3, 2), 0.5)),
+                       constant_channel(u, singleton_alphabet("v")))
+        mm, a = single_arm_model(cascade_model), multi_from_aux([AuxSystem(
+            uniform(singleton_alphabet("q")), (pair,))])
+        g = ReconstructionFn(u, Y, F, np.zeros((2, 2), dtype=int))
+        for evaluate in (lambda: eval_inner_mf(mm, a, "lossless"),
+                         lambda: eval_inner_mf(mm, a, "lossy", (g,)),
+                         lambda: eval_outer_mf(mm, a, "lossy", (g,))):
+            with pytest.raises(ProbabilityError, match="not fed by the observation 'xtilde1'"):
+                evaluate()
 
     def test_constant_arms_zero_for_y_functions(self, cascade_model):
         mm = two_arm_model(cascade_model, cascade_model, YPROJ_F, YPROJ_F)
@@ -438,8 +467,8 @@ class TestProductForm:
         mm, a, g_list = random_multi_system(np.random.default_rng(seed), sizes[:j], q_size=2)
         dense = build_multi_joint(mm, a)
         rec, seen = _recording(_ProductForm.of(mm.p_x, a.p_q, _named_arms(mm, a)))
-        _multi_rates(rec, **_axis_names(j), q="q", x="x")
-        _arm_distortions(mm, rec, g_list)
+        fs, ds = [arm.f for arm in mm.arms], [arm.d for arm in mm.arms]
+        inner = regions._corner_rates(rec, fs, "lossy", ds, g_list)
         multi_chain_report(mm, rec)
         for k in range(1, j + 1):  # read by the admissibility residual
             rec.rows((f"u{k}", "q", f"xtilde{k}", f"y{k}"))
@@ -447,21 +476,22 @@ class TestProductForm:
         if j == 1:  # the single-function evaluators' reads, under the model's names
             sm, aux = mm.arm_model(0), AuxSystem(a.p_q, a.arms[0])
             single, single_seen = _recording(regions._source(sm, aux))
-            regions._corner_rates(sm, aux, single)
+            regions._corner_rates(single, (XOR_F,), "lossy", (HAMMING_D,), g_list)
             single.rows(("u", "q", "xtilde", "y"))  # read by the residual
             regions._g_tables(single.rows(("u", "xtilde", "y")), XOR_F, HAMMING_D)
             pairs.append((single, single_seen, aux_mixture_joint(sm, aux)))
         for src, seen, ref in pairs:
             for axes in list(seen):
-                got, want = src.marginal(axes), ref.marginal(axes)
-                assert got.names == want.names
-                assert np.max(np.abs(got.table - want.table)) <= 1e-12
+                got, want = src.rows(axes)[0], ref.marginal(axes).reorder(axes)
+                assert got.shape == want.table.shape
+                assert np.max(np.abs(got - want.table)) <= 1e-12
                 # trusted, yet it passes the validation it skipped
-                assert np.array_equal(JointDist(got.axes, got.table).table, got.table)
-        inner = eval_inner_mf(mm, a, "lossy", g_list)
-        ref, _ = _multi_rates(sources._Dense(dense), **_axis_names(j), q="q", x="x")
-        ref_d = _arm_distortions(mm, sources._Dense(dense), g_list)
-        assert _fields(inner) == pytest.approx(_fields(_multi_tuple(ref[0], j)) + ref_d,
+                assert np.array_equal(JointDist(want.axes, got).table, got)
+        assert inner == eval_inner_mf(mm, a, "lossy", g_list)
+        dense_src = sources._Dense(dense, _axis_names(j), "q", "x")
+        ref, _ = _multi_rates(dense_src)
+        ref_d = regions._corner_rates(dense_src, fs, "lossy", ds, g_list).d
+        assert _fields(inner) == pytest.approx(_fields(regions._multi_tuple(ref[0], j)) + ref_d,
                                                abs=1e-12)
 
     def test_j6_arm_permutation_invariance(self):

@@ -352,7 +352,7 @@ def _check_trusted(derived):
     for n in derived.names:
         assert derived.axis(n) == public.axis(n)
     first = entropy(derived, derived.names)
-    assert entropy(derived, tuple(reversed(derived.names))) == first  # memo hit
+    assert entropy(derived, tuple(reversed(derived.names))) == first  # any axis order
     assert entropy(public, derived.names) == first
 
 
@@ -367,7 +367,7 @@ def test_derived_joints_pass_public_validation(j, data):
     _check_trusted(j.reorder(perm).marginal(keep))
     if isinstance(j.axes[0], ProductAlphabet):
         _check_trusted(j.split("ax0"))
-    # entropies of the parent: first call, memo hit, fresh public copy
+    # entropies of the parent: read twice, and on a fresh public copy
     first = entropy(j, keep)
     assert entropy(j, keep) == first
     assert entropy(JointDist(j.axes, j.table), keep) == first

@@ -37,6 +37,7 @@ from sfcomp.probability import (
     CondDist,
     Dist,
     JointDist,
+    ProbabilityError,
     TableTooLarge,
     bsc,
     cond_entropy,
@@ -164,8 +165,7 @@ class TestLosslessCorner:
 
     def test_v_equals_u_gives_offset_exactly_zero(self, cascade_model):
         aux = bsc_aux(0.3, v_copy=True)
-        from sfcomp.regions import _corner_rates
-        rates, offset, _ = _corner_rates(cascade_model, aux)
+        rates, offset, _ = _rates_with_joint(cascade_model, aux)
         assert offset == 0.0
         expected = cond_mutual_info(aux_mixture_joint(cascade_model, aux), "u", "xtilde", "z")
         assert rates.r_s == pytest.approx(expected, abs=1e-15)
@@ -208,8 +208,10 @@ class TestLosslessCorner:
 
 
 def _rates_with_joint(m, aux):
-    from sfcomp.regions import _corner_rates
-    return _corner_rates(m, aux)
+    """The single-function rate corner, its offset and the source they were read from."""
+    src = regions._source(m, aux)
+    rates, offset = regions._multi_rates(src)
+    return RateTuple(*rates[0, regions._ONE_ARM].tolist()), float(offset[0]), src
 
 
 class TestLossyCorner:
@@ -230,6 +232,34 @@ class TestLossyCorner:
             for rule in itertools.product(range(2), repeat=2))
         achieved = expected_distortion(cascade_model, aux, XOR_F, g, HAMMING_D)
         assert achieved == best
+
+    def test_reconstruction_and_distortion_must_fit_the_arm(self, cascade_model):
+        # unchecked, a |U| = 1 table on a |U| = 2 system broadcasts and gives d = 0.192
+        aux, f3 = identity_aux(cascade_model), _alphabet_of_size("f", 3)
+        g = optimal_g(cascade_model, aux, XOR_F, HAMMING_D)
+        narrow = optimal_g(cascade_model, constant_aux(cascade_model), XOR_F, HAMMING_D)
+        wide = ReconstructionFn(aux.u_alphabet, Y, f3, g.table)
+        for g_bad, d in ((narrow, HAMMING_D), (g, DistortionSpec.hamming(f3)), (wide, HAMMING_D),
+                         (wide, DistortionSpec.hamming(f3))):
+            for evaluate in (eval_lossy_corner, expected_distortion):
+                with pytest.raises(RegionError, match="reconstruction"):
+                    evaluate(cascade_model, aux, XOR_F, g_bad, d)
+        assert eval_lossy_corner(cascade_model, aux, XOR_F, g, HAMMING_D).d == 0.0
+
+    def test_auxiliary_channel_must_be_fed_by_the_observation(self, cascade_model):
+        # a U channel on a ternary input, against the binary observation
+        t, u = _alphabet_of_size("t", 3), _alphabet_of_size("u", 2)
+        pair = AuxPair(CondDist(t, u, np.full((3, 2), 0.5)),
+                       constant_channel(u, singleton_alphabet("v")))
+        aux = AuxSystem(uniform(singleton_alphabet("q")), (pair,))
+        g = ReconstructionFn(u, Y, F, np.zeros((2, 2), dtype=int))
+        budget = SearchBudget(restarts=0, candidates=(aux,))
+        for evaluate in (lambda: eval_lossless_corner(cascade_model, aux, XOR_F),
+                         lambda: eval_lossy_corner(cascade_model, aux, XOR_F, g, HAMMING_D),
+                         lambda: membership(cascade_model, XOR_F, RateTuple(1.0, 1.0, 1.0, 1.0),
+                                            "lossless", budget)):
+            with pytest.raises(ProbabilityError, match="not fed by the observation"):
+                evaluate()
 
 
 class TestOptimalG:
@@ -394,9 +424,9 @@ class TestTrustedPath:
             aux = random_aux(rng, q_size=int(rng.integers(1, 3)))
             g = optimal_g(m, aux, XOR_F, HAMMING_D)
             # the reconstruction rule gives the same table on the dense reference
-            dense = sources._Dense(aux_mixture_joint(m, aux))
-            dense_g = regions._g_tables(dense.rows(regions._single_names(m, aux)), XOR_F,
-                                        HAMMING_D)[0]
+            dense = sources._Dense(aux_mixture_joint(m, aux), [("xtilde", "u", "v", "y", "z")],
+                                   "q", "x")
+            dense_g = regions._g_tables(dense.rows(("u", "xtilde", "y")), XOR_F, HAMMING_D)[0]
             assert np.array_equal(g.table, dense_g)
             own = eval_lossy_corner(m, aux, XOR_F, g, HAMMING_D)
             # a search evaluation shares one (u, xt, y) marginal between g and d
@@ -664,12 +694,9 @@ class TestBatchedSearch:
             param = regions._AuxParam(m, u_size, v_size, q_size)
             if points is None:
                 points = np.stack([param.random(int(s)) for s in rng.integers(0, 2**31, rows)])
-            src = param.source(points)
-            (xt, u, v, y, z), = src.arm_names
             multi = [(0, 1, 3, 4)[c] for c in want if c < 4]
-            results.append((regions._eval_rows(src, f, mode, d, want),
-                            regions._multi_rates(param.source(points), (u,), (v,), (xt,), (y,),
-                                                 (z,), "q", "x", multi), multi))
+            results.append((regions._eval_rows(param.source(points), f, mode, d, want),
+                            regions._multi_rates(param.source(points), multi), multi))
         ((full, full_gap), (full_rates, full_offset), _), ((part, gap), (rates, offset), multi) = \
             results
         other = [c for c in range(5) if c not in cols]
