@@ -103,6 +103,8 @@ class FunctionSpec:
             raise ModelError("function table contains symbols outside the output alphabet")
         table.setflags(write=False)
         object.__setattr__(self, "table", table)
+        # each cell's output symbol one-hot, (|xt|, |y|, |f|), as `_function_joint` reads it
+        object.__setattr__(self, "_onehot", np.eye(self.output.size)[table])
 
     @classmethod
     def from_labels(cls, xt_alphabet: Alphabet, y_alphabet: Alphabet,
@@ -182,13 +184,23 @@ def build_joint(m: SourceModel) -> JointDist:
 def _project_simplex(v: np.ndarray) -> np.ndarray:
     """Euclidean projection onto the probability simplex of a vector, or of
     each row of a stack of vectors; a row projects as the lone vector would."""
-    u = -np.sort(-v, axis=-1)
+    w = v.reshape(-1, v.shape[-1])
+    u = np.sort(w, axis=-1)[:, ::-1]
     css = np.cumsum(u, axis=-1) - 1.0
     # rho: the last position that passes (the first always does)
-    ok = u - css / np.arange(1, v.shape[-1] + 1) > 0
-    rho = v.shape[-1] - 1 - np.argmax(ok[..., ::-1], axis=-1, keepdims=True)
-    theta = np.take_along_axis(css, rho, axis=-1) / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)
+    ok = u - css / np.arange(1, w.shape[1] + 1) > 0
+    rho = w.shape[1] - 1 - np.argmax(ok[:, ::-1], axis=-1)
+    theta = css[np.arange(len(w)), rho] / (rho + 1.0)
+    return np.maximum(v - theta.reshape(v.shape[:-1] + (1,)), 0.0)
+
+
+def _renorm(v: np.ndarray) -> np.ndarray:
+    """Clip each row (last axis) at 0 and renormalize; an all-zero row becomes uniform."""
+    w = np.maximum(v, 0.0)
+    s = w.sum(axis=-1, keepdims=True)
+    if (s > 0).all():  # a search's points, always
+        return w / s
+    return np.where(s > 0, w / np.where(s > 0, s, 1.0), 1.0 / v.shape[-1])
 
 
 def is_physically_degraded_eve(m: SourceModel, tol: float = DEGRADEDNESS_TOL) -> bool:
@@ -223,7 +235,7 @@ def markov_chain_holds(joint: JointDist, a, b, c, tol: float = DEGRADEDNESS_TOL)
 def _function_joint(p: np.ndarray, f: FunctionSpec) -> np.ndarray:
     """Stacked p(g, y, f), F = f(xt, y), from stacked p(g, xt, y) of shape
     (B, |G|, |xt|, |y|)."""
-    return np.einsum("bgay,ayf->bgyf", p, np.eye(f.output.size)[f.table])
+    return np.einsum("bgay,ayf->bgyf", p, f._onehot)
 
 
 def _function_residual(p: np.ndarray, f: FunctionSpec) -> np.ndarray:
@@ -231,6 +243,30 @@ def _function_residual(p: np.ndarray, f: FunctionSpec) -> np.ndarray:
     p(..., xt, y); G is every axis between the first and xt, flattened."""
     p = p.reshape(len(p), -1, *p.shape[-2:])
     return _entropy_rows(_function_joint(p, f)) - _entropy_rows(p.sum(axis=2))
+
+
+def _g_tables(p_uxty: np.ndarray, f: FunctionSpec, d: DistortionSpec) -> np.ndarray:
+    """`regions.optimal_g`'s rule on each row of a stacked p(u, xt, y): tables
+    (B, |u|, |y|)."""
+    p = _function_joint(p_uxty, f)  # (b, u, y, f)
+    risk = p @ d.table  # risk[b, u, y, fhat] = sum_f p(u, y, f) d(f, fhat)
+    global_best = np.argmax(p.sum(axis=(1, 2)), axis=-1)
+    return np.where(p.sum(axis=3) > 0.0, np.argmin(risk, axis=3), global_best[:, None, None])
+
+
+def _mean_distortion(p_uxty: np.ndarray, f: FunctionSpec, g: np.ndarray,
+                     d: DistortionSpec) -> np.ndarray:
+    """E d(f(xt, y), g(u, y)) of each row of a stacked p(u, xt, y) and
+    reconstruction tables g of shape (B, |u|, |y|)."""
+    val = d.table[f.table[None, None], g[:, :, None, :]]
+    return np.sum(p_uxty * val, axis=(1, 2, 3))
+
+
+def _check_fit(f: FunctionSpec, d: DistortionSpec | None, error: type[Exception]) -> None:
+    """Raise `error` unless a distortion spec, when given, is over f's output symbols."""
+    if d is not None and d.alphabet.size != f.output.size:
+        raise error(f"a distortion over {d.alphabet.size} symbols does not fit a function "
+                    f"with {f.output.size} output symbols")
 
 
 def _lossless_bounds(m: SourceModel, f: FunctionSpec) -> dict[str, float]:

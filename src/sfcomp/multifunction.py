@@ -96,9 +96,10 @@ def _named_arms(m: MultiModel, a: MultiAuxSystem,
     """Arm triples (p(xtilde_j|x), one `AuxPair` per weight symbol, p(y_j z_j|x))
     under the axis names of `_axis_names`, as `_ProductForm` and `_dense_joint` take.
     `m` and `a` were validated when built, so their tables are only renamed
-    here, as trusted objects (`_trusted`), not checked again. A U channel's
-    input is renamed with the observation, so `_ProductForm.of` still refuses
-    a channel not fed by the observation's symbols."""
+    here, as trusted objects (`_trusted`), not checked again. A U channel fed
+    by the arm's observation alphabet, name and symbols, reads the renamed
+    observation; any other input is kept apart from it, so `_ProductForm.of`,
+    which holds the one feed rule, refuses it as it does a single function's."""
     if a.j != m.j:
         raise RegionError(f"auxiliary system has {a.j} arms, model has {m.j}")
     arms = []
@@ -107,7 +108,8 @@ def _named_arms(m: MultiModel, a: MultiAuxSystem,
         xt, u, v, y, z = (alph.renamed(name) for name, alph in zip(
             names, (p_xt.output, pairs[0].u_alphabet, pairs[0].v_alphabet, *p_yz.output.parts)))
         yz = _trusted(ProductAlphabet, f"yz{j + 1}", p_yz.output.labels, (y, z))
-        feed = pairs[0].p_u_given_xt.input.renamed(xt.name)  # shared by every weight symbol
+        feed = pairs[0].p_u_given_xt.input  # shared by every weight symbol
+        feed = xt if feed == p_xt.output else feed.renamed(f"{feed.name} (not {xt.name})")
         arms.append((_trusted(CondDist, p_xt.input, xt, p_xt.rows),
                      tuple(_trusted(AuxPair, _trusted(CondDist, feed, u, p.p_u_given_xt.rows),
                                     _trusted(CondDist, u, v, p.p_v_given_u.rows))

@@ -32,8 +32,10 @@ descent, so a provably outside target costs no search.
 Searches are seeded multi-start coordinate descent with step halving and
 simplex projection; restart r of grid point g uses child_seed(seed, g, r).
 Descents run in lockstep: a round builds the remaining moves of every live
-descent's sweep as one stack and scores it in chunks that fit TABLE_CELL_CAP,
-each descent keeping the trajectory of scoring one move at a time. A scored
+descent's sweep, and those of the next sweeps its scan meets if it accepts
+nothing first (SWEEPS_AHEAD of them at most), as one stack and scores it in
+chunks that fit TABLE_CELL_CAP, so a descent takes a round per accept rather
+than per sweep, and keeps the trajectory of scoring one move at a time. A scored
 row holds only the coordinates its objective reads, the rest NaN. `membership`
 scores every row's residual and storage rate, and the rest of a row only when
 those still leave it under its descent's bar; the starts are scored in full.
@@ -56,10 +58,13 @@ from .models import (
     DistortionSpec,
     FunctionSpec,
     SourceModel,
-    _function_joint,
+    _check_fit,
     _function_residual,
+    _g_tables,
     _lossless_bounds,
+    _mean_distortion,
     _project_simplex,
+    _renorm,
     _symbol_table,
 )
 from .probability import (
@@ -83,6 +88,12 @@ MEMBERSHIP_TOL = 1e-9
 # A descent accepts a move that lowers its objective by more than this: well
 # above the rounding of values whose penalties weigh residuals by 1e3.
 ACCEPT_MARGIN = 1e-12
+# The sweeps a descent's round scores past its current one. On the trace-lossy
+# benchmark (seeds 1-10 and 23), 0, 1, 2, 3, 4 and 6 take 45.3, 28.6, 21.8,
+# 19.1, 18.2 and 17.6 rounds a pass for 863, 1,081, 1,197, 1,343, 1,579 and
+# 2,066 rows; 3 gave the fastest pass on a 2-core x86-64 VM (12.8 ms against
+# 19.4 ms for 0, and 17.5 ms for every remaining sweep: 17.4 rounds, 4,280 rows).
+SWEEPS_AHEAD = 3
 
 
 class RegionError(ValueError):
@@ -399,24 +410,9 @@ def optimal_g(m: SourceModel, aux: AuxSystem, f: FunctionSpec,
     Cells with zero probability get the globally most likely function symbol;
     ties break toward the lowest symbol index.
     """
+    _check_fit(f, d, RegionError)
     table = _g_tables(_source(m, aux).uxy(), f, d)[0]
     return ReconstructionFn(aux.u_alphabet, m.y_alphabet, f.output, table)
-
-
-def _g_tables(p_uxty: np.ndarray, f: FunctionSpec, d: DistortionSpec) -> np.ndarray:
-    """`optimal_g`'s rule on each row of a stacked p(u, xt, y): tables (B, |u|, |y|)."""
-    p = _function_joint(p_uxty, f)  # (b, u, y, f)
-    risk = p @ d.table  # risk[b, u, y, fhat] = sum_f p(u, y, f) d(f, fhat)
-    global_best = np.argmax(p.sum(axis=(1, 2)), axis=-1)
-    return np.where(p.sum(axis=3) > 0.0, np.argmin(risk, axis=3), global_best[:, None, None])
-
-
-def _mean_distortion(p_uxty: np.ndarray, f: FunctionSpec, g: np.ndarray,
-                     d: DistortionSpec) -> np.ndarray:
-    """E d(f(xt, y), g(u, y)) of each row of a stacked p(u, xt, y) and
-    reconstruction tables g of shape (B, |u|, |y|)."""
-    val = d.table[f.table[None, None], g[:, :, None, :]]
-    return np.sum(p_uxty * val, axis=(1, 2, 3))
 
 
 def expected_distortion(m: SourceModel, aux: AuxSystem, f: FunctionSpec,
@@ -509,8 +505,9 @@ class _AuxParam:
         sizes += ([u_size] * xt + ([v_size] * u_size if v_size > 1 else [])) * q_size
         self.spans = list(zip(np.cumsum([0] + sizes[:-1]).tolist(), sizes))  # (start, size)
         self.size = sum(sizes)
-        # per move: the start and width of its coordinate's block
+        # per move: the start and width of its coordinate's block, and its sign
         self._at, self._width = np.repeat(self.spans, [2 * n for n in sizes], axis=0).T
+        self._widths, self._sign = sorted(set(sizes)), np.tile([1.0, -1.0], self.size)
         axes = (self.q_alpha, m.x_alphabet, m.xt_alphabet, self.u_alpha, self.v_alpha,
                 m.y_alphabet, m.z_alphabet)
         _check_cells(axes, "arm factor")
@@ -550,30 +547,20 @@ class _AuxParam:
                       for qi in range(self.q_alpha.size))
         return AuxSystem(Dist(self.q_alpha, p_q[0]), pairs)
 
-    def neighbours(self, points: np.ndarray, starts: np.ndarray, steps: np.ndarray,
-                   ) -> tuple[np.ndarray, np.ndarray]:
+    def neighbours(self, points: np.ndarray, starts: np.ndarray, steps: np.ndarray) -> np.ndarray:
         """The candidates of moves starts[k], starts[k] + 1, ... to the end of a
         sweep from each of the (R, n) `points` under steps[k], stacked point by
-        point in scan order, and each point's count; one projection per width."""
+        point in scan order; one projection per width."""
         counts = 2 * self.size - starts
         owner = np.repeat(np.arange(len(points)), counts)
         move = np.arange(counts.sum()) + np.repeat(starts + counts - np.cumsum(counts), counts)
-        cand, widths = points[owner], self._width[move]
-        for width in set(widths.tolist()):
-            rows = np.flatnonzero(widths == width)
-            mv, step = move[rows], steps[owner[rows]]
-            cols = (rows[:, None], self._at[mv][:, None] + np.arange(width))
-            block = cand[cols]
-            block[np.arange(len(rows)), mv // 2 - self._at[mv]] += np.where(mv % 2, -step, step)
-            cand[cols] = _project_simplex(block)
-        return cand, counts
-
-
-def _renorm(v: np.ndarray) -> np.ndarray:
-    """Clip each row (last axis) at 0 and renormalize; an all-zero row becomes uniform."""
-    w = np.maximum(v, 0.0)
-    s = w.sum(axis=-1, keepdims=True)
-    return np.where(s > 0, w / np.where(s > 0, s, 1.0), 1.0 / v.shape[-1])
+        cand = points[owner]
+        cand[np.arange(len(move)), move // 2] += self._sign[move] * steps[owner]
+        for width in self._widths:
+            rows = np.flatnonzero(self._width[move] == width)
+            cols = (rows[:, None], self._at[move[rows]][:, None] + np.arange(width))
+            cand[cols] = _project_simplex(cand[cols])
+        return cand
 
 
 def _coordinate_descent(param: _AuxParam, starts: np.ndarray, score, scanned, iters: int,
@@ -581,23 +568,28 @@ def _coordinate_descent(param: _AuxParam, starts: np.ndarray, score, scanned, it
     """First-improvement coordinate descents over `param`'s moves from each of
     the (R, n) `starts`, in lockstep; returns the (R, n) points and (R,) values.
 
-    A round builds each live descent's remaining moves of its sweep in one
-    `param.neighbours` call, in descent order, and scores them in chunks of
-    `param.batch` rows as `score(points, owner, bar)`, `owner[i]` the descent of
-    row i, which reads only the coordinates its objective needs. A row's bar is
-    its descent's best value less ACCEPT_MARGIN (1e-12, so a change of the
-    order of rounding is never a move), +inf for the starts: `score` must give
-    a row valued under its bar its exact value, and may give any other row any
-    value at or over its bar. Each descent takes the first row of its slice
-    under its bar and re-batches the moves after that coordinate; a sweep
-    without one halves its step, and a descent stops after `iters` sweeps or
-    below `min_step`. Each trajectory is that of scoring one candidate at a
-    time, whatever R or the chunking. `scanned(mask)` is told after each round
-    which of the rows it scored, in scoring order, a one-at-a-time scan would
-    have scored.
+    A round builds, in one `param.neighbours` call, each live descent's
+    remaining moves of its sweep, then those of the next SWEEPS_AHEAD sweeps
+    from the same point: the ones its scan meets if it accepts nothing first,
+    each at the step the scan would have (halved after a sweep without an
+    accept), none past `iters` sweeps or under `min_step`. The stack, in
+    descent order, is scored in chunks of `param.batch` rows as
+    `score(points, owner, bar)`, `owner[i]` the descent of row i, which reads
+    only the coordinates its objective needs. A row's bar is its descent's best
+    value less ACCEPT_MARGIN (1e-12, so a change of the order of rounding is
+    never a move), +inf for the starts: `score` must give a row valued under
+    its bar its exact value, and may give any other row any value at or over
+    its bar. A chunk skips the rows of the descents an earlier one has hit.
+    Each descent walks its slice as a one-at-a-time scan does: it takes its
+    first row under its bar and drops the rows after it, each sweep it passes
+    without one halves its step, and its next round starts at the coordinate
+    after its accept. It stops after `iters` sweeps or below `min_step`. So a
+    descent takes a round per accept, not per sweep, and its trajectory is
+    that of scoring one candidate at a time, whatever R, the chunking or
+    SWEEPS_AHEAD. `scanned(mask)` is told after each round which of the rows
+    it scored, in scoring order, a one-at-a-time scan would have scored.
     """
     points = np.array(starts, dtype=float)
-    live = list(range(len(points)))
 
     def scored(stack: np.ndarray, owner: np.ndarray, best: np.ndarray):
         """Values of the stack's rows and which rows were scored; a chunk
@@ -615,27 +607,37 @@ def _coordinate_descent(param: _AuxParam, starts: np.ndarray, score, scanned, it
     # each start is its own descent's only row, so an infinite bar stops nothing
     best, _ = scored(points, np.arange(len(points)), np.full(len(points), np.inf))
     scanned(np.ones(len(points), dtype=bool))
-    step, start, sweeps, improved = (np.full(len(live), v) for v in (init_step, 0, 0, False))
-    while live:
-        cands, counts = param.neighbours(points[live], start[live], step[live])
-        vals, done = scored(cands, np.repeat(live, counts), best)
-        mask, at = np.zeros(len(vals), dtype=bool), 0
-        for k, count in zip(list(live), counts.tolist()):
-            hits = np.flatnonzero(vals[at:at + count] < best[k] - ACCEPT_MARGIN)
-            n = int(hits[0]) + 1 if hits.size else count  # the rows scanned
-            if hits.size:
-                points[k], best[k], improved[k] = cands[at + n - 1], vals[at + n - 1], True
-            mask[at:at + n] = True
-            at += count
-            # past the last row scanned and, after an accept, its coordinate's other sign
-            start[k] = (start[k] + n + 1) // 2 * 2
-            if start[k] == 2 * param.size:  # the sweep is over
-                if not improved[k]:
-                    step[k] *= 0.5
-                sweeps[k], start[k], improved[k] = sweeps[k] + 1, 0, False
-                if sweeps[k] == iters or step[k] < min_step:
-                    live.remove(k)
-        scanned(mask[done])
+    step, start, sweeps, improved = (np.full(len(points), v) for v in (float(init_step), 0, 0, 0))
+    live, ahead, moves = np.arange(len(points)), np.arange(SWEEPS_AHEAD + 2), 2 * param.size
+    # the step j sweeps ahead, over the current one, if the scan accepts nothing
+    # first: row `improved`, as the current sweep has no accept (0) or has one (1)
+    ladder = np.ldexp(1.0, -np.maximum(ahead - np.array([[0], [1]]), 0))
+    while live.size:
+        steps = step[live, None] * ladder[improved[live]]
+        ok = (sweeps[live, None] + ahead < iters) & (steps >= min_step)
+        ok[:, 0], ok[:, -1] = True, False  # the last column is only a step
+        k, j = np.nonzero(ok)  # the segments: descent by descent, sweep by sweep
+        first = start[live]
+        cands = param.neighbours(points[live[k]], first[k] * (j == 0), steps[k, j])
+        # a descent's rows are its moves from `first` on, sweep after sweep
+        rows = ok.sum(axis=1) * moves - first
+        base, at = np.cumsum(rows) - rows, np.repeat(np.arange(len(live)), rows)
+        vals, done = scored(cands, live[at], best)
+        # each descent scans to its first row under its bar, else to its last row
+        last = base + rows - 1
+        hit = np.flatnonzero(vals < best[live][at] - ACCEPT_MARGIN)
+        np.minimum.at(last, at[hit], hit)
+        scanned((np.arange(len(vals)) <= last[at])[done])
+        found = vals[last] < best[live] - ACCEPT_MARGIN
+        points[live[found]], best[live[found]] = cands[last[found]], vals[last[found]]
+        # past the last move scanned and, after an accept, its coordinate's other
+        # sign; a sweep passed without an accept halves the step
+        pos = first + last - base
+        nxt = pos % moves // 2 * 2 + 2
+        step[live] = steps[np.arange(len(live)), pos // moves + ~found]
+        sweeps[live] += pos // moves + (nxt == moves)
+        start[live], improved[live] = nxt % moves, found & (nxt < moves)
+        live = live[(sweeps[live] < iters) & (step[live] >= min_step)]
     return points, best
 
 
@@ -747,6 +749,7 @@ def membership(m: SourceModel, f: FunctionSpec, target: RateTuple, mode: str,
         raise RegionError("membership target must have finite coordinates")
     if mode == "lossy" and target.d is not None and d is None:
         raise RegionError("a distortion target needs a distortion spec")
+    _check_fit(f, d, RegionError)
     d_used = d if target.d is not None else None
     model_h: dict = {}
 
@@ -859,6 +862,7 @@ def trace_boundary(m: SourceModel, f: FunctionSpec, sweep: BoundarySweep, mode: 
     use_d = "d" in (sweep.coordinate, sweep.minimize)
     if use_d and (mode != "lossy" or d is None):
         raise RegionError("sweeping distortion needs lossy mode and a distortion spec")
+    _check_fit(f, d, RegionError)
     d_used = d if use_d else None
     keys = _COORDS if use_d else _COORDS[:4]
     ix, iy = _COORDS.index(sweep.coordinate), _COORDS.index(sweep.minimize)

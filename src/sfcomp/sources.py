@@ -122,13 +122,18 @@ class _ProductForm(_Source):
         # all `rows` needs to plan a marginal (`_layout`)
         self._structure = ((self.q, q.size), (self.x, p_x.alphabet.size),
                            tuple(tuple((a.name, a.size) for a in local) for local, _ in self._arms))
+        # one system's largest arm factor, which `restacked` checks per batch
+        self._factor = max(q.size * p_x.alphabet.size * math.prod(a.size for a in local)
+                           for local, _ in self._arms)
 
     @classmethod
     def of(cls, p_x: Dist, p_q: Dist,
            arms: Sequence[tuple[CondDist, Sequence, CondDist]],
            model_h: dict | None = None) -> "_ProductForm":
         """The one system (B = 1) of the arm triples `regions._dense_joint`
-        takes: (p(xt|x), one `AuxPair` per weight symbol, p(yz|x))."""
+        takes: (p(xt|x), one `AuxPair` per weight symbol, p(yz|x)). The one
+        feed rule of every evaluator: an arm's U channels read its observation's
+        alphabet, name and symbols both."""
         for p_xt, per_q, _ in arms:  # every weight symbol shares its alphabets
             if per_q[0].p_u_given_xt.input != p_xt.output:
                 raise ProbabilityError(f"auxiliary channel is not fed by the observation "
@@ -158,9 +163,10 @@ class _ProductForm(_Source):
         memo are shared."""
         out = copy.copy(self)
         out._p_q, out._links, out.batch = p_q, links, len(p_q)
-        for local, _ in self._arms:
-            _check_cells((self.axes[0], self.axes[self._pos[self.x]]) + local, "arm factor",
-                         out.batch)
+        if self._factor * out.batch > TABLE_CELL_CAP:
+            for local, _ in self._arms:
+                _check_cells((self.axes[0], self.axes[self._pos[self.x]]) + local, "arm factor",
+                             out.batch)
         out._parts = {key: part for key, part in self._parts.items() if key[1][0] >= 3}
         out._parts.update(parts or {})
         out._h = {} if h is None else h

@@ -214,6 +214,28 @@ class TestInnerBound:
             with pytest.raises(ProbabilityError, match="not fed by the observation 'xtilde1'"):
                 evaluate()
 
+    @pytest.mark.parametrize("name", ["t", "xtilde1"])
+    def test_one_feed_rule_for_one_arm_and_j_arms(self, cascade_model, name):
+        # the observation's symbols under another name, or under the name the
+        # J-arm path gives the observation: neither is the observation's alphabet
+        t, u = Alphabet(name, ("0", "1")), _alphabet_of_size("u", 2)
+        pair = AuxPair(CondDist(t, u, bsc_rows(0.1)), constant_channel(u, singleton_alphabet("v")))
+        aux = AuxSystem(uniform(singleton_alphabet("q")), (pair,))
+        mm, a = single_arm_model(cascade_model), multi_from_aux([aux])
+        g = ReconstructionFn(u, Y, F, np.zeros((2, 2), dtype=int))
+        for evaluate in (lambda: eval_lossless_corner(cascade_model, aux, XOR_F),
+                         lambda: eval_inner_mf(mm, a, "lossy", (g,)),
+                         lambda: eval_outer_mf(mm, a, "lossy", (g,))):
+            with pytest.raises(ProbabilityError, match="not fed by the observation"):
+                evaluate()
+        # the same channel on the observation's own alphabet is accepted by all three
+        pair = AuxPair(CondDist(XT, u, bsc_rows(0.1)), pair.p_v_given_u)
+        aux = AuxSystem(aux.p_q, (pair,))
+        a = multi_from_aux([aux])
+        lossy = eval_lossy_corner(cascade_model, aux, XOR_F, g, HAMMING_D)
+        assert single_arm_tuple(eval_inner_mf(mm, a, "lossy", (g,))) == lossy
+        assert single_arm_tuple(eval_outer_mf(mm, a, "lossy", (g,))[0]) == lossy
+
     def test_constant_arms_zero_for_y_functions(self, cascade_model):
         mm = two_arm_model(cascade_model, cascade_model, YPROJ_F, YPROJ_F)
         aux = multi_from_aux([constant_aux(cascade_model)] * 2)
