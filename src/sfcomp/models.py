@@ -26,7 +26,6 @@ from .probability import (
     _check_cells,
     _entropy_rows,
     cond_mutual_info,
-    compose,
     product_alphabet,
 )
 
@@ -279,15 +278,12 @@ def _lossless_bounds(m: SourceModel, f: FunctionSpec) -> dict[str, float]:
 
 
 def admissibility_gap(m: SourceModel, p_u_given_xt: CondDist, f: FunctionSpec) -> float:
-    """H(F | U, Y) in bits on the composed joint; zero means (U, Y) determine f."""
+    """H(F | U, Y) in bits; zero means (U, Y) determine f. p(u, xt, y) is read
+    off the model's joint (`build_joint`) in one contraction."""
     if p_u_given_xt.input != m.xt_alphabet:
         raise ModelError("auxiliary channel must be fed by the encoder observation")
-    j = compose(m.p_x, (m.p_xt_given_x, m.x_alphabet.name),
-                (p_u_given_xt, m.xt_alphabet.name),
-                (m.p_yz_given_x, m.x_alphabet.name))
-    j = j.split(m.p_yz_given_x.output.name)
-    names = (p_u_given_xt.output.name, m.xt_alphabet.name, m.y_alphabet.name)
-    return float(_function_residual(j.marginal(names).reorder(names).table[None], f)[0])
+    p = np.einsum("axyz,au->uay", build_joint(m).table, p_u_given_xt.rows)
+    return float(_function_residual(p[None], f)[0])
 
 
 def is_admissible(m: SourceModel, p_u_given_xt: CondDist, f: FunctionSpec,

@@ -8,16 +8,18 @@ per-arm Markov chain; couplings across arms beyond the product form are
 allowed there, and that relaxation is the only difference between the two.
 
 A single function is the one-arm case: the rate formulas, the one corner
-reader `_corner_rates`, the dense reference builder, the size policy and the
-admissibility residual live in `regions` and the factor source `_ProductForm`
-in `sources`, and serve both; see there why the source's marginals are
-trusted. `_named_arms` names a system's arms for `_ProductForm`, which
-`eval_inner_mf`, and `eval_outer_mf` given a `MultiAuxSystem`, read without
-forming the joint (its cell count is exponential in J), and for
-`build_multi_joint`, the dense reference. A dense `JointDist` supplied to
-`eval_outer_mf` is read the same way, as a `_Dense` source given the names
-below. Every reader takes the axis names from the source it reads. A bound
-evaluates one system, the B = 1 case of the batched code the search runs.
+reader `_corner_rates`, the size policy and the admissibility residual live
+in `regions`, and the one joint builder, the factor source `_ProductForm`,
+in `sources`; they serve both, and `sources` says why the source's marginals
+are trusted. `_source` hands `_ProductForm` a system's validated tables with
+each arm's axis names (`_axis_names`); the source renames alphabets, never
+channels. `eval_inner_mf`, and `eval_outer_mf` given a `MultiAuxSystem`, read
+its marginals without forming the joint (its cell count is exponential in
+J); `build_multi_joint` is its full read. A dense `JointDist` supplied to
+`eval_outer_mf`, `multi_chain_report` or `factorizes_per_arm` is read the
+same way, as a `_Dense` source named by `_dense`. Every reader takes the axis
+names from the source it reads. A bound evaluates one system, the B = 1 case
+of the batched code the search runs.
 
 Axis naming convention for a J-arm joint (`_axis_names`):
 (q, v1..vJ, u1..uJ, xtilde1..xtildeJ, x, y1..yJ, z1..zJ).
@@ -30,14 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import MultiModel, build_joint
-from .probability import (
-    CondDist,
-    Dist,
-    JointDist,
-    ProductAlphabet,
-    _trusted,
-    cond_mutual_info,
-)
+from .probability import Dist, JointDist, UnknownAxis
 from .regions import (
     AuxPair,
     AuxSystem,
@@ -47,7 +42,6 @@ from .regions import (
     _check_mode,
     _check_sizes,
     _corner_rates,
-    _dense_joint,
     _multi_rates,  # re-exported, as the multi-function rate evaluator
     single_arm_tuple,  # re-exported: part of this module's public names
 )
@@ -80,6 +74,8 @@ class MultiAuxSystem:
         return len(self.arms)
 
     def validate_cardinalities(self, m: MultiModel, mode: str) -> None:
+        if self.j != m.j:
+            raise RegionError(f"auxiliary system has {self.j} arms, model has {m.j}")
         for j, (arm, pairs) in enumerate(zip(m.arms, self.arms)):
             _check_sizes(mode, arm.p_xt_given_x.output.size, self.p_q.alphabet.size,
                          pairs[0].u_alphabet.size, pairs[0].v_alphabet.size,
@@ -91,40 +87,28 @@ def _axis_names(j: int) -> list[tuple[str, ...]]:
     return [(f"xtilde{k}", f"u{k}", f"v{k}", f"y{k}", f"z{k}") for k in range(1, j + 1)]
 
 
-def _named_arms(m: MultiModel, a: MultiAuxSystem,
-                ) -> list[tuple[CondDist, tuple[AuxPair, ...], CondDist]]:
-    """Arm triples (p(xtilde_j|x), one `AuxPair` per weight symbol, p(y_j z_j|x))
-    under the axis names of `_axis_names`, as `_ProductForm` and `_dense_joint` take.
-    `m` and `a` were validated when built, so their tables are only renamed
-    here, as trusted objects (`_trusted`), not checked again. A U channel fed
-    by the arm's observation alphabet, name and symbols, reads the renamed
-    observation; any other input is kept apart from it, so `_ProductForm.of`,
-    which holds the one feed rule, refuses it as it does a single function's."""
-    if a.j != m.j:
-        raise RegionError(f"auxiliary system has {a.j} arms, model has {m.j}")
-    arms = []
-    for j, (arm, pairs, names) in enumerate(zip(m.arms, a.arms, _axis_names(m.j))):
-        p_xt, p_yz = arm.p_xt_given_x, arm.p_yz_given_x
-        xt, u, v, y, z = (alph.renamed(name) for name, alph in zip(
-            names, (p_xt.output, pairs[0].u_alphabet, pairs[0].v_alphabet, *p_yz.output.parts)))
-        yz = _trusted(ProductAlphabet, f"yz{j + 1}", p_yz.output.labels, (y, z))
-        feed = pairs[0].p_u_given_xt.input  # shared by every weight symbol
-        feed = xt if feed == p_xt.output else feed.renamed(f"{feed.name} (not {xt.name})")
-        arms.append((_trusted(CondDist, p_xt.input, xt, p_xt.rows),
-                     tuple(_trusted(AuxPair, _trusted(CondDist, feed, u, p.p_u_given_xt.rows),
-                                    _trusted(CondDist, u, v, p.p_v_given_u.rows))
-                           for p in pairs),
-                     _trusted(CondDist, p_yz.input, yz, p_yz.rows)))
-    return arms
+def _source(m: MultiModel, a: MultiAuxSystem) -> _ProductForm:
+    """The product form of a system on a model, its arms named by `_axis_names`."""
+    return _ProductForm.of(m.p_x, a.p_q, [(arm.p_xt_given_x, pairs, arm.p_yz_given_x)
+                                          for arm, pairs in zip(m.arms, a.arms, strict=True)],
+                           _axis_names(m.j))
+
+
+def _dense(m: MultiModel, joint: JointDist) -> _Dense:
+    """A supplied dense joint as a source: arms named by `_axis_names`, the
+    source axis after the model's source alphabet, and the weight axis the
+    joint's one other axis. Raises UnknownAxis on a joint not of that form."""
+    x, names = m.p_x.alphabet.name, _axis_names(m.j)
+    rest = set(joint.names) - {x, *(n for arm in names for n in arm)}
+    if len(rest) != 1 or len(joint.names) != 5 * m.j + 2:  # a joint's names are distinct
+        raise UnknownAxis(f"a joint over {joint.names} is not {x!r}, {names} and one weight axis")
+    return _Dense(joint, names, rest.pop(), x)
 
 
 def build_multi_joint(m: MultiModel, a: MultiAuxSystem) -> JointDist:
-    """Product-form joint over (q, v_*, u_*, xtilde_*, x, y_*, z_*), dense.
-
-    The bound evaluators read marginals of the same joint from `_ProductForm`
-    instead; this dense table is the reference they agree with.
-    """
-    return _dense_joint(m.p_x, a.p_q, _named_arms(m, a))
+    """Product-form joint over (q, v_*, u_*, xtilde_*, x, y_*, z_*), dense:
+    the full read of the source the bound evaluators read marginals of."""
+    return _source(m, a).dense()
 
 
 def eval_inner_mf(m: MultiModel, a: MultiAuxSystem, mode: str,
@@ -136,8 +120,8 @@ def eval_inner_mf(m: MultiModel, a: MultiAuxSystem, mode: str,
     per-arm reconstructions and reports expected distortions.
     """
     a.validate_cardinalities(m, mode)
-    src = _ProductForm.of(m.p_x, a.p_q, _named_arms(m, a))
-    return _corner_rates(src, [arm.f for arm in m.arms], mode, [arm.d for arm in m.arms], g_list)
+    return _corner_rates(_source(m, a), [arm.f for arm in m.arms], mode,
+                         [arm.d for arm in m.arms], g_list)
 
 
 @dataclass(frozen=True)
@@ -147,19 +131,18 @@ class ChainCheck:
     ok: bool
 
 
-def multi_chain_report(m: MultiModel, joint: JointDist, tol: float = CHAIN_TOL,
-                       q_name: str = "q") -> tuple[ChainCheck, ...]:
+def multi_chain_report(m: MultiModel, joint: JointDist,
+                       tol: float = CHAIN_TOL) -> tuple[ChainCheck, ...]:
     """Verify each arm's Markov chain and its model marginal on a supplied joint.
 
     The auxiliaries of the rate terms absorb the time-sharing label, so arm j
     must satisfy (V_j,Q) -- (U_j,Q) -- X~_j -- X -- (Y_j,Z_j): its first link
     is I(V_j; X~_j | U_j, Q) = 0. Reads only marginals, so `joint` may also be
-    a source, which names its own axes; on a dense joint, `q_name` names the
-    time-sharing axis, the source axis is named after the model's source
-    alphabet and the arms' axes follow `_axis_names`.
+    a source, which names its own axes; a dense joint is named as `_dense`
+    names it: arms by `_axis_names`, the source axis after the model's source
+    alphabet and the time-sharing axis the one axis left.
     """
-    src = joint if isinstance(joint, _Source) else _Dense(joint, _axis_names(m.j), q_name,
-                                                          m.p_x.alphabet.name)
+    src = joint if isinstance(joint, _Source) else _dense(m, joint)
     q, x = src.q, src.x
     checks: list[ChainCheck] = []
     for k, (xt, u, v, y, z) in enumerate(src.arm_names):
@@ -182,17 +165,11 @@ def multi_chain_report(m: MultiModel, joint: JointDist, tol: float = CHAIN_TOL,
 
 def factorizes_per_arm(m: MultiModel, joint: JointDist, tol: float = CHAIN_TOL) -> bool:
     """True when arms are conditionally independent given (q, x), as the
-    product-form inner bound requires. The source axis is named after the
-    model's source alphabet and the time-sharing axis is the joint's one
-    axis that is neither it nor an arm's."""
-    names = _axis_names(m.j)
-    if m.j == 1:
-        return True
-    x = m.p_x.alphabet.name
-    q_name, = set(joint.names) - {n for arm in names for n in arm} - {x}
-    for k, mine in enumerate(names):
-        others = tuple(n for i, arm in enumerate(names) if i != k for n in arm)
-        if cond_mutual_info(joint, mine, others, (q_name, x)) > tol:
+    product-form inner bound requires; the joint is named as in `_dense`."""
+    src = _dense(m, joint)
+    for k, mine in enumerate(src.arm_names):
+        others = tuple(n for i, arm in enumerate(src.arm_names) if i != k for n in arm)
+        if src.cmi(mine, others, (src.q, src.x))[0] > tol:
             return False
     return True
 
@@ -208,16 +185,16 @@ def eval_outer_mf(m: MultiModel, system: "MultiAuxSystem | JointDist", mode: str
     same way; couplings across arms beyond the product form pass as long as
     each arm's chain holds. Every chain and model-marginal check runs on
     either. The time-sharing axis is named after the system's weight
-    alphabet, or "q" for a supplied joint. Lossless mode additionally
-    requires H(F_j | U_j, Q, Y_j) = 0 per arm, as the inner bound does.
-    Raises ChainViolation naming the first failing condition.
+    alphabet, or is a supplied joint's one axis left (`_dense`). Lossless
+    mode additionally requires H(F_j | U_j, Q, Y_j) = 0 per arm, as the inner
+    bound does. Raises ChainViolation naming the first failing condition.
     """
     _check_mode(mode)
     if isinstance(system, MultiAuxSystem):
         system.validate_cardinalities(m, mode)
-        src = _ProductForm.of(m.p_x, system.p_q, _named_arms(m, system))
+        src = _source(m, system)
     else:
-        src = _Dense(system, _axis_names(m.j), "q", m.p_x.alphabet.name)
+        src = _dense(m, system)
     report = multi_chain_report(m, src)
     for check in report:
         if not check.ok:

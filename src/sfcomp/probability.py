@@ -11,12 +11,12 @@ Inputs are validated once, where they enter: `Dist`, `CondDist`, the public
 `push_function` reject NaN, negative entries, mass away from 1, duplicate
 axis names and tables over the cell cap. Tables derived from a validated
 joint by `marginal`, `reorder` and `split`, and the factor-source marginals
-of `sources`, are trusted and skip those checks: a sum of nonnegative finite
-cells is nonnegative and finite and keeps the parent's mass up to rounding,
-and the cell cap is checked before a factor-source marginal is built.
-Renaming is trusted too (`Alphabet.renamed`, and the per-arm names
-`multifunction` gives validated channels through `_trusted`): a new name
-changes no symbol and no table.
+of `sources` (its full joints too), are trusted and skip those checks: a sum
+of nonnegative finite cells is nonnegative and finite and keeps the parent's
+mass up to rounding, and the cell cap is checked before a factor-source
+marginal is built. Renaming an alphabet is trusted too (`Alphabet.renamed`,
+which a factor source applies to the axis names its caller gives): a new
+name changes no symbol, and no channel is rebuilt to carry one.
 
 Every object here is immutable after construction; all operations are pure
 functions and safe to call concurrently. A joint keeps no memo: `entropy`
@@ -62,15 +62,6 @@ class OverlappingAxes(ProbabilityError):
 
 class TableTooLarge(ProbabilityError):
     """A dense table would exceed the 2^24 cell cap."""
-
-
-def _trusted(cls, *values):
-    """An instance of the frozen dataclass `cls` with `values` as its fields,
-    in order, and no check run: for objects renamed from validated ones."""
-    out = object.__new__(cls)
-    for name, value in zip(cls.__dataclass_fields__, values):
-        object.__setattr__(out, name, value)
-    return out
 
 
 def _check_cells(axes: Sequence[Alphabet], what: str, rows: int = 1) -> None:

@@ -14,9 +14,9 @@ scores B candidates in one call. How a marginal is contracted is planned once
 per source structure and axis set, and a search re-stacks every batch it
 scores from one template source of its structure. A CMI is read from the
 source's entropies, each computed once per source (per search on model axes
-alone); admissibility is H(F|U,Q,Y). Dense joints remain as the tests'
-references (`_dense_joint`) and as joints supplied to the outer bound
-(`sources._Dense`).
+alone); admissibility is H(F|U,Q,Y). `aux_mixture_joint` is the source's
+full read, checked against a dense reference in the tests; a dense joint
+supplied to the outer bound is read as a `sources._Dense`.
 
 Every reader here takes each arm's axis names, and those of q and x, from the
 source it reads. `_corner_rates` is the one exact corner reader, for one arm
@@ -74,10 +74,8 @@ from .probability import (
     Dist,
     JointDist,
     _check_cells,
-    compose,
     constant_channel,
     identity_channel,
-    mixture,
     uniform,
 )
 from .seeding import child_seed, uniforms
@@ -243,26 +241,24 @@ def singleton_alphabet(name: str) -> Alphabet:
     return Alphabet(name, ("0",))
 
 
-def identity_aux(m: SourceModel, u_name: str = "u", v_name: str = "v",
-                 q_name: str = "q") -> AuxSystem:
+def identity_aux(m: SourceModel) -> AuxSystem:
     """U copies the encoder observation, V is constant, no time sharing."""
-    p_u = identity_channel(m.xt_alphabet, u_name)
-    p_v = constant_channel(p_u.output, singleton_alphabet(v_name))
-    return AuxSystem(uniform(singleton_alphabet(q_name)), (AuxPair(p_u, p_v),))
+    p_u = identity_channel(m.xt_alphabet, "u")
+    p_v = constant_channel(p_u.output, singleton_alphabet("v"))
+    return AuxSystem(uniform(singleton_alphabet("q")), (AuxPair(p_u, p_v),))
 
 
-def constant_aux(m: SourceModel, u_name: str = "u", v_name: str = "v",
-                 q_name: str = "q") -> AuxSystem:
+def constant_aux(m: SourceModel) -> AuxSystem:
     """U and V carry no information."""
-    p_u = constant_channel(m.xt_alphabet, singleton_alphabet(u_name))
-    p_v = constant_channel(p_u.output, singleton_alphabet(v_name))
-    return AuxSystem(uniform(singleton_alphabet(q_name)), (AuxPair(p_u, p_v),))
+    p_u = constant_channel(m.xt_alphabet, singleton_alphabet("u"))
+    p_v = constant_channel(p_u.output, singleton_alphabet("v"))
+    return AuxSystem(uniform(singleton_alphabet("q")), (AuxPair(p_u, p_v),))
 
 
-def v_equals_u_aux(p_u_given_xt: CondDist, v_name: str = "v", q_name: str = "q") -> AuxSystem:
+def v_equals_u_aux(p_u_given_xt: CondDist) -> AuxSystem:
     """Wrap a single auxiliary channel with V a noiseless copy of U."""
-    p_v = identity_channel(p_u_given_xt.output, v_name)
-    return AuxSystem(uniform(singleton_alphabet(q_name)), (AuxPair(p_u_given_xt, p_v),))
+    p_v = identity_channel(p_u_given_xt.output, "v")
+    return AuxSystem(uniform(singleton_alphabet("q")), (AuxPair(p_u_given_xt, p_v),))
 
 
 def _canonical_corners(m: SourceModel) -> tuple[AuxSystem, ...]:
@@ -271,42 +267,21 @@ def _canonical_corners(m: SourceModel) -> tuple[AuxSystem, ...]:
             v_equals_u_aux(identity_channel(m.xt_alphabet, "u")))
 
 
-def _dense_joint(p_x: Dist, p_q: Dist,
-                 arms: Sequence[tuple[CondDist, Sequence[AuxPair], CondDist]]) -> JointDist:
-    """Dense joint over (q, v_*, u_*, xt_*, x, y_*, z_*) of arms named apart,
-    each (p(xt|x), one `AuxPair` per weight symbol, p(yz|x)). Built by
-    `compose`; the tests compare `_ProductForm` against it."""
-    xn = p_x.alphabet.name
-    pairs = [per_q[0] for _, per_q, _ in arms]  # every weight symbol shares these alphabets
-    yz = [p_yz.output for _, _, p_yz in arms]
-    order = ([p.v_alphabet.name for p in pairs] + [p.u_alphabet.name for p in pairs]
-             + [p_xt.output.name for p_xt, _, _ in arms] + [xn]
-             + [out.parts[0].name for out in yz] + [out.parts[1].name for out in yz])
-    components = []
-    for qi in range(p_q.alphabet.size):
-        steps = []
-        for p_xt, per_q, _ in arms:
-            pair = per_q[qi]
-            steps += [(p_xt, xn), (pair.p_u_given_xt, p_xt.output.name),
-                      (pair.p_v_given_u, pair.u_alphabet.name)]
-        steps += [(p_yz, xn) for _, _, p_yz in arms]
-        joint = compose(p_x, *steps)
-        for out in yz:
-            joint = joint.split(out.name)
-        components.append(joint.reorder(order))
-    return mixture(p_q, components)
+def _arm_names(m: SourceModel, u: Alphabet, v: Alphabet) -> tuple[tuple[str, ...]]:
+    """The one arm's axis names: the model's (xt, y, z) and the system's (u, v)."""
+    return ((m.xt_alphabet.name, u.name, v.name, m.y_alphabet.name, m.z_alphabet.name),)
 
 
 def aux_mixture_joint(m: SourceModel, aux: AuxSystem) -> JointDist:
     """Dense joint over (q, v, u, xt, x, y, z) induced by the model and the auxiliary system."""
-    return _dense_joint(m.p_x, aux.p_q, ((m.p_xt_given_x, aux.per_q, m.p_yz_given_x),))
+    return _source(m, aux).dense()
 
 
 def _source(m: SourceModel, aux: AuxSystem, model_h: dict | None = None) -> "_ProductForm":
     """The source the single-function evaluators read: the one-arm factor form,
     on a search's model-only entropy memo when given."""
     return _ProductForm.of(m.p_x, aux.p_q, ((m.p_xt_given_x, aux.per_q, m.p_yz_given_x),),
-                           model_h)
+                           _arm_names(m, aux.u_alphabet, aux.v_alphabet), model_h)
 
 
 def _multi_rates(src: _Source, cols: Sequence[int] | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -514,9 +489,9 @@ class _AuxParam:
         self.batch = TABLE_CELL_CAP // math.prod(a.size for a in axes)
         self._model_h: dict = {}  # model-only entropies, shared by every batch
         # the template source, of no system, that `source` re-stacks
-        self._template = _ProductForm(m.p_x, self.q_alpha, ((m.p_xt_given_x, self.u_alpha,
-                                                         self.v_alpha, m.p_yz_given_x),),
-                                  self._model_h)
+        self._template = _ProductForm(
+            m.p_x, self.q_alpha, ((m.p_xt_given_x, self.u_alpha, self.v_alpha, m.p_yz_given_x),),
+            _arm_names(m, self.u_alpha, self.v_alpha), self._model_h)
 
     def random(self, seed: int) -> np.ndarray:
         raw = -np.log(np.maximum(uniforms(seed, 0, self.size), 1e-300))
@@ -689,11 +664,12 @@ def _eval_candidate(m, aux, f, mode, d, target: RateTuple | None = None,
     model-only entropy memo, which any system of p(q) = 1.0 may read."""
     aux.validate_cardinalities(m.xt_alphabet.size, mode)
     src = _source(m, aux, model_h)
-    coords, gap = _eval_rows(src, f, mode, d, (1,))
-    if target is not None and (gap[0] > ADMISSIBILITY_TOL
-                               or coords[0, 1] > target.r_w + MEMBERSHIP_TOL):
-        return None
-    row = _coords(src, f, mode, d)[0].tolist()  # r_w again, from the source's entropies
+    coords, gap = _eval_rows(src, f, mode, d, range(5) if target is None else (1,))
+    if target is not None:
+        if gap[0] > ADMISSIBILITY_TOL or coords[0, 1] > target.r_w + MEMBERSHIP_TOL:
+            return None
+        coords = _coords(src, f, mode, d)  # r_w again, from the source's entropies
+    row = coords[0].tolist()
     return RateTuple(*row[:4], d=row[4] if mode == "lossy" and d is not None else None), \
         float(gap[0])
 
@@ -853,9 +829,10 @@ def trace_boundary(m: SourceModel, f: FunctionSpec, sweep: BoundarySweep, mode: 
     With `budget.q_size` = 1 a point is the best pool system within its bound;
     with 2 it lies on the pool's lower convex hull. A hull pair is not
     re-evaluated as one |Q| = 2 system, whose shared U alphabet lets `optimal_g`
-    pool the two reconstructions on (u, y) and lift d above the chord. Each
-    distinct witness is re-evaluated alone, once, and must reproduce its pool
-    coordinates within MEMBERSHIP_TOL.
+    pool the two reconstructions on (u, y) and lift d above the chord. The
+    corners are scored alone by `_eval_candidate`, so each is its own verified
+    witness; every other distinct witness is re-evaluated alone by it, once,
+    and must reproduce its pool coordinates within MEMBERSHIP_TOL.
     """
     budget = budget or SearchBudget()
     u_size, v_size, _ = budget.resolved_sizes(m, mode)
@@ -870,12 +847,14 @@ def trace_boundary(m: SourceModel, f: FunctionSpec, sweep: BoundarySweep, mode: 
     param = _AuxParam(m, u_size, v_size, 1)
     # every system here has |Q| = 1, so p(q) = 1.0 exactly and the search's
     # model-only entropies are those of any of them
-    corner_rows = [_eval_rows(_source(m, aux, param._model_h), f, mode, d_used)
-                   for aux in corners]
-    # owner, point, coordinates and residual of each row scored, and which rows
-    # were scanned; the corners come first, owner -1, each its own witness
+    checked = [_eval_candidate(m, aux, f, mode, d_used, model_h=param._model_h)
+               for aux in corners]
+    witnesses: dict[int, AuxSystem] = dict(enumerate(corners))  # by pool row, verified
+    # owner, point, coordinates (d NaN when unread) and residual of each row
+    # scored, and which rows were scanned; the corners come first, owner -1
     found = [(np.full(len(corners), -1), np.zeros((len(corners), param.size)),
-              *map(np.concatenate, zip(*corner_rows)))]
+              np.array([[getattr(r, k) for k in _COORDS] for r, _ in checked], dtype=float),
+              np.array([gap for _, gap in checked]))]
     masks = [np.ones(len(corners), dtype=bool)]
     bounds = np.repeat(sweep.grid, budget.restarts)
 
@@ -902,12 +881,10 @@ def trace_boundary(m: SourceModel, f: FunctionSpec, sweep: BoundarySweep, mode: 
         coords[rows] = _eval_rows(param.source(points[rows]), f, mode, d_used)[0]
     pool = [(row[ix], row[iy], row, i) for i, row in zip(kept.tolist(), coords[kept].tolist())]
 
-    witnesses: dict[int, AuxSystem] = {}  # by pool row: each is verified once
-
     def verified(entry) -> AuxSystem:
         at = entry[3]
-        if at not in witnesses:
-            aux = corners[at] if at < len(corners) else param.to_aux(points[at])
+        if at not in witnesses:  # each is verified once
+            aux = param.to_aux(points[at])
             rates, gap = _eval_candidate(m, aux, f, mode, d_used, model_h=param._model_h)
             again = rates.coords()
             if gap > ADMISSIBILITY_TOL or any(abs(again[k] - entry[2][i]) > MEMBERSHIP_TOL

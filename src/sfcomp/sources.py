@@ -6,14 +6,19 @@ y, z), and the names `q` of the time-sharing axis and `x` of the source
 axis; the readers in `regions` and `multifunction` take every name from the
 source they read. Its entropy memo is the only one an evaluator reads.
 
-`_ProductForm` keeps the mixture joints of B systems on one model as per-arm
-factors; its marginals are trusted contractions of validated tables, each
-within TABLE_CELL_CAP. A source is built as structure alone (the model's
-tables and every axis), and `restacked` gives it systems: a search restacks
-one structure for every batch it scores, and `take` restacks a subset of a
-source's systems with what was computed of them. How a marginal is
-contracted depends only on the structure and the axes asked for, so each
-such layout is planned once (`_layout`) and every later read is one einsum.
+`_ProductForm` is the package's one builder of auxiliary joints. It keeps
+the mixture joints of B systems on one model as per-arm factors; its
+marginals, and its one system's full joint (`dense`), are trusted
+contractions of validated tables, each within TABLE_CELL_CAP. Its caller
+names each arm's axes: a single function by the model's and the system's
+alphabets, J arms by `multifunction._axis_names`. The source renames the
+alphabets to those names and reads the channel tables as they are. A source
+is built as structure alone (the model's tables and every axis), and
+`restacked` gives it systems: a search restacks one structure for every
+batch it scores, and `take` restacks a subset of a source's systems with
+what was computed of them. How a marginal is contracted depends only on the
+structure and the axes asked for, so each such layout is planned once
+(`_layout`) and every later read is one einsum.
 `_Dense` serves a dense `JointDist` the same way, under names its caller gives.
 """
 
@@ -102,20 +107,21 @@ class _ProductForm(_Source):
 
     def __init__(self, p_x: Dist, q: Alphabet,
                  arms: Sequence[tuple[CondDist, Alphabet, Alphabet, CondDist]],
-                 model_h: dict | None = None) -> None:
-        """A source of no system; an arm is (p(xt|x), U, V, p(yz|x)), validated."""
+                 names: Sequence[tuple[str, ...]], model_h: dict | None = None) -> None:
+        """A source of no system; an arm is (p(xt|x), U, V, p(yz|x)), validated,
+        and names[k] names arm k's (xt, u, v, y, z) axes."""
         self._p_x = p_x.probs
         self._arms = []  # (local axes (xt, u, v, y, z), p(xt|x))
         self._parts = {}  # arm k's p(y,z|x) sums and chain products (`_chain`) by kept axes
-        for k, (p_xt, u, v, p_yz) in enumerate(arms):
-            y, z = p_yz.output.parts
-            self._arms.append(((p_xt.output, u, v, y, z), p_xt.rows))
-            yz = p_yz.rows.reshape(p_x.alphabet.size, y.size, z.size)
+        for k, ((p_xt, u, v, p_yz), arm) in enumerate(zip(arms, names, strict=True)):
+            local = tuple(alph.renamed(name) for alph, name in
+                          zip((p_xt.output, u, v, *p_yz.output.parts), arm, strict=True))
+            self._arms.append((local, p_xt.rows))
+            yz = p_yz.rows.reshape(p_x.alphabet.size, local[3].size, local[4].size)
             self._parts.update({(k, (3, 4)): yz, (k, (3,)): yz.sum(2), (k, (4,)): yz.sum(1)})
         per_arm = [tuple(local[i] for local, _ in self._arms) for i in range(5)]
         super().__init__((q,) + per_arm[2] + per_arm[1] + per_arm[0] + (p_x.alphabet,)
-                         + per_arm[3] + per_arm[4],
-                         [tuple(alph.name for alph in local) for local, _ in self._arms],
+                         + per_arm[3] + per_arm[4], [tuple(arm) for arm in names],
                          q.name, p_x.alphabet.name, model_h)
         self._model_axes = frozenset(alph.name for i in (0, 3, 4) for alph in per_arm[i]
                                      ) | {self.x}
@@ -129,20 +135,23 @@ class _ProductForm(_Source):
     @classmethod
     def of(cls, p_x: Dist, p_q: Dist,
            arms: Sequence[tuple[CondDist, Sequence, CondDist]],
-           model_h: dict | None = None) -> "_ProductForm":
-        """The one system (B = 1) of the arm triples `regions._dense_joint`
-        takes: (p(xt|x), one `AuxPair` per weight symbol, p(yz|x)). The one
-        feed rule of every evaluator: an arm's U channels read its observation's
-        alphabet, name and symbols both."""
-        for p_xt, per_q, _ in arms:  # every weight symbol shares its alphabets
+           names: Sequence[tuple[str, ...]], model_h: dict | None = None) -> "_ProductForm":
+        """The one system (B = 1) of arms (p(xt|x), one `AuxPair` per weight
+        symbol, p(yz|x)), arm k's axes named names[k]. Every evaluator's one feed
+        rule: an arm's U channels read its observation's alphabet as given."""
+        for (p_xt, per_q, _), (xt, *_) in zip(arms, names):  # every weight symbol shares these
             if per_q[0].p_u_given_xt.input != p_xt.output:
-                raise ProbabilityError(f"auxiliary channel is not fed by the observation "
-                                       f"{p_xt.output.name!r}")
+                raise ProbabilityError(f"auxiliary channel is not fed by the observation {xt!r}")
         form = cls(p_x, p_q.alphabet, [(p_xt, per_q[0].u_alphabet, per_q[0].v_alphabet, p_yz)
-                                       for p_xt, per_q, p_yz in arms], model_h)
+                                       for p_xt, per_q, p_yz in arms], names, model_h)
         return form.restacked(p_q.probs[None], [
             (np.stack([p.p_u_given_xt.rows for p in per_q])[None],
              np.stack([p.p_v_given_u.rows for p in per_q])[None]) for _, per_q, _ in arms])
+
+    def dense(self) -> JointDist:
+        """The joint of its one system over every axis, in `axes` order: dense
+        and trusted; TableTooLarge past TABLE_CELL_CAP, as any marginal."""
+        return JointDist._derived(self.axes, self.rows(tuple(a.name for a in self.axes))[0])
 
     def rows(self, names: tuple[str, ...]) -> np.ndarray:
         cells, subscripts, parts = _layout(self._structure, names)

@@ -18,14 +18,14 @@ from conftest import (
     bsc_rows,
     random_binary_model,
 )
+import reference
 from sfcomp.models import DistortionSpec, FunctionSpec, MultiArm, MultiModel
 from sfcomp.multifunction import (
     ChainViolation,
     MultiAuxSystem,
     _axis_names,
     _multi_rates,
-    _named_arms,
-    _ProductForm,
+    _source,
     build_multi_joint,
     eval_inner_mf,
     eval_outer_mf,
@@ -40,6 +40,7 @@ from sfcomp.probability import (
     JointDist,
     ProbabilityError,
     TableTooLarge,
+    UnknownAxis,
     bsc,
     constant_channel,
     identity_channel,
@@ -92,11 +93,25 @@ def random_aux_pair(rng, u_size=2, v_size=2):
 class TestBuildMultiJoint:
     def test_single_arm_matches_single_function_joint(self, cascade_model):
         aux = identity_aux(cascade_model)
-        single = aux_mixture_joint(cascade_model, aux)
-        multi = build_multi_joint(single_arm_model(cascade_model),
-                                  multi_from_aux([aux]))
+        mm, a = single_arm_model(cascade_model), multi_from_aux([aux])
+        single = reference.aux_mixture_joint(cascade_model, aux)
+        multi = reference.multi_joint(mm, a)
         assert multi.names == ("q", "v1", "u1", "xtilde1", "x", "y1", "z1")
         assert np.array_equal(multi.table, single.table)
+        assert build_multi_joint(mm, a).names == multi.names
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 3), st.integers(1, 2),
+           st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=3, max_size=3))
+    def test_builders_equal_the_reference(self, seed, j, q_size, sizes):
+        mm, a, _ = random_multi_system(np.random.default_rng(seed), sizes[:j], q_size=q_size)
+        pairs = [(build_multi_joint(mm, a), reference.multi_joint(mm, a))]
+        if j == 1:
+            sm, aux = mm.arm_model(0), AuxSystem(a.p_q, a.arms[0])
+            pairs.append((aux_mixture_joint(sm, aux), reference.aux_mixture_joint(sm, aux)))
+        for got, want in pairs:
+            assert got.axes == want.axes
+            assert np.max(np.abs(got.table - want.table)) <= 1e-12
 
     def test_identical_arms_swap_symmetric(self, cascade_model):
         mm = two_arm_model(cascade_model, cascade_model)
@@ -392,6 +407,31 @@ class TestOuterBound:
         coupled = JointDist(tuple(t if ax.name == "q" else ax for ax in joint.axes), joint.table)
         assert not factorizes_per_arm(mm, coupled)
 
+    def test_dense_joint_reads_its_one_other_axis_as_the_weight(self):
+        # a two-arm |Q| = 2 joint whose weight axis is "t" used to raise TypeError
+        mm, a, g_list = random_multi_system(np.random.default_rng(44), [(2, 2), (2, 2)], q_size=2)
+        a_t = MultiAuxSystem(Dist(a.p_q.alphabet.renamed("t"), a.p_q.probs), a.arms)
+        joint = reference.multi_joint(mm, a_t)
+        dense, report = eval_outer_mf(mm, joint, "lossy", g_list)
+        want, want_report = eval_outer_mf(mm, a_t, "lossy", g_list)
+        assert all(c.ok for c in report)
+        assert [c.name for c in report] == [c.name for c in want_report]
+        assert _fields(dense) == pytest.approx(_fields(want), abs=1e-12)
+        assert [c.name for c in multi_chain_report(mm, joint)] == [c.name for c in report]
+
+    def test_dense_joint_off_the_naming_convention_is_refused(self):
+        # a joint missing "v2" used to raise TypeError from the entropy memo's sort
+        mm, a, g_list = random_multi_system(np.random.default_rng(45), [(2, 2), (2, 2)], q_size=2)
+        joint = reference.multi_joint(mm, a)
+        missing = joint.marginal([n for n in joint.names if n != "v2"])
+        two_left = JointDist(joint.axes + (singleton_alphabet("s"),), joint.table[..., None])
+        for bad in (missing, two_left):
+            for evaluate in (lambda: eval_outer_mf(mm, bad, "lossy", g_list),
+                             lambda: multi_chain_report(mm, bad),
+                             lambda: factorizes_per_arm(mm, bad)):
+                with pytest.raises(UnknownAxis):
+                    evaluate()
+
     def test_chain_violation_is_named(self, cascade_model):
         # u1 copying the source itself breaks (q,v1,u1) -- xtilde1 -- x
         mm, joint = shared_flip_joint(cascade_model, cascade_model)
@@ -487,8 +527,8 @@ class TestProductForm:
            st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=3, max_size=3))
     def test_marginals_match_dense_joint(self, seed, j, sizes):
         mm, a, g_list = random_multi_system(np.random.default_rng(seed), sizes[:j], q_size=2)
-        dense = build_multi_joint(mm, a)
-        rec, seen = _recording(_ProductForm.of(mm.p_x, a.p_q, _named_arms(mm, a)))
+        dense = reference.multi_joint(mm, a)
+        rec, seen = _recording(_source(mm, a))
         fs, ds = [arm.f for arm in mm.arms], [arm.d for arm in mm.arms]
         inner = regions._corner_rates(rec, fs, "lossy", ds, g_list)
         multi_chain_report(mm, rec)
@@ -501,7 +541,7 @@ class TestProductForm:
             regions._corner_rates(single, (XOR_F,), "lossy", (HAMMING_D,), g_list)
             single.rows(("u", "q", "xtilde", "y"))  # read by the residual
             regions._g_tables(single.rows(("u", "xtilde", "y")), XOR_F, HAMMING_D)
-            pairs.append((single, single_seen, aux_mixture_joint(sm, aux)))
+            pairs.append((single, single_seen, reference.aux_mixture_joint(sm, aux)))
         for src, seen, ref in pairs:
             for axes in list(seen):
                 got, want = src.rows(axes)[0], ref.marginal(axes).reorder(axes)

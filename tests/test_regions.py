@@ -23,6 +23,7 @@ from conftest import (
     bsc_rows,
     random_binary_model,
 )
+import reference
 from sfcomp.models import (
     ADMISSIBILITY_TOL,
     DistortionSpec,
@@ -63,7 +64,6 @@ from sfcomp.regions import (
     RegionError,
     SearchBudget,
     _alphabet_of_size,
-    aux_mixture_joint,
     constant_aux,
     eval_lossless_corner,
     eval_lossy_corner,
@@ -160,7 +160,7 @@ class TestLosslessCorner:
         # collapses to I(U;XT) - I(U;Y)
         aux = bsc_aux(0.3)
         rates, _, _ = _rates_with_joint(cascade_model, aux)
-        j = aux_mixture_joint(cascade_model, aux)
+        j = reference.aux_mixture_joint(cascade_model, aux)
         expected = mutual_info(j, "u", "xtilde") - mutual_info(j, "u", "y")
         assert rates.r_s == pytest.approx(expected, abs=1e-11)
 
@@ -168,7 +168,8 @@ class TestLosslessCorner:
         aux = bsc_aux(0.3, v_copy=True)
         rates, offset, _ = _rates_with_joint(cascade_model, aux)
         assert offset == 0.0
-        expected = cond_mutual_info(aux_mixture_joint(cascade_model, aux), "u", "xtilde", "z")
+        expected = cond_mutual_info(reference.aux_mixture_joint(cascade_model, aux),
+                                    "u", "xtilde", "z")
         assert rates.r_s == pytest.approx(expected, abs=1e-15)
 
     def test_cardinality_bounds_enforced(self, cascade_model):
@@ -352,7 +353,7 @@ class TestInvariants:
         m = SourceModel(uniform(X), bsc(0.06, X, XT), CondDist(X, YZ, rows))
         aux = random_aux(np.random.default_rng(3), q_size=2)
         rates, _, _ = _rates_with_joint(m, aux)
-        j = aux_mixture_joint(m, aux)
+        j = reference.aux_mixture_joint(m, aux)
         expected = mutual_info(j, ("u", "q"), "xtilde") + min(
             -cond_mutual_info(j, "u", "y", ("v", "q")), 0.0)
         assert rates.r_s == pytest.approx(expected, abs=1e-12)
@@ -439,8 +440,8 @@ class TestTrustedPath:
             aux = random_aux(rng, q_size=int(rng.integers(1, 3)))
             g = optimal_g(m, aux, XOR_F, HAMMING_D)
             # the reconstruction rule gives the same table on the dense reference
-            dense = sources._Dense(aux_mixture_joint(m, aux), [("xtilde", "u", "v", "y", "z")],
-                                   "q", "x")
+            dense = sources._Dense(reference.aux_mixture_joint(m, aux),
+                                   [("xtilde", "u", "v", "y", "z")], "q", "x")
             dense_g = regions._g_tables(dense.rows(("u", "xtilde", "y")), XOR_F, HAMMING_D)[0]
             assert np.array_equal(g.table, dense_g)
             own = eval_lossy_corner(m, aux, XOR_F, g, HAMMING_D)
@@ -1379,20 +1380,27 @@ class TestTraceBoundary:
 
     @pytest.mark.parametrize("restarts", [0, 2])
     def test_each_witness_is_verified_once(self, cascade_model, monkeypatch, restarts):
-        # the corners alone serve several grid points each
-        calls = []
-        evaluate = regions._eval_candidate
+        # the corners alone serve several grid points each; a corner is scored
+        # by the evaluation that verifies witnesses, once, before the descents
+        calls, corners = [], []
+        evaluate, canonical = regions._eval_candidate, regions._canonical_corners
 
         def spy(m, aux, *rest, **kw):
             calls.append(aux)
             return evaluate(m, aux, *rest, **kw)
 
         monkeypatch.setattr(regions, "_eval_candidate", spy)
+        monkeypatch.setattr(regions, "_canonical_corners",
+                            lambda m: corners.extend(canonical(m)) or tuple(corners))
         pts = trace_lossy(cascade_model, (0.0, 0.03, 0.1, 0.19, 0.3), SearchBudget(
             restarts=restarts, iters=6, u_size=2, v_size=1, q_size=2, seed=2))
-        slots = [w for pt in pts for w in pt.witnesses]
-        assert len(calls) == len({id(w) for w in slots}) < len(slots)
-        assert {id(w) for w in calls} == {id(w) for w in slots}
+        slots = {id(w) for pt in pts for w in pt.witnesses}
+        assert len(slots) < sum(len(pt.witnesses) for pt in pts)
+        assert [id(w) for w in calls[:3]] == [id(c) for c in corners]
+        searched = [id(w) for w in calls[3:]]
+        assert len(searched) == len(set(searched))
+        assert set(searched) == slots - {id(c) for c in corners}
+        assert slots & {id(c) for c in corners}
 
     def test_witness_off_its_pool_coordinates_is_rejected(self, cascade_model, monkeypatch):
         evaluate = regions._eval_candidate

@@ -58,16 +58,18 @@ def random_form(rng, sizes, q_size, x_size, batch):
     """A J-arm source of `batch` random systems; sizes[k] is arm k's
     (|xt|, |u|, |v|, |y|, |z|)."""
     x = _alphabet_of_size("x", x_size)
-    arms, links = [], []
+    arms, names, links = [], [], []
     for k, (nxt, nu, nv, ny, nz) in enumerate(sizes, start=1):
         xt, u, v, y, z = (_alphabet_of_size(f"{a}{k}", n) for a, n in
                           zip(("xt", "u", "v", "y", "z"), (nxt, nu, nv, ny, nz)))
         yz = product_alphabet(f"yz{k}", y, z)
         arms.append((CondDist(x, xt, stochastic(rng, (x_size, nxt))), u, v,
                      CondDist(x, yz, stochastic(rng, (x_size, ny * nz)))))
+        names.append((xt.name, u.name, v.name, y.name, z.name))
         links.append((stochastic(rng, (batch, q_size, nxt, nu)),
                       stochastic(rng, (batch, q_size, nu, nv))))
-    form = _ProductForm(Dist(x, stochastic(rng, (x_size,))), _alphabet_of_size("q", q_size), arms)
+    form = _ProductForm(Dist(x, stochastic(rng, (x_size,))), _alphabet_of_size("q", q_size), arms,
+                        names)
     return form.restacked(stochastic(rng, (batch, q_size)), links)
 
 
@@ -122,7 +124,8 @@ class TestTemplateSources:
         src = param.source(points)
         p_q, p_u, p_v = param.unpack(points)
         fresh = _ProductForm(m.p_x, param.q_alpha, ((m.p_xt_given_x, param.u_alpha,
-                                                    param.v_alpha, m.p_yz_given_x),))
+                                                    param.v_alpha, m.p_yz_given_x),),
+                             [("xtilde", "u", "v", "y", "z")])
         fresh = fresh.restacked(p_q, ((p_u, p_v),))
         assert fresh._model_h is not src._model_h
         for names in [("q", "u", "xtilde", "y"), ("u", "xtilde", "y"), ("q", "v", "u", "z"),
