@@ -25,7 +25,6 @@ from .probability import (
     ProductAlphabet,
     _check_cells,
     _entropy_rows,
-    cond_mutual_info,
     product_alphabet,
 )
 
@@ -194,22 +193,19 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
 
 
 def _renorm(v: np.ndarray) -> np.ndarray:
-    """Clip each row (last axis) at 0 and renormalize; an all-zero row becomes uniform."""
-    w = np.maximum(v, 0.0)
-    s = w.sum(axis=-1, keepdims=True)
-    if (s > 0).all():  # a search's points, always
-        return w / s
-    return np.where(s > 0, w / np.where(s > 0, s, 1.0), 1.0 / v.shape[-1])
+    """Each row (last axis) over its sum, which is positive: a search's rows are
+    random draws (positive) or simplex projections (nonnegative, summing to 1)."""
+    return v / v.sum(axis=-1, keepdims=True)
 
 
-def is_physically_degraded_eve(m: SourceModel, tol: float = DEGRADEDNESS_TOL) -> bool:
+def is_physically_degraded_eve(m: SourceModel) -> bool:
     """True when the eavesdropper channel factors through the decoder channel.
 
     Searches for a stochastic matrix taking y to z whose cascade with the
     y-marginal channel reproduces the declared broadcast channel: per-y
     least squares, projection onto the simplex, then a max-abs residual
-    check against `tol`. Verifies user inputs rather than assuming the
-    modeling hypothesis.
+    check against DEGRADEDNESS_TOL. Verifies user inputs rather than assuming
+    the modeling hypothesis.
     """
     ny, nz = m.y_alphabet.size, m.z_alphabet.size
     pyz = m.p_yz_given_x.rows.reshape(m.x_alphabet.size, ny, nz)
@@ -223,12 +219,7 @@ def is_physically_degraded_eve(m: SourceModel, tol: float = DEGRADEDNESS_TOL) ->
         w = pyz[:, y, :].T @ py[:, y] / denom
         z_given_y[y] = _project_simplex(w)
     residual = np.max(np.abs(pyz - py[:, :, None] * z_given_y[None, :, :]))
-    return bool(residual <= tol)
-
-
-def markov_chain_holds(joint: JointDist, a, b, c, tol: float = DEGRADEDNESS_TOL) -> bool:
-    """True iff a - b - c holds on the joint: I(a; c | b) <= tol."""
-    return cond_mutual_info(joint, a, c, b) <= tol
+    return bool(residual <= DEGRADEDNESS_TOL)
 
 
 def _function_joint(p: np.ndarray, f: FunctionSpec) -> np.ndarray:
@@ -284,16 +275,6 @@ def admissibility_gap(m: SourceModel, p_u_given_xt: CondDist, f: FunctionSpec) -
         raise ModelError("auxiliary channel must be fed by the encoder observation")
     p = np.einsum("axyz,au->uay", build_joint(m).table, p_u_given_xt.rows)
     return float(_function_residual(p[None], f)[0])
-
-
-def is_admissible(m: SourceModel, p_u_given_xt: CondDist, f: FunctionSpec,
-                  tol: float = ADMISSIBILITY_TOL) -> bool:
-    """True when the auxiliary variable and the decoder observation pin down f.
-
-    Exact-zero residual entropy is fragile under floating-point composition,
-    hence the small tolerance.
-    """
-    return admissibility_gap(m, p_u_given_xt, f) <= tol
 
 
 # ---------------------------------------------------------------------------

@@ -131,16 +131,16 @@ class ChainCheck:
     ok: bool
 
 
-def multi_chain_report(m: MultiModel, joint: JointDist,
-                       tol: float = CHAIN_TOL) -> tuple[ChainCheck, ...]:
+def multi_chain_report(m: MultiModel, joint: JointDist) -> tuple[ChainCheck, ...]:
     """Verify each arm's Markov chain and its model marginal on a supplied joint.
 
     The auxiliaries of the rate terms absorb the time-sharing label, so arm j
     must satisfy (V_j,Q) -- (U_j,Q) -- X~_j -- X -- (Y_j,Z_j): its first link
-    is I(V_j; X~_j | U_j, Q) = 0. Reads only marginals, so `joint` may also be
-    a source, which names its own axes; a dense joint is named as `_dense`
-    names it: arms by `_axis_names`, the source axis after the model's source
-    alphabet and the time-sharing axis the one axis left.
+    is I(V_j; X~_j | U_j, Q) = 0. A link holds when its CMI is at most CHAIN_TOL.
+    Reads only marginals, so `joint` may also be a source, which names its own
+    axes; a dense joint is named as `_dense` names it: arms by `_axis_names`,
+    the source axis after the model's source alphabet and the time-sharing
+    axis the one axis left.
     """
     src = joint if isinstance(joint, _Source) else _dense(m, joint)
     q, x = src.q, src.x
@@ -155,7 +155,7 @@ def multi_chain_report(m: MultiModel, joint: JointDist,
              src.cmi((q, v, u, xt), (y, z), x)[0]),
         ]
         for name, value in conds:
-            checks.append(ChainCheck(name, float(value), bool(value <= tol)))
+            checks.append(ChainCheck(name, float(value), bool(value <= CHAIN_TOL)))
         got = src.rows((xt, x, y, z))[0]
         err = float(np.max(np.abs(got - build_joint(m.arm_model(k)).table)))
         checks.append(ChainCheck(f"arm{k + 1}: model marginal reproduced", err,
@@ -163,13 +163,13 @@ def multi_chain_report(m: MultiModel, joint: JointDist,
     return tuple(checks)
 
 
-def factorizes_per_arm(m: MultiModel, joint: JointDist, tol: float = CHAIN_TOL) -> bool:
-    """True when arms are conditionally independent given (q, x), as the
+def factorizes_per_arm(m: MultiModel, joint: JointDist) -> bool:
+    """True when each arm's I(arm; other arms | q, x) is at most CHAIN_TOL, as the
     product-form inner bound requires; the joint is named as in `_dense`."""
     src = _dense(m, joint)
     for k, mine in enumerate(src.arm_names):
         others = tuple(n for i, arm in enumerate(src.arm_names) if i != k for n in arm)
-        if src.cmi(mine, others, (src.q, src.x))[0] > tol:
+        if src.cmi(mine, others, (src.q, src.x))[0] > CHAIN_TOL:
             return False
     return True
 

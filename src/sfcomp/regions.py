@@ -92,6 +92,7 @@ ACCEPT_MARGIN = 1e-12
 # 2,066 rows; 3 gave the fastest pass on a 2-core x86-64 VM (12.8 ms against
 # 19.4 ms for 0, and 17.5 ms for every remaining sweep: 17.4 rounds, 4,280 rows).
 SWEEPS_AHEAD = 3
+INIT_STEP, MIN_STEP = 0.25, 1e-6  # a descent's first step; it stops under the second
 
 
 class RegionError(ValueError):
@@ -192,10 +193,11 @@ class RateTuple:
             out["d"] = self.d
         return out
 
-    def dominates(self, target: "RateTuple", tol: float = MEMBERSHIP_TOL) -> bool:
-        """True when every coordinate is <= the target's within tol."""
+    def dominates(self, target: "RateTuple") -> bool:
+        """True when every coordinate is <= the target's within MEMBERSHIP_TOL;
+        a d the tuple lacks reads as 0."""
         mine, theirs = self.coords(), target.coords()
-        return all(mine.get(k, 0.0) <= v + tol for k, v in theirs.items())
+        return all(mine.get(k, 0.0) <= v + MEMBERSHIP_TOL for k, v in theirs.items())
 
 
 @dataclass(frozen=True)
@@ -390,12 +392,6 @@ def optimal_g(m: SourceModel, aux: AuxSystem, f: FunctionSpec,
     return ReconstructionFn(aux.u_alphabet, m.y_alphabet, f.output, table)
 
 
-def expected_distortion(m: SourceModel, aux: AuxSystem, f: FunctionSpec,
-                        g: ReconstructionFn, d: DistortionSpec) -> float:
-    """E d(f(xt, y), g(u, y)) under the model and the auxiliary system."""
-    return _distortion(_source(m, aux), 0, f, d, g)
-
-
 def eval_lossy_corner(m: SourceModel, aux: AuxSystem, f: FunctionSpec,
                       g: ReconstructionFn, d: DistortionSpec) -> RateTuple:
     """Rate corner plus expected distortion; no admissibility requirement."""
@@ -428,7 +424,8 @@ def per_q_report(m: SourceModel, aux: AuxSystem) -> tuple[PerQEntry, ...]:
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Search parameters; defaults follow the documented evaluation recipe."""
+    """Search parameters; defaults follow the documented evaluation recipe.
+    Every descent starts at step INIT_STEP and stops under MIN_STEP."""
 
     restarts: int = 64
     iters: int = 500
@@ -436,8 +433,6 @@ class SearchBudget:
     u_size: int | None = None  # defaults to the encoder-observation alphabet size
     v_size: int = 1
     q_size: int = 1
-    init_step: float = 0.25
-    min_step: float = 1e-6
     candidates: tuple[AuxSystem, ...] = field(default=())
 
     def __post_init__(self) -> None:
@@ -445,8 +440,6 @@ class SearchBudget:
             raise RegionError("invalid budget: restarts must be >= 0 and iters >= 1")
         if self.v_size < 1 or self.q_size < 1 or (self.u_size is not None and self.u_size < 1):
             raise RegionError("invalid budget: alphabet sizes must be >= 1")
-        if not (0 < self.min_step <= self.init_step):
-            raise RegionError("invalid budget: need 0 < min_step <= init_step")
 
     def resolved_sizes(self, m: SourceModel, mode: str) -> tuple[int, int, int]:
         xt = m.xt_alphabet.size
@@ -754,7 +747,7 @@ def membership(m: SourceModel, f: FunctionSpec, target: RateTuple, mode: str,
     for r in range(budget.restarts):
         (point,), (val,) = _coordinate_descent(
             param, param.random(child_seed(budget.seed, 0, r))[None], score,
-            lambda mask: None, budget.iters, budget.init_step, budget.min_step)
+            lambda mask: None, budget.iters, INIT_STEP, MIN_STEP)
         if val <= MEMBERSHIP_TOL:
             hit = verdict(param.to_aux(point))
             if hit:
@@ -868,7 +861,7 @@ def trace_boundary(m: SourceModel, f: FunctionSpec, sweep: BoundarySweep, mode: 
     starts = [param.random(child_seed(budget.seed, gi, r))
               for gi in range(len(sweep.grid)) for r in range(budget.restarts)]
     _coordinate_descent(param, np.reshape(starts, (-1, param.size)), score, masks.append,
-                        budget.iters, budget.init_step, budget.min_step)
+                        budget.iters, INIT_STEP, MIN_STEP)
     keep = np.concatenate(masks)
     owner, points, coords, gap = (np.concatenate(col)[keep] for col in zip(*found))
     order = np.argsort(owner, kind="stable")  # offers: the corners, then descent by descent

@@ -9,6 +9,8 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 from sfcomp.models import (
+    ADMISSIBILITY_TOL,
+    DEGRADEDNESS_TOL,
     DistortionSpec,
     FunctionSpec,
     ModelError,
@@ -17,9 +19,7 @@ from sfcomp.models import (
     _project_simplex,
     admissibility_gap,
     build_joint,
-    is_admissible,
     is_physically_degraded_eve,
-    markov_chain_holds,
     parse_model_file,
     parse_model_text,
 )
@@ -200,17 +200,17 @@ class TestDegradedness:
 class TestMarkovChain:
     def test_composed_chain(self):
         j = compose(uniform(X), (bsc(0.1, X, XT), "x"), (bsc(0.2, XT, U), "xtilde"))
-        assert markov_chain_holds(j, "x", "xtilde", "u")
+        assert cond_mutual_info(j, "x", "u", "xtilde") <= DEGRADEDNESS_TOL
 
     def test_fully_correlated_triple(self):
         j = compose(uniform(X), (identity_channel(X, "b"), "x"), (identity_channel(X, "c"), "x"))
-        assert markov_chain_holds(j, "b", "x", "c")
+        assert cond_mutual_info(j, "b", "c", "x") <= DEGRADEDNESS_TOL
 
     def test_equal_ends_independent_middle(self):
         # a = c, both independent of b: I(a;c|b) = 1 bit
         j = compose(uniform(X), (identity_channel(X, "c"), "x"),
                     (constant_channel(X, U), "x"))
-        assert not markov_chain_holds(j, "x", "u", "c")
+        assert not cond_mutual_info(j, "x", "c", "u") <= DEGRADEDNESS_TOL
 
 
 class TestAdmissibility:
@@ -218,18 +218,18 @@ class TestAdmissibility:
         m = make_model()
         ident = identity_channel(XT, "u")
         for f in (XOR, YPROJ, XTPROJ):
-            assert is_admissible(m, ident, f)
+            assert admissibility_gap(m, ident, f) <= ADMISSIBILITY_TOL
 
     def test_constant_u_fails_for_xt_projection(self):
         m = make_model()
         const = constant_channel(XT, U)
-        assert not is_admissible(m, const, XTPROJ)
+        assert not admissibility_gap(m, const, XTPROJ) <= ADMISSIBILITY_TOL
         assert admissibility_gap(m, const, XTPROJ) > 0.1
 
     def test_constant_u_ok_for_y_projection(self):
         m = make_model()
         const = constant_channel(XT, U)
-        assert is_admissible(m, const, YPROJ)
+        assert admissibility_gap(m, const, YPROJ) <= ADMISSIBILITY_TOL
 
 
 def project_one(v):

@@ -67,7 +67,6 @@ from sfcomp.regions import (
     constant_aux,
     eval_lossless_corner,
     eval_lossy_corner,
-    expected_distortion,
     identity_aux,
     membership,
     optimal_g,
@@ -228,11 +227,11 @@ class TestLossyCorner:
         aux = constant_aux(cascade_model)
         g = optimal_g(cascade_model, aux, XOR_F, HAMMING_D)
         best = min(
-            expected_distortion(
+            eval_lossy_corner(
                 cascade_model, aux, XOR_F,
-                ReconstructionFn(aux.u_alphabet, Y, F, np.array([rule])), HAMMING_D)
+                ReconstructionFn(aux.u_alphabet, Y, F, np.array([rule])), HAMMING_D).d
             for rule in itertools.product(range(2), repeat=2))
-        achieved = expected_distortion(cascade_model, aux, XOR_F, g, HAMMING_D)
+        achieved = eval_lossy_corner(cascade_model, aux, XOR_F, g, HAMMING_D).d
         assert achieved == best
 
     def test_reconstruction_and_distortion_must_fit_the_arm(self, cascade_model):
@@ -243,9 +242,8 @@ class TestLossyCorner:
         wide = ReconstructionFn(aux.u_alphabet, Y, f3, g.table)
         for g_bad, d in ((narrow, HAMMING_D), (g, DistortionSpec.hamming(f3)), (wide, HAMMING_D),
                          (wide, DistortionSpec.hamming(f3))):
-            for evaluate in (eval_lossy_corner, expected_distortion):
-                with pytest.raises(RegionError, match="reconstruction"):
-                    evaluate(cascade_model, aux, XOR_F, g_bad, d)
+            with pytest.raises(RegionError, match="reconstruction"):
+                eval_lossy_corner(cascade_model, aux, XOR_F, g_bad, d)
         assert eval_lossy_corner(cascade_model, aux, XOR_F, g, HAMMING_D).d == 0.0
 
     def test_distortion_spec_must_fit_the_function(self, cascade_model, monkeypatch):
@@ -447,7 +445,6 @@ class TestTrustedPath:
             own = eval_lossy_corner(m, aux, XOR_F, g, HAMMING_D)
             # a search evaluation shares one (u, xt, y) marginal between g and d
             assert regions._eval_candidate(m, aux, XOR_F, "lossy", HAMMING_D) == (own, 0.0)
-            assert own.d == expected_distortion(m, aux, XOR_F, g, HAMMING_D)
 
 
 def batch_and_one(m, param, f, mode, d, target):
@@ -871,6 +868,15 @@ class TestBatchedSearch:
 
 
 class TestMembership:
+    def test_dominates_reads_the_membership_tolerance(self):
+        target, tol = RateTuple(0.25, 0.25, 0.25, 0.25), regions.MEMBERSHIP_TOL
+        assert replace(target, r_w=0.25 + tol / 2).dominates(target)
+        assert not replace(target, r_w=0.25 + 2 * tol).dominates(target)
+        # a tuple without d reads it as 0; a target without d asks nothing of it
+        assert target.dominates(replace(target, d=0.0))
+        assert not target.dominates(replace(target, d=-1.0))
+        assert replace(target, d=0.5).dominates(target)
+
     def test_replay_known_system(self, cascade_model):
         target = eval_lossless_corner(cascade_model, identity_aux(cascade_model), XOR_F)
         res = membership(cascade_model, XOR_F, target, "lossless",
