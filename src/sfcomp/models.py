@@ -57,6 +57,7 @@ class SourceModel:
         out = self.p_yz_given_x.output
         if not isinstance(out, ProductAlphabet) or len(out.parts) != 2:
             raise ModelError("broadcast output must be a two-part product alphabet (y, z)")
+        object.__setattr__(self, "_h", {})  # model-only entropies (`sources`)
 
     @property
     def x_alphabet(self) -> Alphabet:
@@ -159,6 +160,7 @@ class MultiModel:
             raise ModelError("a multi-function model needs at least one arm")
         for arm in self.arms:
             SourceModel(self.p_x, arm.p_xt_given_x, arm.p_yz_given_x)  # validates
+        object.__setattr__(self, "_h", {})  # model-only entropies (`sources`)
 
     @property
     def j(self) -> int:

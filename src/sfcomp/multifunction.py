@@ -88,10 +88,11 @@ def _axis_names(j: int) -> list[tuple[str, ...]]:
 
 
 def _source(m: MultiModel, a: MultiAuxSystem) -> _ProductForm:
-    """The product form of a system on a model, its arms named by `_axis_names`."""
+    """The product form of a system on a model, its arms named by `_axis_names`,
+    reading the model's memo of model-only entropies at p(q) = (1.0,)."""
     return _ProductForm.of(m.p_x, a.p_q, [(arm.p_xt_given_x, pairs, arm.p_yz_given_x)
                                           for arm, pairs in zip(m.arms, a.arms, strict=True)],
-                           _axis_names(m.j))
+                           _axis_names(m.j), m._h)
 
 
 def _dense(m: MultiModel, joint: JointDist) -> _Dense:

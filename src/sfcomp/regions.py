@@ -13,8 +13,8 @@ systems on one model, kept as per-arm factors. One system is B = 1; a search
 scores B candidates in one call. How a marginal is contracted is planned once
 per source structure and axis set, and a search re-stacks every batch it
 scores from one template source of its structure. A CMI is read from the
-source's entropies, each computed once per source (per search on model axes
-alone); admissibility is H(F|U,Q,Y). `aux_mixture_joint` is the source's
+source's entropies, each computed once per source, or once per model on the
+model's axes alone at p(q) = (1.0,) (`sources`); admissibility is H(F|U,Q,Y). `aux_mixture_joint` is the source's
 full read, checked against a dense reference in the tests; a dense joint
 supplied to the outer bound is read as a `sources._Dense`.
 
@@ -27,7 +27,8 @@ arm's distortion, once its reconstruction and distortion fit the arm.
 `unknown`. A certificate is a model-only lower bound the target sits under: every
 coordinate is >= 0, and a lossless corner has r_w >= H(F|Y) and
 r_dec >= I(F;X|Y) because (U, Q, Y) determine F. It is checked before any
-descent, so a provably outside target costs no search.
+system is evaluated, so a provably outside target costs no corner and no
+search.
 
 Searches are seeded multi-start coordinate descent with step halving and
 simplex projection; restart r of grid point g uses child_seed(seed, g, r).
@@ -47,6 +48,7 @@ other coordinates of that pool's systems afterwards.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -263,10 +265,12 @@ def v_equals_u_aux(p_u_given_xt: CondDist) -> AuxSystem:
     return AuxSystem(uniform(singleton_alphabet("q")), (AuxPair(p_u_given_xt, p_v),))
 
 
-def _canonical_corners(m: SourceModel) -> tuple[AuxSystem, ...]:
-    """The systems both searches evaluate first, in this order."""
-    return (identity_aux(m), constant_aux(m),
-            v_equals_u_aux(identity_channel(m.xt_alphabet, "u")))
+def _canonical_corners(m: SourceModel):
+    """The systems both searches evaluate first, in this order, each built
+    only when the one before it has been tried."""
+    yield identity_aux(m)
+    yield constant_aux(m)
+    yield v_equals_u_aux(identity_channel(m.xt_alphabet, "u"))
 
 
 def _arm_names(m: SourceModel, u: Alphabet, v: Alphabet) -> tuple[tuple[str, ...]]:
@@ -279,11 +283,11 @@ def aux_mixture_joint(m: SourceModel, aux: AuxSystem) -> JointDist:
     return _source(m, aux).dense()
 
 
-def _source(m: SourceModel, aux: AuxSystem, model_h: dict | None = None) -> "_ProductForm":
+def _source(m: SourceModel, aux: AuxSystem) -> "_ProductForm":
     """The source the single-function evaluators read: the one-arm factor form,
-    on a search's model-only entropy memo when given."""
+    reading the model's memo of model-only entropies at p(q) = (1.0,)."""
     return _ProductForm.of(m.p_x, aux.p_q, ((m.p_xt_given_x, aux.per_q, m.p_yz_given_x),),
-                           _arm_names(m, aux.u_alphabet, aux.v_alphabet), model_h)
+                           _arm_names(m, aux.u_alphabet, aux.v_alphabet), m._h)
 
 
 def _multi_rates(src: _Source, cols: Sequence[int] | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -452,6 +456,16 @@ def _alphabet_of_size(name: str, n: int) -> Alphabet:
     return Alphabet(name, tuple(str(i) for i in range(n)))
 
 
+def _search_axes(m: SourceModel, u_size: int, v_size: int, q_size: int) -> tuple[Alphabet, ...]:
+    """The axes (q, x, xt, u, v, y, z) of one system's arm factor in a search
+    of these sizes; TableTooLarge when that factor exceeds TABLE_CELL_CAP."""
+    axes = (_alphabet_of_size("q", q_size), m.x_alphabet, m.xt_alphabet,
+            _alphabet_of_size("u", u_size), _alphabet_of_size("v", v_size),
+            m.y_alphabet, m.z_alphabet)
+    _check_cells(axes, "arm factor")
+    return axes
+
+
 class _AuxParam:
     """Flat simplex-block parameterization of auxiliary systems of fixed sizes.
 
@@ -465,9 +479,8 @@ class _AuxParam:
 
     def __init__(self, m: SourceModel, u_size: int, v_size: int, q_size: int):
         self.m = m
-        self.q_alpha = _alphabet_of_size("q", q_size)
-        self.u_alpha = _alphabet_of_size("u", u_size)
-        self.v_alpha = _alphabet_of_size("v", v_size)
+        axes = _search_axes(m, u_size, v_size, q_size)
+        self.q_alpha, _, _, self.u_alpha, self.v_alpha, _, _ = axes
         xt = m.xt_alphabet.size
         sizes = [q_size] if q_size > 1 else []
         sizes += ([u_size] * xt + ([v_size] * u_size if v_size > 1 else [])) * q_size
@@ -476,15 +489,11 @@ class _AuxParam:
         # per move: the start and width of its coordinate's block, and its sign
         self._at, self._width = np.repeat(self.spans, [2 * n for n in sizes], axis=0).T
         self._widths, self._sign = sorted(set(sizes)), np.tile([1.0, -1.0], self.size)
-        axes = (self.q_alpha, m.x_alphabet, m.xt_alphabet, self.u_alpha, self.v_alpha,
-                m.y_alphabet, m.z_alphabet)
-        _check_cells(axes, "arm factor")
         self.batch = TABLE_CELL_CAP // math.prod(a.size for a in axes)
-        self._model_h: dict = {}  # model-only entropies, shared by every batch
         # the template source, of no system, that `source` re-stacks
         self._template = _ProductForm(
             m.p_x, self.q_alpha, ((m.p_xt_given_x, self.u_alpha, self.v_alpha, m.p_yz_given_x),),
-            _arm_names(m, self.u_alpha, self.v_alpha), self._model_h)
+            _arm_names(m, self.u_alpha, self.v_alpha), m._h)
 
     def random(self, seed: int) -> np.ndarray:
         raw = -np.log(np.maximum(uniforms(seed, 0, self.size), 1e-300))
@@ -649,14 +658,12 @@ def _coords(src: _ProductForm, f: FunctionSpec, mode: str, d: DistortionSpec | N
     return coords
 
 
-def _eval_candidate(m, aux, f, mode, d, target: RateTuple | None = None,
-                    model_h: dict | None = None):
+def _eval_candidate(m, aux, f, mode, d, target: RateTuple | None = None):
     """(rates, admissibility residual) of one system, d filled in lossy mode when
     given; None, from the residual and r_w alone, when they fail `target`, so a
-    system returned against a target is admissible. `model_h` is a search's
-    model-only entropy memo, which any system of p(q) = 1.0 may read."""
+    system returned against a target is admissible."""
     aux.validate_cardinalities(m.xt_alphabet.size, mode)
-    src = _source(m, aux, model_h)
+    src = _source(m, aux)
     coords, gap = _eval_rows(src, f, mode, d, range(5) if target is None else (1,))
     if target is not None:
         if gap[0] > ADMISSIBILITY_TOL or coords[0, 1] > target.r_w + MEMBERSHIP_TOL:
@@ -701,16 +708,16 @@ def membership(m: SourceModel, f: FunctionSpec, target: RateTuple, mode: str,
 
     The result's `verdict` is `found` with a witness, `outside` with a
     certificate, which is a proof of non-membership, or `unknown`, which is
-    not. Deterministic given the budget seed. Candidate systems supplied in
-    the budget are verified first (witness reuse), then canonical corners.
-    Then the search's sizes are checked against TABLE_CELL_CAP, and a target
-    coordinate under a model-only lower bound by more than ADMISSIBILITY_TOL +
-    MEMBERSHIP_TOL is answered `outside` before any descent. Every coordinate
-    is >= 0, and a lossless corner is within its residual, at most
+    not. Deterministic given the budget seed. In order, after the budget's
+    sizes: the certificate, where a target coordinate under a model-only lower
+    bound by more than ADMISSIBILITY_TOL + MEMBERSHIP_TOL answers `outside`
+    (once the search's arm factor fits TABLE_CELL_CAP); the budget's candidate
+    systems (witness reuse); the canonical corners, each built when tried; and
+    seeded random restarts refined by coordinate descent. Every coordinate is
+    >= 0, and a lossless corner is within its residual, at most
     ADMISSIBILITY_TOL, of `models._lossless_bounds`; a corner is accepted up
     to MEMBERSHIP_TOL over the target, so no accepted system is ever certified
-    away. Otherwise seeded random restarts are refined by coordinate descent.
-    Every system of p(q) = 1.0 verified shares one model-only entropy memo.
+    away.
     """
     budget = budget or SearchBudget()
     sizes = budget.resolved_sizes(m, mode)  # checks the mode too
@@ -720,28 +727,26 @@ def membership(m: SourceModel, f: FunctionSpec, target: RateTuple, mode: str,
         raise RegionError("a distortion target needs a distortion spec")
     _check_fit(f, d, RegionError)
     d_used = d if target.d is not None else None
-    model_h: dict = {}
+    floors = _lossless_bounds(m, f) if mode == "lossless" else {}
+    for k, v in target.coords().items():
+        bound = max(floors.get(k, 0.0), 0.0)
+        if v < bound - (ADMISSIBILITY_TOL + MEMBERSHIP_TOL):
+            _search_axes(m, *sizes)  # an oversized search raises, even on an outside target
+            return MembershipResult(False, None, None, certificate=(k, bound))
 
     def verdict(aux: AuxSystem) -> MembershipResult | None:
-        # with p(q) = 1.0 exactly, a system's model-only entropies are the model's
-        shared = model_h if aux.p_q.probs.tolist() == [1.0] else None
-        rates = _eval_candidate(m, aux, f, mode, d_used, target, shared)
+        rates = _eval_candidate(m, aux, f, mode, d_used, target)
         if rates is None or not rates[0].dominates(target):
             return None
         g = optimal_g(m, aux, f, d) if d_used is not None else None
         return MembershipResult(True, aux, rates[0], g)
 
-    for aux in (*budget.candidates, *_canonical_corners(m)):
+    for aux in itertools.chain(budget.candidates, _canonical_corners(m)):
         hit = verdict(aux)
         if hit:
             return hit
 
-    param = _AuxParam(m, *sizes)  # an oversized search raises, even on an outside target
-    floors = _lossless_bounds(m, f) if mode == "lossless" else {}
-    for k, v in target.coords().items():
-        bound = max(floors.get(k, 0.0), 0.0)
-        if v < bound - (ADMISSIBILITY_TOL + MEMBERSHIP_TOL):
-            return MembershipResult(False, None, None, certificate=(k, bound))
+    param = _AuxParam(m, *sizes)
     score = _membership_score(param, f, mode, d_used, target)
     # one descent per call, so the restarts after a hit are never run
     for r in range(budget.restarts):
@@ -836,12 +841,9 @@ def trace_boundary(m: SourceModel, f: FunctionSpec, sweep: BoundarySweep, mode: 
     d_used = d if use_d else None
     keys = _COORDS if use_d else _COORDS[:4]
     ix, iy = _COORDS.index(sweep.coordinate), _COORDS.index(sweep.minimize)
-    corners = _canonical_corners(m)
+    corners = tuple(_canonical_corners(m))
     param = _AuxParam(m, u_size, v_size, 1)
-    # every system here has |Q| = 1, so p(q) = 1.0 exactly and the search's
-    # model-only entropies are those of any of them
-    checked = [_eval_candidate(m, aux, f, mode, d_used, model_h=param._model_h)
-               for aux in corners]
+    checked = [_eval_candidate(m, aux, f, mode, d_used) for aux in corners]
     witnesses: dict[int, AuxSystem] = dict(enumerate(corners))  # by pool row, verified
     # owner, point, coordinates (d NaN when unread) and residual of each row
     # scored, and which rows were scanned; the corners come first, owner -1
@@ -878,7 +880,7 @@ def trace_boundary(m: SourceModel, f: FunctionSpec, sweep: BoundarySweep, mode: 
         at = entry[3]
         if at not in witnesses:  # each is verified once
             aux = param.to_aux(points[at])
-            rates, gap = _eval_candidate(m, aux, f, mode, d_used, model_h=param._model_h)
+            rates, gap = _eval_candidate(m, aux, f, mode, d_used)
             again = rates.coords()
             if gap > ADMISSIBILITY_TOL or any(abs(again[k] - entry[2][i]) > MEMBERSHIP_TOL
                                               for i, k in enumerate(keys)):

@@ -4,7 +4,11 @@ evaluator reads, and their entropies and CMIs.
 A source names its axes. Each carries `arm_names`, every arm's (xt, u, v,
 y, z), and the names `q` of the time-sharing axis and `x` of the source
 axis; the readers in `regions` and `multifunction` take every name from the
-source they read. Its entropy memo is the only one an evaluator reads.
+source they read. Its entropy memos are the only ones an evaluator reads:
+an entropy over the model's axes alone (x, and each arm's xt, y and z) is
+the same for every system of p(q) = (1.0,), in any batch, so the model's
+memo (`SourceModel._h`, `MultiModel._h`) holds it for a source whose systems
+all have that weight, and the structure's own memo for any other source.
 
 `_ProductForm` is the package's one builder of auxiliary joints. It keeps
 the mixture joints of B systems on one model as per-arm factors; its
@@ -52,26 +56,25 @@ class _Source:
     A subclass sets its canonical `axes`, its names `arm_names`, `q` and `x`
     and its batch B, and gives `rows(names)`: the (B, ...) stacked marginal
     over `names`, in the order given. Entropies of axis sets within
-    `_model_axes` are the same for every system on one model, so they live in
-    `_model_h`, which a search shares between the sources it builds; the rest
-    live in this source's own memo.
+    `_model_axes` live in `_model_h` (`_ProductForm.restacked` picks it), the
+    rest in this source's own memo.
     """
 
     _model_axes: frozenset = frozenset()
     batch = 1
 
     def __init__(self, axes: tuple[Alphabet, ...], arm_names: list[tuple[str, ...]], q: str,
-                 x: str, model_h: dict | None = None) -> None:
+                 x: str) -> None:
         self.axes, self.arm_names, self.q, self.x = axes, arm_names, q, x
         self._pos = {alph.name: i for i, alph in enumerate(axes)}
         if len(self._pos) != len(axes):
             raise ProbabilityError(f"duplicate axis names in joint: {[a.name for a in axes]}")
         self._h: dict = {}
-        self._model_h = {} if model_h is None else model_h
+        self._model_h: dict = {}
 
     def entropy(self, names: tuple[str, ...], table: np.ndarray | None = None) -> np.ndarray:
-        """H(names) of each system, once per source (per search on model axes
-        alone), from `table`, the marginal in any axis order, when given."""
+        """H(names) of each system, once per source (per `_model_h` on model
+        axes alone), from `table`, the marginal in any axis order, when given."""
         key = frozenset(names)
         model = key <= self._model_axes
         memo = self._model_h if model else self._h
@@ -107,9 +110,11 @@ class _ProductForm(_Source):
 
     def __init__(self, p_x: Dist, q: Alphabet,
                  arms: Sequence[tuple[CondDist, Alphabet, Alphabet, CondDist]],
-                 names: Sequence[tuple[str, ...]], model_h: dict | None = None) -> None:
+                 names: Sequence[tuple[str, ...]], unit_h: dict) -> None:
         """A source of no system; an arm is (p(xt|x), U, V, p(yz|x)), validated,
-        and names[k] names arm k's (xt, u, v, y, z) axes."""
+        and names[k] names arm k's (xt, u, v, y, z) axes. `unit_h` is the
+        model's memo of model-only entropies, which `restacked` gives a source
+        whose systems all have p(q) = (1.0,)."""
         self._p_x = p_x.probs
         self._arms = []  # (local axes (xt, u, v, y, z), p(xt|x))
         self._parts = {}  # arm k's p(y,z|x) sums and chain products (`_chain`) by kept axes
@@ -122,7 +127,8 @@ class _ProductForm(_Source):
         per_arm = [tuple(local[i] for local, _ in self._arms) for i in range(5)]
         super().__init__((q,) + per_arm[2] + per_arm[1] + per_arm[0] + (p_x.alphabet,)
                          + per_arm[3] + per_arm[4], [tuple(arm) for arm in names],
-                         q.name, p_x.alphabet.name, model_h)
+                         q.name, p_x.alphabet.name)
+        self._unit_h, self._mixed_h = unit_h, self._model_h
         self._model_axes = frozenset(alph.name for i in (0, 3, 4) for alph in per_arm[i]
                                      ) | {self.x}
         # all `rows` needs to plan a marginal (`_layout`)
@@ -135,15 +141,16 @@ class _ProductForm(_Source):
     @classmethod
     def of(cls, p_x: Dist, p_q: Dist,
            arms: Sequence[tuple[CondDist, Sequence, CondDist]],
-           names: Sequence[tuple[str, ...]], model_h: dict | None = None) -> "_ProductForm":
+           names: Sequence[tuple[str, ...]], unit_h: dict) -> "_ProductForm":
         """The one system (B = 1) of arms (p(xt|x), one `AuxPair` per weight
-        symbol, p(yz|x)), arm k's axes named names[k]. Every evaluator's one feed
-        rule: an arm's U channels read its observation's alphabet as given."""
+        symbol, p(yz|x)), arm k's axes named names[k], on the model memo
+        `unit_h` (`__init__`). Every evaluator's one feed rule: an arm's U
+        channels read its observation's alphabet as given."""
         for (p_xt, per_q, _), (xt, *_) in zip(arms, names):  # every weight symbol shares these
             if per_q[0].p_u_given_xt.input != p_xt.output:
                 raise ProbabilityError(f"auxiliary channel is not fed by the observation {xt!r}")
         form = cls(p_x, p_q.alphabet, [(p_xt, per_q[0].u_alphabet, per_q[0].v_alphabet, p_yz)
-                                       for p_xt, per_q, p_yz in arms], names, model_h)
+                                       for p_xt, per_q, p_yz in arms], names, unit_h)
         return form.restacked(p_q.probs[None], [
             (np.stack([p.p_u_given_xt.rows for p in per_q])[None],
              np.stack([p.p_v_given_u.rows for p in per_q])[None]) for _, per_q, _ in arms])
@@ -168,10 +175,13 @@ class _ProductForm(_Source):
                   parts: dict | None = None, h: dict | None = None) -> "_ProductForm":
         """This source's structure holding the systems of p(q) (B, |q|) and of
         each arm's (p(u|xt,q), p(v|u,q)) stacked over them, with the `parts`
-        and entropies `h` known of them; the p(y,z|x) sums and the model-only
-        memo are shared."""
+        and entropies `h` known of them. The p(y,z|x) sums are shared, and so
+        are the model-only entropies: the model's when every system has
+        p(q) = (1.0,), else the structure's own."""
         out = copy.copy(self)
         out._p_q, out._links, out.batch = p_q, links, len(p_q)
+        unit = p_q.shape[1] == 1 and bool((p_q == 1.0).all())
+        out._model_h = self._unit_h if unit else self._mixed_h
         if self._factor * out.batch > TABLE_CELL_CAP:
             for local, _ in self._arms:
                 _check_cells((self.axes[0], self.axes[self._pos[self.x]]) + local, "arm factor",

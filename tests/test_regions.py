@@ -832,6 +832,8 @@ class TestBatchedSearch:
             src.entropy(names)
         model = dict(src._model_h)
         sub, ref = src.take(pick), param.source(points[pick])
+        # the model's memo at |Q| = 1, the search's own at |Q| = 2
+        assert (src._model_h is param.m._h) == (sizes[2] == 1)
         assert sub._model_h is src._model_h and sub.batch == ref.batch == len(pick)
         for names in sets:
             assert np.array_equal(sub.rows(names), ref.rows(names))
@@ -942,6 +944,31 @@ class TestMembership:
         with pytest.raises(CardinalityError):
             membership(cascade_model, XOR_F, target, "lossless",
                        SearchBudget(restarts=0, q_size=3))
+
+    def test_corners_are_built_when_tried(self, cascade_model, monkeypatch):
+        calls = []
+        evaluate = regions._eval_candidate
+
+        def spy(m, aux, *rest):
+            calls.append(aux)
+            return evaluate(m, aux, *rest)
+
+        def refused(m):
+            raise AssertionError("a canonical corner was built")
+
+        monkeypatch.setattr(regions, "_eval_candidate", spy)
+        corner = eval_lossless_corner(cascade_model, identity_aux(cascade_model), XOR_F)
+        candidate = identity_aux(cascade_model)
+        # the identity corner meets its own corner: the other two are never built
+        monkeypatch.setattr(regions, "constant_aux", refused)
+        monkeypatch.setattr(regions, "v_equals_u_aux", refused)
+        res = membership(cascade_model, XOR_F, corner, "lossless", SearchBudget(restarts=0))
+        assert res.verdict == "found" and res.achieved == corner and len(calls) == 1
+        # a budget candidate that meets it leaves every corner unbuilt
+        monkeypatch.setattr(regions, "identity_aux", refused)
+        res = membership(cascade_model, XOR_F, corner, "lossless",
+                         SearchBudget(restarts=0, candidates=(candidate,)))
+        assert res.witness is candidate and calls[1:] == [candidate]
 
     def test_candidate_check_stops_at_the_storage_rate(self, cascade_model):
         # identity U is admissible but stores H_b(p) > 0: r_w alone fails the
@@ -1096,37 +1123,46 @@ class TestCertificate:
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
         import inputs
 
-        calls = count_descents(monkeypatch)
+        calls, verdicts = count_descents(monkeypatch), []
+        evaluate = regions._eval_candidate
+        monkeypatch.setattr(regions, "_eval_candidate",
+                            lambda *args: verdicts.append(args) or evaluate(*args))
         for seed in [*range(1, 11), 23]:
             spec = inputs.search_lossless(seed)
             parsed = parse_model_text(spec["yaml"][0])
+            # seed 1 offers a candidate, which the certificate leaves untried too
+            offered = (identity_aux(parsed.model),) if seed == 1 else ()
             for t in spec["targets"]:
                 if not t["inside"]:
                     res = membership(parsed.model, parsed.f, RateTuple(**t["coords"]),
-                                     "lossless", SearchBudget(**spec["budget"]))
+                                     "lossless",
+                                     SearchBudget(**spec["budget"], candidates=offered))
                     assert res.verdict == "outside" and res.certificate[0] == "r_w"
-        assert calls == []
+        assert calls == [] and verdicts == []
 
     def test_unit_weight_verdicts_share_one_model_memo(self, cascade_model, monkeypatch):
         memos = []
-        evaluate = regions._eval_candidate
+        build = regions._source
 
-        def spy(m, aux, f, mode, d, target=None, model_h=None):
-            memos.append(model_h)
-            return evaluate(m, aux, f, mode, d, target, model_h)
+        def spy(m, aux):
+            src = build(m, aux)
+            memos.append(src._model_h)
+            return src
 
-        monkeypatch.setattr(regions, "_eval_candidate", spy)
+        monkeypatch.setattr(regions, "_source", spy)
         q1, q2 = singleton_alphabet("q"), _alphabet_of_size("q", 2)
         mix = AuxSystem(Dist(q2, np.array([0.5, 0.5])),
                         (bsc_aux(0.05).per_q[0], bsc_aux(0.35).per_q[0]))
         # p(q) within MASS_TOL of 1 but not 1.0: its marginals differ by rounding
         near = AuxSystem(Dist(q1, np.array([1.0 - 1e-13])), bsc_aux(0.1).per_q)
         budget = SearchBudget(restarts=0, candidates=(bsc_aux(0.2), mix, near))
-        res = membership(cascade_model, XOR_F, RateTuple(0.0, 0.0, 0.0, 0.0), "lossless",
+        # no certificate: every candidate and corner is tried, and none meets it
+        res = membership(cascade_model, XOR_F, RateTuple(0.0, 5.0, 5.0, 0.0), "lossless",
                          budget)
-        assert res.verdict == "outside" and len(memos) == 6
-        shared = memos[0]
-        assert shared and memos[1] is None and memos[2] is None
+        assert res.verdict == "unknown" and len(memos) == 6
+        shared = cascade_model._h
+        assert shared and memos[0] is shared
+        assert memos[1] is not shared and memos[2] is not shared and memos[1] is not memos[2]
         assert all(memo is shared for memo in memos[3:])  # the canonical corners
 
     @settings(max_examples=25, deadline=None)
@@ -1134,13 +1170,13 @@ class TestCertificate:
     def test_a_shared_memo_leaves_every_tuple_bit_identical(self, seed, u_size, v_size):
         m = binary_cascade_model()
         rng = np.random.default_rng(seed)
-        shared: dict = {}
-        for aux in regions._canonical_corners(m):  # fill the memo first
-            regions._eval_candidate(m, aux, XOR_F, "lossless", None, model_h=shared)
+        for aux in regions._canonical_corners(m):  # fill the model's memo first
+            regions._eval_candidate(m, aux, XOR_F, "lossless", None)
+        assert m._h
         for aux in (random_aux(rng, u_size, v_size), *regions._canonical_corners(m)):
             for mode, f in (("lossless", XTPROJ_F), ("lossy", XOR_F)):
-                own = regions._eval_candidate(m, aux, f, mode, None)
-                assert regions._eval_candidate(m, aux, f, mode, None, model_h=shared) == own
+                own = regions._eval_candidate(replace(m), aux, f, mode, None)  # a cold memo
+                assert regions._eval_candidate(m, aux, f, mode, None) == own
 
 
 def bench_trace_lossy(seed: int, monkeypatch) -> list:

@@ -1,8 +1,10 @@
 import functools
+import itertools
 import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import XOR_F, random_binary_model
-from sfcomp import regions, sources
-from sfcomp.models import MultiArm, MultiModel
+from sfcomp import multifunction, regions, sources
+from sfcomp.models import DistortionSpec, FunctionSpec, MultiArm, MultiModel
 from sfcomp.multifunction import MultiAuxSystem, eval_inner_mf, eval_outer_mf
 from sfcomp.probability import (
     CondDist,
@@ -19,12 +21,25 @@ from sfcomp.probability import (
     InvalidDistribution,
     TableTooLarge,
     _check_cells,
+    _entropy_rows,
+    identity_channel,
     product_alphabet,
+    uniform,
 )
-from sfcomp.regions import AuxPair, _alphabet_of_size
+from sfcomp.regions import (
+    AuxPair,
+    AuxSystem,
+    _alphabet_of_size,
+    eval_lossless_corner,
+    eval_lossy_corner,
+    identity_aux,
+    optimal_g,
+    singleton_alphabet,
+)
 from sfcomp.sources import _chain, _ProductForm
 
-from test_multifunction import random_multi_system
+from test_multifunction import _fields, random_multi_system
+from test_regions import random_model
 
 TESTS = Path(__file__).resolve().parent
 
@@ -69,7 +84,7 @@ def random_form(rng, sizes, q_size, x_size, batch):
         links.append((stochastic(rng, (batch, q_size, nxt, nu)),
                       stochastic(rng, (batch, q_size, nu, nv))))
     form = _ProductForm(Dist(x, stochastic(rng, (x_size,))), _alphabet_of_size("q", q_size), arms,
-                        names)
+                        names, {})
     return form.restacked(stochastic(rng, (batch, q_size)), links)
 
 
@@ -125,9 +140,11 @@ class TestTemplateSources:
         p_q, p_u, p_v = param.unpack(points)
         fresh = _ProductForm(m.p_x, param.q_alpha, ((m.p_xt_given_x, param.u_alpha,
                                                     param.v_alpha, m.p_yz_given_x),),
-                             [("xtilde", "u", "v", "y", "z")])
+                             [("xtilde", "u", "v", "y", "z")], m._h)
         fresh = fresh.restacked(p_q, ((p_u, p_v),))
-        assert fresh._model_h is not src._model_h
+        # unit weights read the model's memo; |Q| = 2 ones each structure's own
+        unit = sizes[2] == 1
+        assert (src._model_h is m._h) == unit and (fresh._model_h is src._model_h) == unit
         for names in [("q", "u", "xtilde", "y"), ("u", "xtilde", "y"), ("q", "v", "u", "z"),
                       ("x", "z"), ("xtilde", "y"), ("v", "x", "q"), ("y",)]:
             assert np.array_equal(src.rows(names), fresh.rows(names))
@@ -143,7 +160,11 @@ class TestTemplateSources:
         assert first._parts is not second._parts
         chains = {key for key in first._parts if key[1][0] < 3}
         assert chains and not chains & set(second._parts)
-        assert first._model_h is second._model_h is param._model_h
+        # a |Q| = 2 search keeps its model-only entropies apart from the model's
+        assert first._model_h is second._model_h is param._template._mixed_h
+        assert first._model_h and cascade_model._h == {}
+        unit = regions._AuxParam(cascade_model, 3, 2, 1)
+        assert unit.source(unit.random(4)[None])._model_h is cascade_model._h
         assert set(param._template._parts) == {(0, (3, 4)), (0, (3,)), (0, (4,))}
         assert param._template._h == {}
 
@@ -175,6 +196,149 @@ class TestTrustedArms:
                 CondDist(arm.p_xt_given_x.input, arm.p_xt_given_x.output,
                          arm.p_xt_given_x.rows * np.array([[1.0], [0.9]])),
                 arm.p_yz_given_x, XOR_F, arm.d)))
+
+
+def model_subsets(src) -> list[tuple[str, ...]]:
+    """Every nonempty set of a source's model axes, in the order `entropy` reads it."""
+    axes = sorted(src._model_axes, key=src._pos.get)
+    return [c for n in range(1, len(axes) + 1) for c in itertools.combinations(axes, n)]
+
+
+def entropies(src, names) -> np.ndarray:
+    """H(names) of each system, computed afresh: `_entropy_rows` in chunks,
+    each row its own sort and sum, so a large batch needs no large temporary."""
+    table = src.rows(names)
+    return np.concatenate([_entropy_rows(table[at:at + 4096]) for at in range(0, len(table), 4096)])
+
+
+def random_one_arm(rng, n, u_size, v_size, p_q=None):
+    """A model with |X| = |X~| = |Y| = n, a binary function on (X~, Y), and a
+    random system of those sizes, of weight p(q) (unit when None)."""
+    m = random_model(rng, n, n, n)
+    f = FunctionSpec(m.xt_alphabet, m.y_alphabet, _alphabet_of_size("f", 2),
+                     rng.integers(0, 2, size=(n, n)))
+    u, v = _alphabet_of_size("u", u_size), _alphabet_of_size("v", v_size)
+    p_q = uniform(singleton_alphabet("q")) if p_q is None else p_q
+    pairs = tuple(AuxPair(CondDist(m.xt_alphabet, u, rng.dirichlet((1.0,) * u_size, size=n)),
+                          CondDist(u, v, rng.dirichlet((1.0,) * v_size, size=u_size)))
+                  for _ in range(p_q.alphabet.size))
+    return m, f, AuxSystem(p_q, pairs)
+
+
+def unit_multi_system(rng, sizes):
+    """`random_multi_system` at p(q) = (1.0,): its one-symbol Dirichlet draw
+    may be 1 - 2**-53, a weight whose marginals round differently."""
+    mm, a, g_list = random_multi_system(rng, sizes)
+    return mm, MultiAuxSystem(uniform(singleton_alphabet("q")), a.arms), g_list
+
+
+def bits(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+class TestModelMemo:
+    """The model-only entropies a model memoizes are those of any system of
+    p(q) = (1.0,), in any batch, bit for bit; no other weight writes them."""
+
+    @settings(max_examples=5, deadline=None)
+    @given(st.integers(0, 10_000), st.sampled_from([2, 3]), st.integers(2, 3), st.integers(2, 3))
+    def test_unit_weight_batches_read_the_one_system_entropies(self, seed, n, u_size, v_size):
+        # |U|, |V| >= 2 keeps a search batch's largest model-only table under 4.2M cells
+        rng = np.random.default_rng(seed)
+        m, _, _ = random_one_arm(rng, n, u_size, v_size)
+        param = regions._AuxParam(m, u_size, v_size, 1)
+        subsets, ref = model_subsets(param._template), None
+        for b in (1, 2, 7, param.batch):
+            cold = regions._AuxParam(replace(m), u_size, v_size, 1)
+            src = cold.source(rng.random((b, param.size)) + 0.01)  # b different systems
+            got = {names: entropies(src, names) for names in subsets}
+            ref = ref or {names: h[0] for names, h in got.items()}
+            for names, h in got.items():
+                assert np.array_equal(h, np.full(b, ref[names]))
+            if b < param.batch:  # through the model's memo, which this read fills
+                for names in subsets:
+                    assert np.array_equal(src.entropy(names), ref[names][None])
+                assert set(cold.m._h) == {frozenset(names) for names in subsets}
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 3),
+           st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=3, max_size=3))
+    def test_multi_model_reads_do_not_depend_on_the_batch(self, seed, j, sizes):
+        # no search stacks J-arm systems, so a J-arm source holds one system;
+        # 2 and 7 rows check that its model-only reads do not depend on B
+        mm, a, _ = unit_multi_system(np.random.default_rng(seed), sizes[:j])
+        one = multifunction._source(mm, a)
+        assert one._model_h is mm._h
+        subsets = model_subsets(one)
+        ref = {names: entropies(one, names)[0] for names in subsets}
+        for b in (2, 7):
+            rng = np.random.default_rng(seed + b)
+            links = [(rng.dirichlet((1.0,) * p_u.shape[-1], size=(b, 1, p_u.shape[2])),
+                      rng.dirichlet((1.0,) * p_v.shape[-1], size=(b, 1, p_v.shape[2])))
+                     for p_u, p_v in one._links]
+            src = one.restacked(np.ones((b, 1)), links)
+            assert src._model_h is mm._h
+            for names in subsets:
+                assert np.array_equal(entropies(src, names), np.full(b, ref[names]))
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 10_000), st.sampled_from([2, 3]), st.integers(1, 3), st.integers(1, 3),
+           st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=3))
+    def test_a_warm_model_memo_leaves_every_tuple_bit_identical(self, seed, n, u_size, v_size,
+                                                                 arm_sizes):
+        rng = np.random.default_rng(seed)
+        m, f, aux = random_one_arm(rng, n, u_size, v_size)
+        d = DistortionSpec.hamming(f.output)
+        # warm the memo on a search batch of other systems
+        param = regions._AuxParam(m, u_size, v_size, 1)
+        regions._multi_rates(param.source(rng.random((7, param.size)) + 0.01))
+        assert m._h
+        u = identity_channel(m.xt_alphabet, "u")
+        v = CondDist(u.output, _alphabet_of_size("v", v_size),
+                     rng.dirichlet((1.0,) * v_size, size=n))
+        for system in (identity_aux(m), AuxSystem(aux.p_q, (AuxPair(u, v),))):  # admissible
+            assert bits(eval_lossless_corner(m, system, f).coords().values()) == \
+                bits(eval_lossless_corner(replace(m), system, f).coords().values())
+        g = optimal_g(m, aux, f, d)
+        assert bits(eval_lossy_corner(m, aux, f, g, d).coords().values()) == \
+            bits(eval_lossy_corner(replace(m), aux, f, g, d).coords().values())
+        mm, a, g_list = unit_multi_system(rng, arm_sizes)
+        other = unit_multi_system(rng, arm_sizes)[1]
+        eval_inner_mf(mm, other, "lossy", g_list)  # warms the multi model's memo
+        assert mm._h
+        assert bits(_fields(eval_inner_mf(mm, a, "lossy", g_list))) == \
+            bits(_fields(eval_inner_mf(replace(mm), a, "lossy", g_list)))
+        (warm, warm_report), (cold, cold_report) = (eval_outer_mf(model, a, "lossy", g_list)
+                                                    for model in (mm, replace(mm)))
+        assert bits(_fields(warm)) == bits(_fields(cold))
+        assert bits(c.value for c in warm_report) == bits(c.value for c in cold_report)
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(0, 10_000), st.sampled_from([2, 3]), st.integers(1, 3), st.integers(1, 3),
+           st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=3))
+    def test_other_weights_never_write_the_model_memo(self, seed, n, u_size, v_size, arm_sizes):
+        rng = np.random.default_rng(seed)
+        q1, q2 = singleton_alphabet("q"), _alphabet_of_size("q", 2)
+        # within MASS_TOL of 1 but not 1.0: its marginals differ by rounding
+        near = Dist(q1, np.array([1.0 - 1e-13]))
+        m, f, two = random_one_arm(rng, n, u_size, v_size, Dist(q2, rng.dirichlet((1.0, 1.0))))
+        d = DistortionSpec.hamming(f.output)
+        ident = identity_aux(m).per_q
+        for system in (AuxSystem(two.p_q, ident * 2), AuxSystem(near, ident)):
+            eval_lossless_corner(m, system, f)
+        for system in (two, AuxSystem(near, two.per_q[:1])):
+            eval_lossy_corner(m, system, f, optimal_g(m, system, f, d), d)
+        param = regions._AuxParam(m, u_size, v_size, 2)
+        regions._multi_rates(param.source(rng.random((7, param.size)) + 0.01))
+        mm, a, g_list = random_multi_system(rng, arm_sizes, q_size=2)
+        one = unit_multi_system(rng, arm_sizes)[1]
+        for system in (a, MultiAuxSystem(near, one.arms)):
+            eval_inner_mf(mm, system, "lossy", g_list)
+            eval_outer_mf(mm, system, "lossy", g_list)
+        assert m._h == {} and mm._h == {}
+        eval_lossless_corner(m, identity_aux(m), f)  # a unit weight writes each
+        eval_inner_mf(mm, one, "lossy", g_list)
+        assert m._h and mm._h
 
 
 # A J = 3 inner corner and a short trace, as float hex; set iteration order,
