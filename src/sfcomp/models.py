@@ -6,6 +6,15 @@ feeding the fusion center and the eavesdropper jointly, so noise at the two
 receiving terminals may be correlated. Model files declare the broadcast
 channel as a single conditional over the product output alphabet for the
 same reason.
+
+A model keeps two memos, set in `__post_init__` and so empty after
+`dataclasses.replace`: `_h`, the entropies over its own axes that every
+system of unit time-sharing weight shares (`sources`), and `_memo`
+(`_memoized`), what its frozen tables alone decide once the alphabets,
+specs and mode are named: source structures, the canonical corners and
+their exact coordinates, each arm's joint. Nothing is built until it is
+first asked for. `FunctionSpec` and `DistortionSpec` compare by identity,
+so they key those entries.
 """
 
 from __future__ import annotations
@@ -58,6 +67,7 @@ class SourceModel:
         if not isinstance(out, ProductAlphabet) or len(out.parts) != 2:
             raise ModelError("broadcast output must be a two-part product alphabet (y, z)")
         object.__setattr__(self, "_h", {})  # model-only entropies (`sources`)
+        object.__setattr__(self, "_memo", {})  # model-only structures and corners (`_memoized`)
 
     @property
     def x_alphabet(self) -> Alphabet:
@@ -85,9 +95,10 @@ def _symbol_table(table, error: type[Exception], what: str) -> np.ndarray:
     return np.asarray(raw, dtype=np.int64)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FunctionSpec:
-    """Total per-letter function table on (encoder observation, decoder observation)."""
+    """Total per-letter function table on (encoder observation, decoder observation).
+    Compared and hashed by identity, so a spec keys a model's memo (`_memoized`)."""
 
     xt_alphabet: Alphabet
     y_alphabet: Alphabet
@@ -112,9 +123,10 @@ class FunctionSpec:
         return cls(xt_alphabet, y_alphabet, output, table)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DistortionSpec:
-    """Per-letter distortion d(f, fhat) >= 0, finite, with zero diagonal."""
+    """Per-letter distortion d(f, fhat) >= 0, finite, with zero diagonal.
+    Compared and hashed by identity, as `FunctionSpec` is."""
 
     alphabet: Alphabet
     table: np.ndarray  # shape (|f|, |f|)
@@ -161,6 +173,7 @@ class MultiModel:
         for arm in self.arms:
             SourceModel(self.p_x, arm.p_xt_given_x, arm.p_yz_given_x)  # validates
         object.__setattr__(self, "_h", {})  # model-only entropies (`sources`)
+        object.__setattr__(self, "_memo", {})  # model-only structures and references (`_memoized`)
 
     @property
     def j(self) -> int:
@@ -169,6 +182,15 @@ class MultiModel:
     def arm_model(self, j: int) -> SourceModel:
         arm = self.arms[j]
         return SourceModel(self.p_x, arm.p_xt_given_x, arm.p_yz_given_x)
+
+
+def _memoized(m: SourceModel | MultiModel, key: tuple, build):
+    """Entry `key` of model m's `_memo`, `build()` the first time it is asked
+    for; exact, as an entry depends on m's frozen tables and its key alone."""
+    memo = m._memo
+    if key not in memo:
+        memo[key] = build()
+    return memo[key]
 
 
 def build_joint(m: SourceModel) -> JointDist:

@@ -18,8 +18,10 @@ its marginals without forming the joint (its cell count is exponential in
 J); `build_multi_joint` is its full read. A dense `JointDist` supplied to
 `eval_outer_mf`, `multi_chain_report` or `factorizes_per_arm` is read the
 same way, as a `_Dense` source named by `_dense`. Every reader takes the axis
-names from the source it reads. A bound evaluates one system, the B = 1 case
-of the batched code the search runs.
+names from the source it reads. The model keeps the structure a system's
+source is restacked from and each arm's `build_joint` table, which
+`multi_chain_report` compares against (`models._memoized`). A bound
+evaluates one system, the B = 1 case of the batched code the search runs.
 
 Axis naming convention for a J-arm joint (`_axis_names`):
 (q, v1..vJ, u1..uJ, xtilde1..xtildeJ, x, y1..yJ, z1..zJ).
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import MultiModel, build_joint
+from .models import MultiModel, _memoized, build_joint
 from .probability import Dist, JointDist, UnknownAxis
 from .regions import (
     AuxPair,
@@ -89,10 +91,10 @@ def _axis_names(j: int) -> list[tuple[str, ...]]:
 
 def _source(m: MultiModel, a: MultiAuxSystem) -> _ProductForm:
     """The product form of a system on a model, its arms named by `_axis_names`,
-    reading the model's memo of model-only entropies at p(q) = (1.0,)."""
-    return _ProductForm.of(m.p_x, a.p_q, [(arm.p_xt_given_x, pairs, arm.p_yz_given_x)
-                                          for arm, pairs in zip(m.arms, a.arms, strict=True)],
-                           _axis_names(m.j), m._h)
+    restacked from the model's structure for the system's alphabets."""
+    return _ProductForm.of(m, a.p_q, [(arm.p_xt_given_x, pairs, arm.p_yz_given_x)
+                                      for arm, pairs in zip(m.arms, a.arms, strict=True)],
+                           _axis_names(m.j))
 
 
 def _dense(m: MultiModel, joint: JointDist) -> _Dense:
@@ -158,7 +160,8 @@ def multi_chain_report(m: MultiModel, joint: JointDist) -> tuple[ChainCheck, ...
         for name, value in conds:
             checks.append(ChainCheck(name, float(value), bool(value <= CHAIN_TOL)))
         got = src.rows((xt, x, y, z))[0]
-        err = float(np.max(np.abs(got - build_joint(m.arm_model(k)).table)))
+        ref = _memoized(m, ("arm", k), lambda: build_joint(m.arm_model(k)).table)
+        err = float(np.max(np.abs(got - ref)))
         checks.append(ChainCheck(f"arm{k + 1}: model marginal reproduced", err,
                                  err <= MODEL_MATCH_TOL))
     return tuple(checks)

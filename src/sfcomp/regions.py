@@ -14,7 +14,11 @@ scores B candidates in one call. How a marginal is contracted is planned once
 per source structure and axis set, and a search re-stacks every batch it
 scores from one template source of its structure. A CMI is read from the
 source's entropies, each computed once per source, or once per model on the
-model's axes alone at p(q) = (1.0,) (`sources`); admissibility is H(F|U,Q,Y). `aux_mixture_joint` is the source's
+model's axes alone at p(q) = (1.0,) (`sources`); admissibility is H(F|U,Q,Y).
+The model keeps the canonical corners and, per (mode, f, d), their exact
+(rates, residual) (`models._memoized`), as both depend on its frozen tables
+alone; budget candidates, search rows and the public evaluators are
+evaluated afresh on every call. `aux_mixture_joint` is the source's
 full read, checked against a dense reference in the tests; a dense joint
 supplied to the outer bound is read as a `sources._Dense`.
 
@@ -65,6 +69,7 @@ from .models import (
     _g_tables,
     _lossless_bounds,
     _mean_distortion,
+    _memoized,
     _project_simplex,
     _renorm,
     _symbol_table,
@@ -265,12 +270,16 @@ def v_equals_u_aux(p_u_given_xt: CondDist) -> AuxSystem:
     return AuxSystem(uniform(singleton_alphabet("q")), (AuxPair(p_u_given_xt, p_v),))
 
 
-def _canonical_corners(m: SourceModel):
-    """The systems both searches evaluate first, in this order, each built
-    only when the one before it has been tried."""
-    yield identity_aux(m)
-    yield constant_aux(m)
-    yield v_equals_u_aux(identity_channel(m.xt_alphabet, "u"))
+def _canonical_corners(m: SourceModel, f: FunctionSpec, mode: str, d: DistortionSpec | None):
+    """The systems both searches evaluate first, in this order, each with the
+    (rates, residual) `_eval_candidate(m, aux, f, mode, d)` gives it. Each is
+    built only when the one before it has been tried, once per model, and
+    evaluated once per model and (mode, f, d) (`_memoized`)."""
+    for i, build in enumerate((identity_aux, constant_aux,
+                               lambda m: v_equals_u_aux(identity_channel(m.xt_alphabet, "u")))):
+        aux = _memoized(m, ("corner", i), lambda: build(m))
+        yield aux, _memoized(m, ("corner", i, mode, f, d),
+                             lambda: _eval_candidate(m, aux, f, mode, d))
 
 
 def _arm_names(m: SourceModel, u: Alphabet, v: Alphabet) -> tuple[tuple[str, ...]]:
@@ -285,9 +294,9 @@ def aux_mixture_joint(m: SourceModel, aux: AuxSystem) -> JointDist:
 
 def _source(m: SourceModel, aux: AuxSystem) -> "_ProductForm":
     """The source the single-function evaluators read: the one-arm factor form,
-    reading the model's memo of model-only entropies at p(q) = (1.0,)."""
-    return _ProductForm.of(m.p_x, aux.p_q, ((m.p_xt_given_x, aux.per_q, m.p_yz_given_x),),
-                           _arm_names(m, aux.u_alphabet, aux.v_alphabet), m._h)
+    restacked from the model's structure for the system's alphabets."""
+    return _ProductForm.of(m, aux.p_q, ((m.p_xt_given_x, aux.per_q, m.p_yz_given_x),),
+                           _arm_names(m, aux.u_alphabet, aux.v_alphabet))
 
 
 def _multi_rates(src: _Source, cols: Sequence[int] | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -491,9 +500,9 @@ class _AuxParam:
         self._widths, self._sign = sorted(set(sizes)), np.tile([1.0, -1.0], self.size)
         self.batch = TABLE_CELL_CAP // math.prod(a.size for a in axes)
         # the template source, of no system, that `source` re-stacks
-        self._template = _ProductForm(
-            m.p_x, self.q_alpha, ((m.p_xt_given_x, self.u_alpha, self.v_alpha, m.p_yz_given_x),),
-            _arm_names(m, self.u_alpha, self.v_alpha), m._h)
+        self._template = _ProductForm.structure(
+            m, self.q_alpha, ((m.p_xt_given_x, self.u_alpha, self.v_alpha, m.p_yz_given_x),),
+            _arm_names(m, self.u_alpha, self.v_alpha))
 
     def random(self, seed: int) -> np.ndarray:
         raw = -np.log(np.maximum(uniforms(seed, 0, self.size), 1e-300))
@@ -712,7 +721,8 @@ def membership(m: SourceModel, f: FunctionSpec, target: RateTuple, mode: str,
     sizes: the certificate, where a target coordinate under a model-only lower
     bound by more than ADMISSIBILITY_TOL + MEMBERSHIP_TOL answers `outside`
     (once the search's arm factor fits TABLE_CELL_CAP); the budget's candidate
-    systems (witness reuse); the canonical corners, each built when tried; and
+    systems (witness reuse); the canonical corners, each built and evaluated
+    once per model, when first tried (`_canonical_corners`); and
     seeded random restarts refined by coordinate descent. Every coordinate is
     >= 0, and a lossless corner is within its residual, at most
     ADMISSIBILITY_TOL, of `models._lossless_bounds`; a corner is accepted up
@@ -734,15 +744,16 @@ def membership(m: SourceModel, f: FunctionSpec, target: RateTuple, mode: str,
             _search_axes(m, *sizes)  # an oversized search raises, even on an outside target
             return MembershipResult(False, None, None, certificate=(k, bound))
 
-    def verdict(aux: AuxSystem) -> MembershipResult | None:
-        rates = _eval_candidate(m, aux, f, mode, d_used, target)
-        if rates is None or not rates[0].dominates(target):
+    def verdict(aux: AuxSystem, rates) -> MembershipResult | None:
+        """Found when aux's (rates, residual), None when failed early, meet the target."""
+        if rates is None or rates[1] > ADMISSIBILITY_TOL or not rates[0].dominates(target):
             return None
         g = optimal_g(m, aux, f, d) if d_used is not None else None
         return MembershipResult(True, aux, rates[0], g)
 
-    for aux in itertools.chain(budget.candidates, _canonical_corners(m)):
-        hit = verdict(aux)
+    tried = ((aux, _eval_candidate(m, aux, f, mode, d_used, target)) for aux in budget.candidates)
+    for aux, rates in itertools.chain(tried, _canonical_corners(m, f, mode, d_used)):
+        hit = verdict(aux, rates)
         if hit:
             return hit
 
@@ -754,7 +765,8 @@ def membership(m: SourceModel, f: FunctionSpec, target: RateTuple, mode: str,
             param, param.random(child_seed(budget.seed, 0, r))[None], score,
             lambda mask: None, budget.iters, INIT_STEP, MIN_STEP)
         if val <= MEMBERSHIP_TOL:
-            hit = verdict(param.to_aux(point))
+            aux = param.to_aux(point)
+            hit = verdict(aux, _eval_candidate(m, aux, f, mode, d_used, target))
             if hit:
                 return hit
     return MembershipResult(False, None, None)
@@ -841,15 +853,15 @@ def trace_boundary(m: SourceModel, f: FunctionSpec, sweep: BoundarySweep, mode: 
     d_used = d if use_d else None
     keys = _COORDS if use_d else _COORDS[:4]
     ix, iy = _COORDS.index(sweep.coordinate), _COORDS.index(sweep.minimize)
-    corners = tuple(_canonical_corners(m))
     param = _AuxParam(m, u_size, v_size, 1)
-    checked = [_eval_candidate(m, aux, f, mode, d_used) for aux in corners]
-    witnesses: dict[int, AuxSystem] = dict(enumerate(corners))  # by pool row, verified
+    corners = list(_canonical_corners(m, f, mode, d_used))
+    # by pool row, verified
+    witnesses: dict[int, AuxSystem] = {i: aux for i, (aux, _) in enumerate(corners)}
     # owner, point, coordinates (d NaN when unread) and residual of each row
     # scored, and which rows were scanned; the corners come first, owner -1
     found = [(np.full(len(corners), -1), np.zeros((len(corners), param.size)),
-              np.array([[getattr(r, k) for k in _COORDS] for r, _ in checked], dtype=float),
-              np.array([gap for _, gap in checked]))]
+              np.array([[getattr(r, k) for k in _COORDS] for _, (r, _) in corners], dtype=float),
+              np.array([gap for _, (_, gap) in corners]))]
     masks = [np.ones(len(corners), dtype=bool)]
     bounds = np.repeat(sweep.grid, budget.restarts)
 

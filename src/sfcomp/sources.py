@@ -4,11 +4,13 @@ evaluator reads, and their entropies and CMIs.
 A source names its axes. Each carries `arm_names`, every arm's (xt, u, v,
 y, z), and the names `q` of the time-sharing axis and `x` of the source
 axis; the readers in `regions` and `multifunction` take every name from the
-source they read. Its entropy memos are the only ones an evaluator reads:
-an entropy over the model's axes alone (x, and each arm's xt, y and z) is
-the same for every system of p(q) = (1.0,), in any batch, so the model's
-memo (`SourceModel._h`, `MultiModel._h`) holds it for a source whose systems
-all have that weight, and the structure's own memo for any other source.
+source they read. A source memoizes each entropy it reads. An entropy over
+the model's axes alone (x, and each arm's xt, y and z) is the same for every
+system of p(q) = (1.0,), in any batch, so the model's entropy memo
+(`SourceModel._h`, `MultiModel._h`) holds it for a source whose systems all
+have that weight; any other source keeps it in the memo of the structure
+copy it was restacked from (`_ProductForm.structure`), which the batches of
+one search share and no other call does.
 
 `_ProductForm` is the package's one builder of auxiliary joints. It keeps
 the mixture joints of B systems on one model as per-arm factors; its
@@ -20,9 +22,11 @@ alphabets to those names and reads the channel tables as they are. A source
 is built as structure alone (the model's tables and every axis), and
 `restacked` gives it systems: a search restacks one structure for every
 batch it scores, and `take` restacks a subset of a source's systems with
-what was computed of them. How a marginal is contracted depends only on the
-structure and the axes asked for, so each such layout is planned once
-(`_layout`) and every later read is one einsum.
+what was computed of them. A model keeps the structure of each alphabet set
+it is asked for (`_ProductForm.structure`), and every later call restacks
+it. How a marginal is contracted depends only on the structure and the axes
+asked for, so each such layout is planned once (`_layout`) and every later
+read is one einsum.
 `_Dense` serves a dense `JointDist` the same way, under names its caller gives.
 """
 
@@ -35,6 +39,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from .models import _memoized
 from .probability import (
     TABLE_CELL_CAP,
     Alphabet,
@@ -139,21 +144,36 @@ class _ProductForm(_Source):
                            for local, _ in self._arms)
 
     @classmethod
-    def of(cls, p_x: Dist, p_q: Dist,
-           arms: Sequence[tuple[CondDist, Sequence, CondDist]],
-           names: Sequence[tuple[str, ...]], unit_h: dict) -> "_ProductForm":
-        """The one system (B = 1) of arms (p(xt|x), one `AuxPair` per weight
-        symbol, p(yz|x)), arm k's axes named names[k], on the model memo
-        `unit_h` (`__init__`). Every evaluator's one feed rule: an arm's U
-        channels read its observation's alphabet as given."""
+    def of(cls, m, p_q: Dist, arms: Sequence[tuple[CondDist, Sequence, CondDist]],
+           names: Sequence[tuple[str, ...]]) -> "_ProductForm":
+        """The one system (B = 1) on model m (a `SourceModel` or `MultiModel`)
+        of arms (p(xt|x), one `AuxPair` per weight symbol, p(yz|x)), m's
+        channels, arm k's axes named names[k], restacked from m's structure
+        (`structure`). Every evaluator's one feed rule: an arm's U channels
+        read its observation's alphabet as given."""
         for (p_xt, per_q, _), (xt, *_) in zip(arms, names):  # every weight symbol shares these
             if per_q[0].p_u_given_xt.input != p_xt.output:
                 raise ProbabilityError(f"auxiliary channel is not fed by the observation {xt!r}")
-        form = cls(p_x, p_q.alphabet, [(p_xt, per_q[0].u_alphabet, per_q[0].v_alphabet, p_yz)
-                                       for p_xt, per_q, p_yz in arms], names, unit_h)
+        form = cls.structure(m, p_q.alphabet, [(p_xt, per_q[0].u_alphabet, per_q[0].v_alphabet,
+                                                p_yz) for p_xt, per_q, p_yz in arms], names)
         return form.restacked(p_q.probs[None], [
             (np.stack([p.p_u_given_xt.rows for p in per_q])[None],
              np.stack([p.p_v_given_u.rows for p in per_q])[None]) for _, per_q, _ in arms])
+
+    @classmethod
+    def structure(cls, m, q: Alphabet,
+                  arms: Sequence[tuple[CondDist, Alphabet, Alphabet, CondDist]],
+                  names: Sequence[tuple[str, ...]]) -> "_ProductForm":
+        """`cls(m.p_x, q, arms, names, m._h)`, arms of m's channels, built once
+        per model and alphabet set (`models._memoized`): it depends on m's
+        frozen tables and those alone. Each call gets a copy with a memo of its
+        own for the model-only entropies at weights other than (1.0,), and
+        `restacked` writes no chain product or entropy to a structure, so no
+        system's is kept on the model."""
+        key = ("structure", q, tuple((u, v) for _, u, v, _ in arms), tuple(map(tuple, names)))
+        out = copy.copy(_memoized(m, key, lambda: cls(m.p_x, q, arms, names, m._h)))
+        out._model_h = out._mixed_h = {}
+        return out
 
     def dense(self) -> JointDist:
         """The joint of its one system over every axis, in `axes` order: dense

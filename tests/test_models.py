@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 import warnings
@@ -8,6 +9,7 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
+from conftest import HAMMING_D, XOR_F
 from sfcomp.models import (
     ADMISSIBILITY_TOL,
     DEGRADEDNESS_TOL,
@@ -111,6 +113,15 @@ class TestSpecs:
         for bad in (np.nan, np.inf):
             with pytest.raises(ModelError, match="finite"):
                 DistortionSpec(F, np.array([[0.0, bad], [1.0, 0.0]]))
+
+    @pytest.mark.parametrize("spec", [XOR_F, HAMMING_D])
+    def test_specs_compare_and_hash_by_identity(self, spec):
+        # they key a model's memo; comparing their tables used to raise
+        # ValueError, and hashing them TypeError
+        twin = copy.deepcopy(spec)
+        assert spec == spec and (spec == twin) is False and spec != twin
+        memo = {spec: "spec", twin: "twin"}
+        assert memo[spec] == "spec" and memo[twin] == "twin" and hash(spec) == hash(spec)
 
 
 class TestBuildJoint:

@@ -497,7 +497,9 @@ class TestOuterBound:
 def random_multi_system(rng, sizes, q_size=1):
     """Random binary arms on one source with XOR functions, one random
     (|U|, |V|) channel pair per arm and weight symbol, and random
-    reconstructions."""
+    reconstructions; p(q) = (1.0,) exactly at q_size = 1, where a one-symbol
+    Dirichlet draw may be 1 - 2**-53, a weight whose marginals round
+    differently. The draw is made at every size, so later draws stay put."""
     p_x = random_binary_model(rng).p_x
     arms, pairs, g_list = [], [], []
     for u_size, v_size in sizes:
@@ -506,7 +508,8 @@ def random_multi_system(rng, sizes, q_size=1):
         pairs.append(tuple(random_aux_pair(rng, u_size, v_size) for _ in range(q_size)))
         g_list.append(ReconstructionFn(_alphabet_of_size("u", u_size), Y, F,
                                        rng.integers(0, 2, size=(u_size, 2))))
-    p_q = Dist(_alphabet_of_size("q", q_size), rng.dirichlet((1.0,) * q_size))
+    weights = rng.dirichlet((1.0,) * q_size)
+    p_q = Dist(_alphabet_of_size("q", q_size), weights if q_size > 1 else np.ones(1))
     return MultiModel(p_x, tuple(arms)), MultiAuxSystem(p_q, tuple(pairs)), tuple(g_list)
 
 

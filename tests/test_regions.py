@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import time
@@ -28,6 +29,8 @@ from sfcomp.models import (
     ADMISSIBILITY_TOL,
     DistortionSpec,
     FunctionSpec,
+    MultiArm,
+    MultiModel,
     SourceModel,
     _lossless_bounds,
     _project_simplex,
@@ -51,7 +54,8 @@ from sfcomp.probability import (
     push_function,
     uniform,
 )
-from sfcomp import regions, sources
+from sfcomp import multifunction, regions, sources
+from sfcomp.multifunction import MultiAuxSystem
 from sfcomp.regions import (
     AuxPair,
     AuxSystem,
@@ -962,13 +966,56 @@ class TestMembership:
         # the identity corner meets its own corner: the other two are never built
         monkeypatch.setattr(regions, "constant_aux", refused)
         monkeypatch.setattr(regions, "v_equals_u_aux", refused)
-        res = membership(cascade_model, XOR_F, corner, "lossless", SearchBudget(restarts=0))
-        assert res.verdict == "found" and res.achieved == corner and len(calls) == 1
+        first = membership(cascade_model, XOR_F, corner, "lossless", SearchBudget(restarts=0))
+        assert first.verdict == "found" and first.achieved == corner and len(calls) == 1
         # a budget candidate that meets it leaves every corner unbuilt
         monkeypatch.setattr(regions, "identity_aux", refused)
         res = membership(cascade_model, XOR_F, corner, "lossless",
                          SearchBudget(restarts=0, candidates=(candidate,)))
         assert res.witness is candidate and calls[1:] == [candidate]
+        # on the same model the identity corner is read, neither built nor evaluated
+        res = membership(cascade_model, XOR_F, corner, "lossless", SearchBudget(restarts=0))
+        assert res.witness is first.witness and res.achieved == corner and calls[2:] == []
+        # while a budget candidate is evaluated on every call
+        res = membership(cascade_model, XOR_F, corner, "lossless",
+                         SearchBudget(restarts=0, candidates=(candidate,)))
+        assert res.witness is candidate and calls[2:] == [candidate]
+
+    def test_a_second_call_rebuilds_nothing_of_the_model(self, cascade_model, monkeypatch):
+        built, evaluated = [], []
+        init, evaluate = sources._ProductForm.__init__, regions._eval_candidate
+
+        def counted(self, p_x, q, arms, *rest):
+            built.append((q, tuple((u, v) for _, u, v, _ in arms)))
+            init(self, p_x, q, arms, *rest)
+
+        monkeypatch.setattr(sources._ProductForm, "__init__", counted)
+        monkeypatch.setattr(regions, "_eval_candidate",
+                            lambda m, aux, *rest: evaluated.append(aux) or evaluate(m, aux, *rest))
+        sweep = BoundarySweep("d", (0.05, 0.15), "r_w")
+        budget = SearchBudget(restarts=1, iters=4, u_size=2, v_size=1, seed=1)
+        first = trace_boundary(cascade_model, XTPROJ_F, sweep, "lossy", budget, d=HAMMING_D)
+        tried, seen = len(evaluated), len(built)
+        again = trace_boundary(cascade_model, XTPROJ_F, sweep, "lossy", budget, d=HAMMING_D)
+        assert again == first and len(built) == seen  # no structure built again
+        corners = {id(aux) for aux, _ in regions._canonical_corners(cascade_model, XTPROJ_F,
+                                                                    "lossy", HAMMING_D)}
+        # the first call evaluated the corners; the second only its search's witnesses
+        assert corners <= set(map(id, evaluated[:tried]))
+        assert not corners & set(map(id, evaluated[tried:]))
+        arm = MultiArm(cascade_model.p_xt_given_x, cascade_model.p_yz_given_x, XOR_F, HAMMING_D)
+        mm = MultiModel(cascade_model.p_x, (arm, arm))
+        system = MultiAuxSystem(uniform(singleton_alphabet("q")),
+                                (identity_aux(cascade_model).per_q,) * 2)
+        for call in (
+            lambda: membership(cascade_model, XOR_F, RateTuple(5.0, 5.0, 5.0, 5.0),
+                               "lossless").achieved,
+            lambda: multifunction.eval_inner_mf(mm, system, "lossless"),
+            lambda: multifunction.eval_outer_mf(mm, system, "lossless")[0],
+        ):
+            first, seen = call(), len(built)
+            assert call() == first and len(built) == seen
+        assert len(set(built)) == len(built)  # one per model and alphabet set
 
     def test_candidate_check_stops_at_the_storage_rate(self, cascade_model):
         # identity U is admissible but stores H_b(p) > 0: r_w alone fails the
@@ -1170,10 +1217,10 @@ class TestCertificate:
     def test_a_shared_memo_leaves_every_tuple_bit_identical(self, seed, u_size, v_size):
         m = binary_cascade_model()
         rng = np.random.default_rng(seed)
-        for aux in regions._canonical_corners(m):  # fill the model's memo first
-            regions._eval_candidate(m, aux, XOR_F, "lossless", None)
+        # fill the model's memo first: each corner is evaluated as it is yielded
+        corners = [aux for aux, _ in regions._canonical_corners(m, XOR_F, "lossless", None)]
         assert m._h
-        for aux in (random_aux(rng, u_size, v_size), *regions._canonical_corners(m)):
+        for aux in (random_aux(rng, u_size, v_size), *corners):
             for mode, f in (("lossless", XTPROJ_F), ("lossy", XOR_F)):
                 own = regions._eval_candidate(replace(m), aux, f, mode, None)  # a cold memo
                 assert regions._eval_candidate(m, aux, f, mode, None) == own
@@ -1240,6 +1287,55 @@ TRACE_LOSSY_RECORDED = {
         '0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0',
     ],
 }
+
+
+def hexed(answer):
+    """An answer as nested lists, each float as float hex; arrays, tuples and
+    dataclasses (witnesses, their channels and alphabets) unpacked."""
+    if isinstance(answer, (float, np.floating)):
+        return float(answer).hex()
+    if isinstance(answer, (np.ndarray, list, tuple)):
+        return [hexed(v) for v in answer]
+    if dataclasses.is_dataclass(answer):
+        return [type(answer).__name__,
+                *(hexed(getattr(answer, f.name)) for f in dataclasses.fields(answer))]
+    return answer
+
+
+class TestModelMemoOnTheBench:
+    @pytest.mark.parametrize("seed", [1, 23])
+    def test_repeated_passes_equal_a_fresh_set_up(self, monkeypatch, seed):
+        # every pass of one set-up reads the memos the passes before it filled
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        import inputs
+        import workloads
+
+        answers = []
+
+        def recorded(call):
+            def answer(*args, **kwargs):
+                out = call(*args, **kwargs)
+                answers.append(hexed(out))
+                return out
+            return answer
+
+        for module, name in ((regions, "membership"), (regions, "trace_boundary"),
+                             (regions, "eval_lossless_corner"), (regions, "eval_lossy_corner"),
+                             (multifunction, "eval_inner_mf"), (multifunction, "eval_outer_mf")):
+            monkeypatch.setattr(module, name, recorded(getattr(module, name)))
+
+        def run(prep) -> list:
+            answers.clear()
+            assert workloads.RUN[workload](prep).failed == 0
+            return list(answers)
+
+        for workload in ("search-lossless", "trace-lossy", "multi-dense"):
+            spec = inputs.make(workload, seed)
+            fresh = run(workloads.BUILD[workload](spec))
+            assert fresh
+            prep = workloads.BUILD[workload](spec)
+            for _ in range(3):
+                assert run(prep) == fresh
 
 
 class TestTraceBoundary:
@@ -1432,8 +1528,13 @@ class TestTraceBoundary:
             return evaluate(m, aux, *rest, **kw)
 
         monkeypatch.setattr(regions, "_eval_candidate", spy)
-        monkeypatch.setattr(regions, "_canonical_corners",
-                            lambda m: corners.extend(canonical(m)) or tuple(corners))
+
+        def listed(*args):
+            out = list(canonical(*args))
+            corners.extend(aux for aux, _ in out)
+            return out
+
+        monkeypatch.setattr(regions, "_canonical_corners", listed)
         pts = trace_lossy(cascade_model, (0.0, 0.03, 0.1, 0.19, 0.3), SearchBudget(
             restarts=restarts, iters=6, u_size=2, v_size=1, q_size=2, seed=2))
         slots = {id(w) for pt in pts for w in pt.witnesses}

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import XOR_F, random_binary_model
 from sfcomp import multifunction, regions, sources
-from sfcomp.models import DistortionSpec, FunctionSpec, MultiArm, MultiModel
+from sfcomp.models import DistortionSpec, FunctionSpec, MultiArm, MultiModel, build_joint
 from sfcomp.multifunction import MultiAuxSystem, eval_inner_mf, eval_outer_mf
 from sfcomp.probability import (
     CondDist,
@@ -225,13 +225,6 @@ def random_one_arm(rng, n, u_size, v_size, p_q=None):
     return m, f, AuxSystem(p_q, pairs)
 
 
-def unit_multi_system(rng, sizes):
-    """`random_multi_system` at p(q) = (1.0,): its one-symbol Dirichlet draw
-    may be 1 - 2**-53, a weight whose marginals round differently."""
-    mm, a, g_list = random_multi_system(rng, sizes)
-    return mm, MultiAuxSystem(uniform(singleton_alphabet("q")), a.arms), g_list
-
-
 def bits(values) -> list[str]:
     return [float(v).hex() for v in values]
 
@@ -266,7 +259,7 @@ class TestModelMemo:
     def test_multi_model_reads_do_not_depend_on_the_batch(self, seed, j, sizes):
         # no search stacks J-arm systems, so a J-arm source holds one system;
         # 2 and 7 rows check that its model-only reads do not depend on B
-        mm, a, _ = unit_multi_system(np.random.default_rng(seed), sizes[:j])
+        mm, a, _ = random_multi_system(np.random.default_rng(seed), sizes[:j])
         one = multifunction._source(mm, a)
         assert one._model_h is mm._h
         subsets = model_subsets(one)
@@ -302,8 +295,8 @@ class TestModelMemo:
         g = optimal_g(m, aux, f, d)
         assert bits(eval_lossy_corner(m, aux, f, g, d).coords().values()) == \
             bits(eval_lossy_corner(replace(m), aux, f, g, d).coords().values())
-        mm, a, g_list = unit_multi_system(rng, arm_sizes)
-        other = unit_multi_system(rng, arm_sizes)[1]
+        mm, a, g_list = random_multi_system(rng, arm_sizes)
+        other = random_multi_system(rng, arm_sizes)[1]
         eval_inner_mf(mm, other, "lossy", g_list)  # warms the multi model's memo
         assert mm._h
         assert bits(_fields(eval_inner_mf(mm, a, "lossy", g_list))) == \
@@ -331,7 +324,7 @@ class TestModelMemo:
         param = regions._AuxParam(m, u_size, v_size, 2)
         regions._multi_rates(param.source(rng.random((7, param.size)) + 0.01))
         mm, a, g_list = random_multi_system(rng, arm_sizes, q_size=2)
-        one = unit_multi_system(rng, arm_sizes)[1]
+        one = random_multi_system(rng, arm_sizes)[1]
         for system in (a, MultiAuxSystem(near, one.arms)):
             eval_inner_mf(mm, system, "lossy", g_list)
             eval_outer_mf(mm, system, "lossy", g_list)
@@ -339,6 +332,85 @@ class TestModelMemo:
         eval_lossless_corner(m, identity_aux(m), f)  # a unit weight writes each
         eval_inner_mf(mm, one, "lossy", g_list)
         assert m._h and mm._h
+
+
+def corner_bits(corners) -> list[list[str]]:
+    """Each canonical corner's tables, then its rates and residual, as float hex."""
+    return [bits([*aux.p_q.probs, *(v for pair in aux.per_q for v in (
+        *pair.p_u_given_xt.rows.ravel(), *pair.p_v_given_u.rows.ravel())),
+        *rates.coords().values(), gap]) for aux, (rates, gap) in corners]
+
+
+def assert_bare(model) -> None:
+    """Every structure a model keeps holds the model's p(y,z|x) sums alone:
+    no system's chain products and no entropies."""
+    forms = [form for key, form in model._memo.items() if key[0] == "structure"]
+    assert forms
+    for form in forms:
+        assert all(kept[0] >= 3 for _, kept in form._parts)
+        assert form._h == {} and form._model_h == {} and form._mixed_h == {}
+
+
+class TestModelObjects:
+    """What a model memoizes besides its entropies (`models._memoized`) is what
+    a cold model builds, bit for bit, and each entry serves its own key alone."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(0, 10_000), st.sampled_from([2, 3]), st.integers(1, 3), st.integers(1, 3),
+           st.integers(1, 2))
+    def test_one_arm_corners_and_sources_are_those_of_a_cold_model(self, seed, n, u_size, v_size,
+                                                                   q_size):
+        rng = np.random.default_rng(seed)
+        p_q = Dist(_alphabet_of_size("q", 2), rng.dirichlet((1.0, 1.0))) if q_size == 2 else None
+        m, f, aux = random_one_arm(rng, n, u_size, v_size, p_q)
+        constant = FunctionSpec(m.xt_alphabet, m.y_alphabet, f.output, np.zeros((n, n), dtype=int))
+        d = DistortionSpec.hamming(f.output)
+        asks = [(g, mode, dd) for g in (f, constant)
+                for mode, dd in (("lossless", None), ("lossy", None), ("lossy", d))]
+        for ask in asks:  # the second read of an ask reads what the first built
+            first = corner_bits(regions._canonical_corners(m, *ask))
+            assert corner_bits(regions._canonical_corners(m, *ask)) == first
+        for ask in asks:  # each against a cold model, so no ask reads another's entry
+            assert corner_bits(regions._canonical_corners(m, *ask)) == \
+                corner_bits(regions._canonical_corners(replace(m), *ask))
+        assert sum(key[0] == "corner" and len(key) == 5 for key in m._memo) == 3 * len(asks)
+        # sources restacked from the model's structures, against fresh ones
+        param = regions._AuxParam(m, u_size, v_size, q_size)
+        points = np.stack([param.random(int(s)) for s in rng.integers(0, 2**31, 3)])
+        cold = replace(m)
+        pairs = [(param.source(points),
+                  regions._AuxParam(cold, u_size, v_size, q_size).source(points)),
+                 *((regions._source(m, system), regions._source(cold, system))
+                   for system in (aux, identity_aux(m)))]
+        for warm, fresh in pairs:
+            names = tuple(a.name for a in warm.axes)
+            assert np.array_equal(warm.rows(names), fresh.rows(names))
+            assert bits(regions._multi_rates(warm)[0].ravel()) == \
+                bits(regions._multi_rates(fresh)[0].ravel())
+        # a weight other than (1.0,) reads a memo of its call's own
+        first, second = regions._source(m, aux), regions._source(m, aux)
+        assert (first._model_h is second._model_h) == (q_size == 1)
+        assert_bare(m)
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 2),
+           st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=3))
+    def test_multi_sources_and_arm_joints_are_those_of_a_cold_model(self, seed, q_size, sizes):
+        mm, a, g_list = random_multi_system(np.random.default_rng(seed), sizes, q_size=q_size)
+        got = []
+        for model in (mm, mm, replace(mm)):  # the second call reads what the first built
+            inner = eval_inner_mf(model, a, "lossy", g_list)
+            outer, report = eval_outer_mf(model, a, "lossy", g_list)
+            got.append(bits(_fields(inner)) + bits(_fields(outer)) + bits(c.value for c in report))
+        assert got[0] == got[1] == got[2]
+        src, fresh = multifunction._source(mm, a), multifunction._source(replace(mm), a)
+        for k, (xt, u, v, y, z) in enumerate(src.arm_names):
+            for names in ((xt, "x", y, z), ("q", v, u, xt), (u, "q", xt, y), ("x", z)):
+                assert np.array_equal(src.rows(names), fresh.rows(names))
+            assert np.array_equal(mm._memo["arm", k], build_joint(mm.arm_model(k)).table)
+        assert bits(regions._multi_rates(src)[0].ravel()) == \
+            bits(regions._multi_rates(fresh)[0].ravel())
+        assert_bare(mm)
 
 
 # A J = 3 inner corner and a short trace, as float hex; set iteration order,
