@@ -50,7 +50,7 @@ class ModelFileError(ModelError):
     """Malformed or semantically invalid model file."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SourceModel:
     """Hidden source plus the two measurement channels of a single computation."""
 
@@ -150,7 +150,7 @@ class DistortionSpec:
         return cls(alphabet, 1.0 - np.eye(alphabet.size))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultiArm:
     """One encoder-decoder pair of a multi-function network."""
 
@@ -160,7 +160,7 @@ class MultiArm:
     d: DistortionSpec
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultiModel:
     """Shared hidden source measured by J encoder-decoder pairs."""
 
@@ -349,7 +349,10 @@ def _alphabet(spec, name: str) -> Alphabet:
 
 def _arm_tables(block: dict, key_prefix: str, x: Alphabet, xt: Alphabet,
                 y: Alphabet, z: Alphabet, fa: Alphabet):
-    yz = product_alphabet(f"{y.name}{z.name}", y, z)
+    try:  # labels "a|b" and "a" of y with "c" and "b|c" of z both join to "a|b|c"
+        yz = product_alphabet(f"{y.name}{z.name}", y, z)
+    except ProbabilityError as exc:
+        raise ModelFileError(f"{key_prefix}alphabets.y, z: {exc}") from None
     p_xt = CondDist(x, xt, _stochastic(block["p_xtilde_given_x"],
                                        f"{key_prefix}p_xtilde_given_x", x.size, xt.size))
     p_yz = CondDist(x, yz, _stochastic(block["p_yz_given_x"],

@@ -16,12 +16,12 @@ each arm's axis names (`_axis_names`); the source renames alphabets, never
 channels. `eval_inner_mf`, and `eval_outer_mf` given a `MultiAuxSystem`, read
 its marginals without forming the joint (its cell count is exponential in
 J); `build_multi_joint` is its full read. A dense `JointDist` supplied to
-`eval_outer_mf`, `multi_chain_report` or `factorizes_per_arm` is read the
-same way, as a `_Dense` source named by `_dense`. Every reader takes the axis
-names from the source it reads. The model keeps the structure a system's
-source is restacked from and each arm's `build_joint` table, which
-`multi_chain_report` compares against (`models._memoized`). A bound
-evaluates one system, the B = 1 case of the batched code the search runs.
+`eval_outer_mf` or `multi_chain_report` is read the same way, as a `_Dense`
+source named by `_dense`. Every reader takes the axis names from the source
+it reads. The model keeps the structure a system's source is restacked from
+and each arm's `build_joint` table, which `multi_chain_report` compares
+against (`models._memoized`). A bound evaluates one system, the B = 1 case
+of the batched code the search runs.
 
 Axis naming convention for a J-arm joint (`_axis_names`):
 (q, v1..vJ, u1..uJ, xtilde1..xtildeJ, x, y1..yJ, z1..zJ).
@@ -57,7 +57,7 @@ class ChainViolation(RegionError):
     """A required per-arm Markov condition fails on the supplied joint."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultiAuxSystem:
     """Per-arm, per-branch auxiliary channel pairs under one time-sharing weight."""
 
@@ -165,17 +165,6 @@ def multi_chain_report(m: MultiModel, joint: JointDist) -> tuple[ChainCheck, ...
         checks.append(ChainCheck(f"arm{k + 1}: model marginal reproduced", err,
                                  err <= MODEL_MATCH_TOL))
     return tuple(checks)
-
-
-def factorizes_per_arm(m: MultiModel, joint: JointDist) -> bool:
-    """True when each arm's I(arm; other arms | q, x) is at most CHAIN_TOL, as the
-    product-form inner bound requires; the joint is named as in `_dense`."""
-    src = _dense(m, joint)
-    for k, mine in enumerate(src.arm_names):
-        others = tuple(n for i, arm in enumerate(src.arm_names) if i != k for n in arm)
-        if src.cmi(mine, others, (src.q, src.x))[0] > CHAIN_TOL:
-            return False
-    return True
 
 
 def eval_outer_mf(m: MultiModel, system: "MultiAuxSystem | JointDist", mode: str,

@@ -19,10 +19,11 @@ which a factor source applies to the axis names its caller gives): a new
 name changes no symbol, and no channel is rebuilt to carry one.
 
 Every object here is immutable after construction; all operations are pure
-functions and safe to call concurrently. A joint keeps no memo: `entropy`
-and `cond_mutual_info` sum each marginal they read afresh. The rate
-evaluators read their entropies from a source of `sources`, whose memo is
-the only one.
+functions and safe to call concurrently. A type holding a table compares
+and hashes by identity; an alphabet by value. A joint keeps no memo:
+`entropy` and `cond_mutual_info` sum each marginal they read afresh. The
+rate evaluators read theirs from a source of `sources`, which memoizes
+them, as the model it is built on does (`SourceModel._h`, `MultiModel._h`).
 """
 
 from __future__ import annotations
@@ -141,7 +142,7 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dist:
     """A probability vector over one alphabet."""
 
@@ -161,7 +162,7 @@ class Dist:
         return float(self.probs[self.alphabet.index(label)])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CondDist:
     """A stochastic matrix: one output distribution per input symbol."""
 
@@ -185,7 +186,7 @@ class CondDist:
 AxisSpec = "str | Iterable[str]"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointDist:
     """A dense joint pmf over an ordered tuple of named alphabets.
 
@@ -244,9 +245,6 @@ class JointDist:
             return self._index[name]
         except KeyError:
             raise UnknownAxis(f"axis {name!r} not in joint over {self._names}") from None
-
-    def alphabet(self, name: str) -> Alphabet:
-        return self.axes[self.axis(name)]
 
     def marginal(self, axes: AxisSpec) -> "JointDist":
         """Marginal joint on the named axes, kept in this joint's axis order.
@@ -326,17 +324,6 @@ def entropy(joint: JointDist, axes: AxisSpec) -> float:
     return float(_entropy_rows(joint.marginal(keep).table[None])[0])
 
 
-def cond_entropy(joint: JointDist, axes: AxisSpec, given: AxisSpec = ()) -> float:
-    """H(axes | given) = H(axes, given) - H(given)."""
-    a = _axis_tuple(joint, axes)
-    c = _axis_tuple(joint, given)
-    if set(a) & set(c):
-        raise OverlappingAxes(f"axes {a} overlap conditioning set {c}")
-    if not c:
-        return entropy(joint, a)
-    return entropy(joint, a + c) - entropy(joint, c)
-
-
 def cond_mutual_info(joint: JointDist, a: AxisSpec, b: AxisSpec, c: AxisSpec = ()) -> float:
     """I(A;B|C) in bits; C may be empty for plain mutual information.
 
@@ -354,10 +341,6 @@ def cond_mutual_info(joint: JointDist, a: AxisSpec, b: AxisSpec, c: AxisSpec = (
     return entropy(joint, ta + tc) + entropy(joint, tb + tc) - entropy(joint, ta + tb + tc) - h_c
 
 
-def mutual_info(joint: JointDist, a: AxisSpec, b: AxisSpec) -> float:
-    return cond_mutual_info(joint, a, b, ())
-
-
 def binary_entropy(x: float) -> float:
     """H_b(x) in bits; H_b(0) = H_b(1) = 0."""
     if not 0.0 <= x <= 1.0:
@@ -367,29 +350,6 @@ def binary_entropy(x: float) -> float:
     return float(-x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x))
 
 
-def inv_binary_entropy(h: float) -> float:
-    """The unique x in [0, 0.5] with H_b(x) = h, found by bisection.
-
-    Bisection is unconditionally safe here: H_b is strictly increasing on
-    [0, 0.5]. It halves [0, 0.5] until the bracket is at most 1e-12 wide,
-    39 halvings, and returns the bracket's midpoint.
-    """
-    if not 0.0 <= h <= 1.0:
-        raise ProbabilityError(f"inv_binary_entropy needs h in [0,1], got {h!r}")
-    if h == 0.0:
-        return 0.0
-    if h == 1.0:
-        return 0.5
-    lo, hi = 0.0, 0.5
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if binary_entropy(mid) < h:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def bsc_convolve(a: float, b: float) -> float:
     """Crossover of two cascaded binary symmetric channels: a + b - 2ab."""
     if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
@@ -397,19 +357,8 @@ def bsc_convolve(a: float, b: float) -> float:
     return a + b - 2.0 * a * b
 
 
-def min_zero(a: float) -> float:
-    """min(a, 0)."""
-    return a if a < 0.0 else 0.0
-
-
 def uniform(alphabet: Alphabet) -> Dist:
     return Dist(alphabet, np.full(alphabet.size, 1.0 / alphabet.size))
-
-
-def point_mass(alphabet: Alphabet, label: str) -> Dist:
-    probs = np.zeros(alphabet.size)
-    probs[alphabet.index(label)] = 1.0
-    return Dist(alphabet, probs)
 
 
 def bsc(p: float, input: Alphabet, output: Alphabet) -> CondDist:

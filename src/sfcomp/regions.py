@@ -4,8 +4,7 @@ A rate corner for a given auxiliary system mixes a time-sharing weight with
 per-weight auxiliary channel pairs. The four rate coordinates are conditional
 mutual informations on the mixed joint plus a nonpositive offset
 min(I(U;Z|V,Q) - I(U;Y|V,Q), 0); the offset conditions on (V,Q) while the
-leading terms are evaluated on the mixture itself. A per-weight diagnostic
-report is available for the averaged view.
+leading terms are evaluated on the mixture itself.
 
 A single function is the one-arm case of the multi-function bounds. Every
 evaluator reads one source, `sources._ProductForm`: the mixture joints of B
@@ -18,9 +17,8 @@ model's axes alone at p(q) = (1.0,) (`sources`); admissibility is H(F|U,Q,Y).
 The model keeps the canonical corners and, per (mode, f, d), their exact
 (rates, residual) (`models._memoized`), as both depend on its frozen tables
 alone; budget candidates, search rows and the public evaluators are
-evaluated afresh on every call. `aux_mixture_joint` is the source's
-full read, checked against a dense reference in the tests; a dense joint
-supplied to the outer bound is read as a `sources._Dense`.
+evaluated afresh on every call. A dense joint supplied to the outer bound
+is read as a `sources._Dense`.
 
 Every reader here takes each arm's axis names, and those of q and x, from the
 source it reads. `_corner_rates` is the one exact corner reader, for one arm
@@ -79,7 +77,6 @@ from .probability import (
     Alphabet,
     CondDist,
     Dist,
-    JointDist,
     _check_cells,
     constant_channel,
     identity_channel,
@@ -114,7 +111,7 @@ class InadmissibleAuxiliary(RegionError):
     """Auxiliary channel fails the determine-the-function requirement."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AuxPair:
     """One auxiliary channel pair: encoder observation -> U -> V."""
 
@@ -134,7 +131,7 @@ class AuxPair:
         return self.p_v_given_u.output
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AuxSystem:
     """Time-sharing weight plus one auxiliary channel pair per weight symbol."""
 
@@ -227,7 +224,7 @@ def single_arm_tuple(rates: MultiRateTuple) -> RateTuple:
                      d=None if rates.d is None else rates.d[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReconstructionFn:
     """Deterministic reconstruction table on (auxiliary symbol, decoder observation)."""
 
@@ -285,11 +282,6 @@ def _canonical_corners(m: SourceModel, f: FunctionSpec, mode: str, d: Distortion
 def _arm_names(m: SourceModel, u: Alphabet, v: Alphabet) -> tuple[tuple[str, ...]]:
     """The one arm's axis names: the model's (xt, y, z) and the system's (u, v)."""
     return ((m.xt_alphabet.name, u.name, v.name, m.y_alphabet.name, m.z_alphabet.name),)
-
-
-def aux_mixture_joint(m: SourceModel, aux: AuxSystem) -> JointDist:
-    """Dense joint over (q, v, u, xt, x, y, z) induced by the model and the auxiliary system."""
-    return _source(m, aux).dense()
 
 
 def _source(m: SourceModel, aux: AuxSystem) -> "_ProductForm":
@@ -410,25 +402,6 @@ def eval_lossy_corner(m: SourceModel, aux: AuxSystem, f: FunctionSpec,
     """Rate corner plus expected distortion; no admissibility requirement."""
     aux.validate_cardinalities(m.xt_alphabet.size, "lossy")
     return single_arm_tuple(_corner_rates(_source(m, aux), (f,), "lossy", (d,), (g,)))
-
-
-@dataclass(frozen=True)
-class PerQEntry:
-    label: str
-    weight: float
-    rates: RateTuple
-    offset: float
-
-
-def per_q_report(m: SourceModel, aux: AuxSystem) -> tuple[PerQEntry, ...]:
-    """Evaluate each time-sharing branch as its own singleton system."""
-    out = []
-    for qi, pair in enumerate(aux.per_q):
-        single = AuxSystem(uniform(singleton_alphabet(aux.p_q.alphabet.name)), (pair,))
-        rates, offset = _multi_rates(_source(m, single))
-        out.append(PerQEntry(aux.p_q.alphabet.labels[qi], float(aux.p_q.probs[qi]),
-                             RateTuple(*rates[0, _ONE_ARM].tolist()), float(offset[0])))
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -655,7 +628,7 @@ def _eval_rows(src: _ProductForm, f: FunctionSpec, mode: str, d: DistortionSpec 
 
 
 def _coords(src: _ProductForm, f: FunctionSpec, mode: str, d: DistortionSpec | None,
-            cols: Sequence[int] = range(5)) -> np.ndarray:
+            cols: Sequence[int]) -> np.ndarray:
     """Coordinates (B, 5) in `_COORDS` order, NaN and unread outside `cols`, of
     the systems of a one-arm source. d is filled in lossy mode when `d` is given
     and is 0 otherwise, the value `RateTuple.dominates` reads for a missing d."""
@@ -667,17 +640,10 @@ def _coords(src: _ProductForm, f: FunctionSpec, mode: str, d: DistortionSpec | N
     return coords
 
 
-def _eval_candidate(m, aux, f, mode, d, target: RateTuple | None = None):
-    """(rates, admissibility residual) of one system, d filled in lossy mode when
-    given; None, from the residual and r_w alone, when they fail `target`, so a
-    system returned against a target is admissible."""
+def _eval_candidate(m, aux, f, mode, d):
+    """(rates, admissibility residual) of one system, d filled in lossy mode when given."""
     aux.validate_cardinalities(m.xt_alphabet.size, mode)
-    src = _source(m, aux)
-    coords, gap = _eval_rows(src, f, mode, d, range(5) if target is None else (1,))
-    if target is not None:
-        if gap[0] > ADMISSIBILITY_TOL or coords[0, 1] > target.r_w + MEMBERSHIP_TOL:
-            return None
-        coords = _coords(src, f, mode, d)  # r_w again, from the source's entropies
+    coords, gap = _eval_rows(_source(m, aux), f, mode, d)
     row = coords[0].tolist()
     return RateTuple(*row[:4], d=row[4] if mode == "lossy" and d is not None else None), \
         float(gap[0])
@@ -745,13 +711,13 @@ def membership(m: SourceModel, f: FunctionSpec, target: RateTuple, mode: str,
             return MembershipResult(False, None, None, certificate=(k, bound))
 
     def verdict(aux: AuxSystem, rates) -> MembershipResult | None:
-        """Found when aux's (rates, residual), None when failed early, meet the target."""
-        if rates is None or rates[1] > ADMISSIBILITY_TOL or not rates[0].dominates(target):
+        """Found when aux's (rates, residual) meet the target."""
+        if rates[1] > ADMISSIBILITY_TOL or not rates[0].dominates(target):
             return None
         g = optimal_g(m, aux, f, d) if d_used is not None else None
         return MembershipResult(True, aux, rates[0], g)
 
-    tried = ((aux, _eval_candidate(m, aux, f, mode, d_used, target)) for aux in budget.candidates)
+    tried = ((aux, _eval_candidate(m, aux, f, mode, d_used)) for aux in budget.candidates)
     for aux, rates in itertools.chain(tried, _canonical_corners(m, f, mode, d_used)):
         hit = verdict(aux, rates)
         if hit:
@@ -766,7 +732,7 @@ def membership(m: SourceModel, f: FunctionSpec, target: RateTuple, mode: str,
             lambda mask: None, budget.iters, INIT_STEP, MIN_STEP)
         if val <= MEMBERSHIP_TOL:
             aux = param.to_aux(point)
-            hit = verdict(aux, _eval_candidate(m, aux, f, mode, d_used, target))
+            hit = verdict(aux, _eval_candidate(m, aux, f, mode, d_used))
             if hit:
                 return hit
     return MembershipResult(False, None, None)

@@ -1,4 +1,5 @@
-"""Dense reference joints, built apart from the package's one joint builder.
+"""Dense reference joints, built apart from the package's one joint builder,
+and the dense checks only the tests call.
 
 `sources._ProductForm` builds every auxiliary joint the package reads. The
 tests check it against these joints, which compose each weight symbol's
@@ -14,7 +15,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from sfcomp.models import MultiModel, SourceModel
-from sfcomp.multifunction import MultiAuxSystem
+from sfcomp.multifunction import CHAIN_TOL, MultiAuxSystem, _dense
 from sfcomp.probability import (
     Alphabet,
     CondDist,
@@ -53,7 +54,8 @@ def dense_joint(p_x: Dist, p_q: Dist,
 
 
 def aux_mixture_joint(m: SourceModel, aux: AuxSystem) -> JointDist:
-    """`regions.aux_mixture_joint`'s reference, over (q, v, u, xt, x, y, z)."""
+    """The reference of the one-arm source's full read,
+    `regions._source(m, aux).dense()`, over (q, v, u, xt, x, y, z)."""
     return dense_joint(m.p_x, aux.p_q, ((m.p_xt_given_x, aux.per_q, m.p_yz_given_x),))
 
 
@@ -73,3 +75,14 @@ def multi_joint(m: MultiModel, a: MultiAuxSystem) -> JointDist:
                                    CondDist(u, v, p.p_v_given_u.rows)) for p in pairs),
                      CondDist(p_yz.input, product_alphabet(f"yz{k}", y, z), p_yz.rows)))
     return dense_joint(m.p_x, a.p_q, arms)
+
+
+def factorizes_per_arm(m: MultiModel, joint: JointDist) -> bool:
+    """True when each arm's I(arm; other arms | q, x) is at most CHAIN_TOL, as the
+    product-form inner bound requires; the joint is named as in `multifunction._dense`."""
+    src = _dense(m, joint)
+    for k, mine in enumerate(src.arm_names):
+        others = tuple(n for i, arm in enumerate(src.arm_names) if i != k for n in arm)
+        if src.cmi(mine, others, (src.q, src.x))[0] > CHAIN_TOL:
+            return False
+    return True

@@ -17,6 +17,8 @@ from sfcomp.models import (
     FunctionSpec,
     ModelError,
     ModelFileError,
+    MultiArm,
+    MultiModel,
     SourceModel,
     _project_simplex,
     admissibility_gap,
@@ -37,10 +39,11 @@ from sfcomp.probability import (
     cond_mutual_info,
     constant_channel,
     identity_channel,
-    mutual_info,
     product_alphabet,
     uniform,
 )
+from sfcomp.multifunction import MultiAuxSystem
+from sfcomp.regions import ReconstructionFn, identity_aux
 
 X = binary_alphabet("x")
 XT = binary_alphabet("xtilde")
@@ -75,6 +78,16 @@ def make_model(p=0.06, q=0.15, z_from_y=0.25):
 XOR = FunctionSpec(XT, Y, F, np.array([[0, 1], [1, 0]]))
 YPROJ = FunctionSpec(XT, Y, F, np.array([[0, 1], [0, 1]]))
 XTPROJ = FunctionSpec(XT, Y, F, np.array([[0, 0], [1, 1]]))
+
+
+def table_holders() -> list:
+    """One instance of each public type that holds a table."""
+    m = make_model()
+    aux = identity_aux(m)
+    arm = MultiArm(m.p_xt_given_x, m.p_yz_given_x, XOR, HAMMING_D)
+    return [XOR_F, HAMMING_D, m.p_x, m.p_xt_given_x, build_joint(m), m, arm,
+            MultiModel(m.p_x, (arm,)), aux.per_q[0], aux,
+            ReconstructionFn(U, Y, F, np.zeros((2, 2))), MultiAuxSystem(aux.p_q, (aux.per_q,))]
 
 
 class TestSpecs:
@@ -114,10 +127,10 @@ class TestSpecs:
             with pytest.raises(ModelError, match="finite"):
                 DistortionSpec(F, np.array([[0.0, bad], [1.0, 0.0]]))
 
-    @pytest.mark.parametrize("spec", [XOR_F, HAMMING_D])
+    @pytest.mark.parametrize("spec", table_holders())
     def test_specs_compare_and_hash_by_identity(self, spec):
-        # they key a model's memo; comparing their tables used to raise
-        # ValueError, and hashing them TypeError
+        # specs key a model's memo; comparing any of these types used to raise
+        # ValueError on its tables, and hashing it TypeError
         twin = copy.deepcopy(spec)
         assert spec == spec and (spec == twin) is False and spec != twin
         memo = {spec: "spec", twin: "twin"}
@@ -136,12 +149,12 @@ class TestBuildJoint:
         pz = [[[0.5, 0.5], [0.5, 0.5]] for _ in range(2)]  # z uniform regardless
         m = SourceModel(uniform(X), bsc(0.06, X, XT), yz_channel(py, pz))
         j = build_joint(m)
-        assert mutual_info(j, "x", "z") == pytest.approx(0.0, abs=1e-12)
+        assert cond_mutual_info(j, "x", "z") == pytest.approx(0.0, abs=1e-12)
 
     def test_decoder_arm_mutual_information(self):
         # closed form against full-table summation
         j = build_joint(make_model())
-        assert mutual_info(j, "x", "y") == pytest.approx(1 - binary_entropy(0.15), abs=1e-12)
+        assert cond_mutual_info(j, "x", "y") == pytest.approx(1 - binary_entropy(0.15), abs=1e-12)
 
     def test_chain_by_construction(self):
         j = build_joint(make_model())
@@ -317,6 +330,19 @@ class TestModelFile:
         bad = MODEL_TEXT.replace('y: ["0", "1"]', 'y: ["0", "0"]')
         with pytest.raises(ModelFileError, match="alphabets.y"):
             parse_model_text(bad)
+
+    @pytest.mark.parametrize("override", [False, True])
+    def test_colliding_product_labels_rejected(self, override):
+        # y's "a|b" and "a" with z's "c" and "b|c" both join to "a|b|c" in the
+        # (y, z) product alphabet, which used to raise a bare ProbabilityError
+        if override:
+            text = MODEL_TEXT + ONE_ARM_BLOCK.format(over='{y: ["a|b", "a"], z: ["c", "b|c"]}')
+        else:
+            text = MODEL_TEXT.replace('y: ["0", "1"]\n  z: ["0", "1"]',
+                                      'y: ["a|b", "a"]\n  z: ["c", "b|c"]')
+        key = r"multi\[0\]\.alphabets\.y, z" if override else r"alphabets\.y, z"
+        with pytest.raises(ModelFileError, match=f"^{key}: .*duplicate labels"):
+            parse_model_text(text)
 
     def test_non_finite_distortion_rejected(self):
         for bad in ("nan", "inf"):

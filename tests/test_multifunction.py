@@ -29,7 +29,6 @@ from sfcomp.multifunction import (
     build_multi_joint,
     eval_inner_mf,
     eval_outer_mf,
-    factorizes_per_arm,
     multi_chain_report,
     single_arm_tuple,
 )
@@ -55,7 +54,6 @@ from sfcomp.regions import (
     ReconstructionFn,
     RegionError,
     _alphabet_of_size,
-    aux_mixture_joint,
     constant_aux,
     eval_lossless_corner,
     eval_lossy_corner,
@@ -108,7 +106,7 @@ class TestBuildMultiJoint:
         pairs = [(build_multi_joint(mm, a), reference.multi_joint(mm, a))]
         if j == 1:
             sm, aux = mm.arm_model(0), AuxSystem(a.p_q, a.arms[0])
-            pairs.append((aux_mixture_joint(sm, aux), reference.aux_mixture_joint(sm, aux)))
+            pairs.append((regions._source(sm, aux).dense(), reference.aux_mixture_joint(sm, aux)))
         for got, want in pairs:
             assert got.axes == want.axes
             assert np.max(np.abs(got.table - want.table)) <= 1e-12
@@ -354,7 +352,7 @@ class TestOuterBound:
         mm, joint = shared_flip_joint(cascade_model, other)
         report = multi_chain_report(mm, joint)
         assert all(c.ok for c in report)
-        assert not factorizes_per_arm(mm, joint)
+        assert not reference.factorizes_per_arm(mm, joint)
         outer, _ = eval_outer_mf(mm, joint, "lossless")
         # the coupled auxiliaries reveal the xor of the two observations
         assert outer.r_s > 0.1
@@ -394,18 +392,18 @@ class TestOuterBound:
     def test_product_joints_factorize(self, cascade_model):
         mm = two_arm_model(cascade_model, cascade_model)
         aux = multi_from_aux([identity_aux(cascade_model)] * 2)
-        assert factorizes_per_arm(mm, build_multi_joint(mm, aux))
+        assert reference.factorizes_per_arm(mm, build_multi_joint(mm, aux))
 
     def test_weight_axis_named_by_caller(self, cascade_model):
         # a two-arm |Q| = 2 joint whose weight alphabet is "t" used to raise UnknownAxis
         mm, a, _ = random_multi_system(np.random.default_rng(43), [(2, 2), (2, 2)], q_size=2)
         a_t = MultiAuxSystem(Dist(a.p_q.alphabet.renamed("t"), a.p_q.probs), a.arms)
-        assert factorizes_per_arm(mm, build_multi_joint(mm, a_t))
+        assert reference.factorizes_per_arm(mm, build_multi_joint(mm, a_t))
         other = binary_cascade_model(p=0.1, q_dec=0.2, q_eve=0.3)
         mm, joint = shared_flip_joint(cascade_model, other)
-        t = joint.alphabet("q").renamed("t")
+        t = joint.axes[joint.axis("q")].renamed("t")
         coupled = JointDist(tuple(t if ax.name == "q" else ax for ax in joint.axes), joint.table)
-        assert not factorizes_per_arm(mm, coupled)
+        assert not reference.factorizes_per_arm(mm, coupled)
 
     def test_dense_joint_reads_its_one_other_axis_as_the_weight(self):
         # a two-arm |Q| = 2 joint whose weight axis is "t" used to raise TypeError
@@ -428,7 +426,7 @@ class TestOuterBound:
         for bad in (missing, two_left):
             for evaluate in (lambda: eval_outer_mf(mm, bad, "lossy", g_list),
                              lambda: multi_chain_report(mm, bad),
-                             lambda: factorizes_per_arm(mm, bad)):
+                             lambda: reference.factorizes_per_arm(mm, bad)):
                 with pytest.raises(UnknownAxis):
                     evaluate()
 

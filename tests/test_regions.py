@@ -44,12 +44,10 @@ from sfcomp.probability import (
     ProbabilityError,
     TableTooLarge,
     bsc,
-    cond_entropy,
     cond_mutual_info,
     constant_channel,
     entropy,
     identity_channel,
-    mutual_info,
     product_alphabet,
     push_function,
     uniform,
@@ -74,7 +72,6 @@ from sfcomp.regions import (
     identity_aux,
     membership,
     optimal_g,
-    per_q_report,
     singleton_alphabet,
     trace_boundary,
     v_equals_u_aux,
@@ -164,7 +161,7 @@ class TestLosslessCorner:
         aux = bsc_aux(0.3)
         rates, _, _ = _rates_with_joint(cascade_model, aux)
         j = reference.aux_mixture_joint(cascade_model, aux)
-        expected = mutual_info(j, "u", "xtilde") - mutual_info(j, "u", "y")
+        expected = cond_mutual_info(j, "u", "xtilde") - cond_mutual_info(j, "u", "y")
         assert rates.r_s == pytest.approx(expected, abs=1e-11)
 
     def test_v_equals_u_gives_offset_exactly_zero(self, cascade_model):
@@ -204,7 +201,6 @@ class TestLosslessCorner:
         search = SearchBudget(restarts=1, iters=1, u_size=400, v_size=20, q_size=2)
         for call in (lambda: eval_lossless_corner(m, aux, fn),
                      lambda: optimal_g(m, aux, fn, DistortionSpec.hamming(f)),
-                     lambda: per_q_report(m, aux),
                      lambda: membership(m, fn, RateTuple(0.0, 0.0, 0.0, 0.0), "lossless",
                                         search)):
             with pytest.raises(TableTooLarge):
@@ -356,7 +352,7 @@ class TestInvariants:
         aux = random_aux(np.random.default_rng(3), q_size=2)
         rates, _, _ = _rates_with_joint(m, aux)
         j = reference.aux_mixture_joint(m, aux)
-        expected = mutual_info(j, ("u", "q"), "xtilde") + min(
+        expected = cond_mutual_info(j, ("u", "q"), "xtilde") + min(
             -cond_mutual_info(j, "u", "y", ("v", "q")), 0.0)
         assert rates.r_s == pytest.approx(expected, abs=1e-12)
 
@@ -392,22 +388,13 @@ class TestInvariants:
         aux = AuxSystem(Dist(q_alpha, rng.dirichlet((1.0,) * q_size)), tuple(pairs))
         for f in (XOR_F, XTPROJ_F, YPROJ_F):
             jf = push_function(build_joint(m), ("xtilde", "y"), f.table, f.output)
-            floor = cond_entropy(jf, f.output.name, "y")
+            floor = entropy(jf, (f.output.name, "y")) - entropy(jf, "y")
             assert floor <= eval_lossless_corner(m, aux, f).r_w + 1e-12
 
     def test_xor_identity_corner_attains_storage_floor(self, cascade_model):
         # XOR on the cascade: H(F | Y) = H(X~ | Y) = H_b(0.06 * 0.15) = H_b(0.192)
         rates = eval_lossless_corner(cascade_model, identity_aux(cascade_model), XOR_F)
         assert abs(rates.r_w - h2(DSBS_P)) <= 1e-12
-
-    def test_per_q_report_lists_branches(self, cascade_model):
-        rng = np.random.default_rng(5)
-        aux = random_aux(rng, q_size=2)
-        report = per_q_report(cascade_model, aux)
-        assert len(report) == 2
-        assert abs(sum(e.weight for e in report) - 1.0) < 1e-12
-        for entry in report:
-            assert entry.offset <= 0.0
 
 
 class TestTrustedPath:
@@ -950,19 +937,20 @@ class TestMembership:
                        SearchBudget(restarts=0, q_size=3))
 
     def test_corners_are_built_when_tried(self, cascade_model, monkeypatch):
-        calls = []
+        calls, answers = [], []
         evaluate = regions._eval_candidate
 
         def spy(m, aux, *rest):
             calls.append(aux)
-            return evaluate(m, aux, *rest)
+            answers.append(evaluate(m, aux, *rest))
+            return answers[-1]
 
         def refused(m):
             raise AssertionError("a canonical corner was built")
 
         monkeypatch.setattr(regions, "_eval_candidate", spy)
         corner = eval_lossless_corner(cascade_model, identity_aux(cascade_model), XOR_F)
-        candidate = identity_aux(cascade_model)
+        candidate, failing = identity_aux(cascade_model), constant_aux(cascade_model)
         # the identity corner meets its own corner: the other two are never built
         monkeypatch.setattr(regions, "constant_aux", refused)
         monkeypatch.setattr(regions, "v_equals_u_aux", refused)
@@ -980,6 +968,16 @@ class TestMembership:
         res = membership(cascade_model, XOR_F, corner, "lossless",
                          SearchBudget(restarts=0, candidates=(candidate,)))
         assert res.witness is candidate and calls[2:] == [candidate]
+        # a candidate that fails the target is evaluated once, in full, and the
+        # identity corner answers; no system stores more than the identity
+        # corner's r_w = H(X~|Y), so this candidate fails on its residual
+        res = membership(cascade_model, XOR_F, corner, "lossless",
+                         SearchBudget(restarts=0, candidates=(failing,)))
+        assert res.witness is first.witness and res.achieved == corner
+        assert calls[3:] == [failing] and answers[3][1] > ADMISSIBILITY_TOL
+        lossy = eval_lossy_corner(cascade_model, failing, XOR_F,
+                                  optimal_g(cascade_model, failing, XOR_F, HAMMING_D), HAMMING_D)
+        assert answers[3][0] == replace(lossy, d=None)
 
     def test_a_second_call_rebuilds_nothing_of_the_model(self, cascade_model, monkeypatch):
         built, evaluated = [], []
@@ -1017,18 +1015,11 @@ class TestMembership:
             assert call() == first and len(built) == seen
         assert len(set(built)) == len(built)  # one per model and alphabet set
 
-    def test_candidate_check_stops_at_the_storage_rate(self, cascade_model):
-        # identity U is admissible but stores H_b(p) > 0: r_w alone fails the
-        # target; any other failing coordinate needs the whole corner
+    def test_candidate_evaluation_is_the_exact_corner(self, cascade_model):
         aux = identity_aux(cascade_model)
         corner = eval_lossless_corner(cascade_model, aux, XOR_F)
         full = regions._eval_candidate(cascade_model, aux, XOR_F, "lossless", None)
         assert full[0] == corner and full[1] <= ADMISSIBILITY_TOL
-        assert regions._eval_candidate(cascade_model, aux, XOR_F, "lossless", None,
-                                       replace(corner, r_w=corner.r_w - 0.01)) is None
-        for target in (corner, replace(corner, r_s=corner.r_s - 0.01)):
-            assert regions._eval_candidate(cascade_model, aux, XOR_F, "lossless", None,
-                                           target) == full
 
     def test_invalid_budget(self):
         with pytest.raises(RegionError):
@@ -1102,7 +1093,7 @@ class TestCertificate:
                          pool[rng.integers(0, 2, size=xt_size)])
         bounds = _lossless_bounds(m, f)
         jf = push_function(build_joint(m), ("xtilde", "y"), f.table, f.output)
-        assert bounds["r_w"] == pytest.approx(cond_entropy(jf, "f", "y"), abs=1e-12)
+        assert bounds["r_w"] == pytest.approx(entropy(jf, ("f", "y")) - entropy(jf, "y"), abs=1e-12)
         assert bounds["r_dec"] == pytest.approx(cond_mutual_info(jf, "f", "x", "y"), abs=1e-12)
         u_alpha = _alphabet_of_size("u", xt_size + int(rng.integers(0, 3)))
         q_alpha = _alphabet_of_size("q", q_size)
