@@ -311,9 +311,10 @@ def _entropy_rows(table: np.ndarray) -> np.ndarray:
     exact 0, so rows holding the same multiset of probabilities give
     bit-identical entropies whatever their axis layout.
     """
-    p = np.sort(table.reshape(len(table), -1), axis=1)
-    p = np.where(p >= LOG_ZERO_CUTOFF, p, 1.0)  # 1 log 1 = 0
-    return -(p * np.log2(p)).sum(axis=1)
+    p = table.reshape(len(table), -1).copy()
+    p.sort(axis=1)
+    p[~(p >= LOG_ZERO_CUTOFF)] = 1.0  # 1 log 1 = 0, as for a NaN cell
+    return -np.add.reduce(p * np.log2(p), axis=1)
 
 
 def entropy(joint: JointDist, axes: AxisSpec) -> float:

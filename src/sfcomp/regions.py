@@ -295,8 +295,8 @@ def _multi_rates(src: _Source, cols: Sequence[int] | None = None) -> tuple[np.nd
     """Rates and offsets of the J-arm systems a source holds, on the source's
     axis names. Rates are rows of (r_s, r_w per arm, sum_w, r_dec per arm,
     r_eve), as `_multi_tuple` reads them; only `cols` (all when None) are
-    scored, the rest NaN like the offset when neither r_s nor r_eve is wanted.
-    The negative-rate guard covers only the columns scored.
+    scored, the rest NaN like the offset when neither r_s nor r_eve is wanted,
+    all in one `cmis` read. The negative-rate guard covers only the columns scored.
 
     Each auxiliary absorbs the time-sharing label, so the leading terms use
     (U, Q) while the offset conditions on (V, Q); with heterogeneous branches
@@ -308,11 +308,14 @@ def _multi_rates(src: _Source, cols: Sequence[int] | None = None) -> tuple[np.nd
     terms = [(uq, xt, z), *(((uk, q), xk, yk) for uk, xk, yk in zip(u, xt, y)), (uq, xt, y),
              *(((uk, q), x, yk) for uk, yk in zip(u, y)), (uq, x, z)]
     want = range(len(terms)) if cols is None else cols
-    offset = (np.minimum(src.cmi(u, z, vq) - src.cmi(u, y, vq), 0.0)
-              if {0, len(terms) - 1} & set(want) else np.full(src.batch, np.nan))
+    off = bool({0, len(terms) - 1} & set(want))
+    # a tuple of a list: one of a generator, made at size 10 and shrunk, grows
+    # CPython's tuple free list of its size on every call
+    got = src.cmis(tuple([terms[c] for c in want] + ([(u, z, vq), (u, y, vq)] if off else [])))
+    offset = np.minimum(got[-2] - got[-1], 0.0) if off else np.full(src.batch, np.nan)
     rates = np.full((src.batch, len(terms)), np.nan)
-    for c in want:
-        rates[:, c] = src.cmi(*terms[c])
+    for c, value in zip(want, got):
+        rates[:, c] = value
     rates[:, [0, -1]] += offset[:, None]
     if np.any(rates < -RATE_NEG_TOL):
         raise RegionError(f"rate {float(np.nanmin(rates))!r} is negative beyond tolerance")
@@ -374,8 +377,8 @@ def _corner_rates(src: _Source, fs: Sequence[FunctionSpec], mode: str,
         return _multi_tuple(rates[0], len(fs))
     if gs is None or len(gs) != len(fs):
         raise RegionError("lossy mode needs one reconstruction function per arm")
-    return _multi_tuple(rates[0], len(fs), tuple(
-        _distortion(src, k, *arm) for k, arm in enumerate(zip(fs, ds, gs, strict=True))))
+    return _multi_tuple(rates[0], len(fs), tuple([
+        _distortion(src, k, *arm) for k, arm in enumerate(zip(fs, ds, gs, strict=True))]))
 
 
 def eval_lossless_corner(m: SourceModel, aux: AuxSystem, f: FunctionSpec) -> RateTuple:

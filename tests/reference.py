@@ -83,6 +83,6 @@ def factorizes_per_arm(m: MultiModel, joint: JointDist) -> bool:
     src = _dense(m, joint)
     for k, mine in enumerate(src.arm_names):
         others = tuple(n for i, arm in enumerate(src.arm_names) if i != k for n in arm)
-        if src.cmi(mine, others, (src.q, src.x))[0] > CHAIN_TOL:
+        if src.cmis(((mine, others, (src.q, src.x)),))[0][0] > CHAIN_TOL:
             return False
     return True

@@ -1,6 +1,5 @@
 import copy
 import dataclasses
-import math
 import warnings
 from unittest import mock
 
@@ -28,9 +27,7 @@ from sfcomp.models import (
     parse_model_text,
 )
 from sfcomp.probability import (
-    Alphabet,
     CondDist,
-    Dist,
     JointDist,
     binary_alphabet,
     binary_entropy,

@@ -1,4 +1,3 @@
-import itertools
 import time
 
 import numpy as np
@@ -10,7 +9,6 @@ from conftest import (
     HAMMING_D,
     X,
     XT,
-    XTPROJ_F,
     XOR_F,
     Y,
     YPROJ_F,
@@ -19,7 +17,7 @@ from conftest import (
     random_binary_model,
 )
 import reference
-from sfcomp.models import DistortionSpec, FunctionSpec, MultiArm, MultiModel
+from sfcomp.models import DistortionSpec, MultiArm, MultiModel
 from sfcomp.multifunction import (
     ChainViolation,
     MultiAuxSystem,
@@ -40,7 +38,6 @@ from sfcomp.probability import (
     ProbabilityError,
     TableTooLarge,
     UnknownAxis,
-    bsc,
     constant_channel,
     identity_channel,
     uniform,

@@ -122,6 +122,22 @@ class TestEntropy:
         reference = -np.sum(p * np.log2(p), axis=1)
         assert _entropy_rows(table).tobytes() == reference.tobytes()
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 5), st.integers(1, 64), st.floats(0.0, 0.6))
+    def test_nan_and_sub_cutoff_cells_add_an_exact_zero(self, seed, rows, cells, odd):
+        # the sort-in-place form reads every cell as the np.sort / np.where form did
+        rng = np.random.default_rng(seed)
+        table = rng.dirichlet((0.3,) * cells, size=rows)
+        draw = rng.random(table.shape)
+        table[draw < odd / 2] = np.nan
+        table[(odd / 2 <= draw) & (draw < odd)] = LOG_ZERO_CUTOFF * rng.random()
+        kept = table.copy()
+        p = np.sort(table, axis=1)
+        p = np.where(p >= LOG_ZERO_CUTOFF, p, 1.0)
+        reference = -(p * np.log2(p)).sum(axis=1)
+        assert _entropy_rows(table.reshape(rows, 1, cells)).tobytes() == reference.tobytes()
+        assert np.array_equal(table, kept, equal_nan=True)  # the marginal read is left as it was
+
 
 class TestCondMutualInfo:
     def test_independent_axes(self):

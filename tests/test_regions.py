@@ -47,7 +47,6 @@ from sfcomp.probability import (
     cond_mutual_info,
     constant_channel,
     entropy,
-    identity_channel,
     product_alphabet,
     push_function,
     uniform,

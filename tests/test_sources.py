@@ -1,11 +1,13 @@
 import functools
 import itertools
+import math
 import os
 import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from sfcomp.multifunction import MultiAuxSystem, eval_inner_mf, eval_outer_mf
 from sfcomp.probability import (
     CondDist,
     Dist,
+    TABLE_CELL_CAP,
     InvalidDistribution,
     TableTooLarge,
     _check_cells,
@@ -38,7 +41,7 @@ from sfcomp.regions import (
 )
 from sfcomp.sources import _chain, _ProductForm
 
-from test_multifunction import _fields, random_multi_system
+from test_multifunction import _fields, _recording, random_multi_system
 from test_regions import random_model
 
 TESTS = Path(__file__).resolve().parent
@@ -111,7 +114,7 @@ class TestLayouts:
         one = random_form(rng, [(4, 4, 4, 1, 1)] * 2, 1, 2, 1)
         names = tuple(a.name for a in one.axes)
         assert one.rows(names).shape == (1,) + tuple(a.size for a in one.axes)
-        planned = sources._layout.cache_info().hits
+        layout = one._plans[names]  # planned at B = 1
         many = one.restacked(np.ones((2049, 1)), [(np.repeat(p_u, 2049, axis=0),
                                                   np.repeat(p_v, 2049, axis=0))
                                                  for p_u, p_v in one._links])
@@ -122,9 +125,134 @@ class TestLayouts:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert sources._layout.cache_info().hits == planned + 1  # the layout read at B = 1
+        assert many._plans is one._plans and many._plans[names] is layout  # read, not replanned
+        assert len(many._plans) == 1
         assert peak < 2**20  # the 128 MiB marginal, and its chain products, never allocated
         assert all(kept[0] >= 3 for _, kept in many._parts)
+
+
+def _counting(module, name):
+    """Patch module.name to count its calls; returns the patch and the count."""
+    calls, inner = [], getattr(module, name)
+    return mock.patch.object(module, name, lambda *a: calls.append(1) or inner(*a)), calls
+
+
+class TestWideMarginals:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**16), st.integers(2, 3), st.integers(1, 2), st.integers(1, 3),
+           st.sampled_from([1, 3]), st.data())
+    def test_arm_by_arm_reads_are_the_einsum_bit_for_bit(self, seed, j, q_size, x_size, batch,
+                                                         data):
+        rng = np.random.default_rng(seed)
+        sizes = [tuple(int(n) for n in rng.integers(1, 4, size=5)) for _ in range(j)]
+        src = random_form(rng, sizes, q_size, x_size, batch)
+        size = {a.name: a.size for a in src.axes}
+        for read in range(4):
+            picks = [data.draw(st.lists(st.sampled_from(arm), min_size=1, unique=True))
+                     for arm in src.arm_names[:2]]
+            picks += [data.draw(st.lists(st.sampled_from(arm), unique=True))
+                      for arm in src.arm_names[2:]]
+            if read:  # the first read sums both q and x
+                picks.append([n for n in (src.q, src.x) if data.draw(st.booleans())])
+            names = tuple(data.draw(st.permutations([n for pick in picks for n in pick])))
+            patch, wide = _counting(sources, "_arm_by_arm")
+            with mock.patch.object(sources, "WIDE_CELLS", 2), patch:
+                got = src.rows(names)
+            # a 1-cell marginal stays on the einsum, whose one-cell loop sums in another order
+            assert len(wide) == (math.prod(size[n] for n in names) > 1)
+            want = reference_rows(src, names)
+            assert got.shape == want.shape and np.array_equal(got, want)  # bit for bit
+
+    def test_a_one_cell_marginal_stays_on_the_einsum(self):
+        src = random_form(np.random.default_rng(5), [(2, 1, 2, 1, 2)] * 2, 2, 3, 3)
+        names = ("u1", "y2")
+        patch, wide = _counting(sources, "_arm_by_arm")
+        with mock.patch.object(sources, "WIDE_CELLS", 1), patch:
+            got = src.rows(names)
+        assert not wide and np.array_equal(got, reference_rows(src, names))
+
+    def test_a_product_past_the_cap_reads_through_the_einsum(self):
+        # 64 x 64 cells of two arms' y, but a (q, x, cells) product of 2^25
+        rng = np.random.default_rng(7)
+        src = random_form(rng, [(1, 1, 1, 64, 1)] * 2, 1, 2**13, 1)
+        names = ("y1", "y2")
+        assert 2**13 * 64 * 64 > TABLE_CELL_CAP >= 64 * 64 >= sources.WIDE_CELLS
+        patch, wide = _counting(sources, "_arm_by_arm")
+        tracemalloc.start()
+        try:
+            with patch:
+                got = src.rows(names)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not wide and peak < 2**20  # the 256 MiB product never allocated
+        assert np.array_equal(got, reference_rows(src, names))
+
+
+def _old_cmi(h, a, b, c):
+    """I(A;B|C) as `cmis` reads it, H(A,C) + H(B,C) - H(A,B,C) - H(C), of
+    the entropies `h` gives."""
+    return h(a + c) + h(b + c) - h(a + b + c) - (h(c) if c else 0.0)
+
+
+def _triples(data, names, n):
+    """n random (A, B, C) of disjoint axis sets, A and B nonempty."""
+    out = []
+    for _ in range(n):
+        order = data.draw(st.permutations(names))
+        i = data.draw(st.integers(1, len(order) - 1))
+        k = data.draw(st.integers(i + 1, len(order)))
+        c = data.draw(st.integers(k, len(order)))
+        out.append((tuple(order[:i]), tuple(order[i:k]), tuple(order[k:c])))
+    return tuple(out)
+
+
+class TestPlannedReads:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**16), st.integers(1, 3), st.integers(1, 2), st.integers(1, 3),
+           st.data())
+    def test_cmis_are_the_old_arithmetic(self, seed, j, q_size, batch, data):
+        rng = np.random.default_rng(seed)
+        sizes = [tuple(int(n) for n in rng.integers(1, 3, size=5)) for _ in range(j)]
+        src = random_form(rng, sizes, q_size, int(rng.integers(1, 4)), batch)
+        triples = _triples(data, [a.name for a in src.axes], 4)
+        triples += triples[:1]  # a repeated CMI reads its entropies once
+
+        def h(names):  # computed afresh; a model-only entropy is the first system's
+            fresh = _entropy_rows(reference_rows(src, tuple(sorted(names, key=src._pos.get))))
+            return fresh[:1] if frozenset(names) <= src._model_axes else fresh
+
+        got = src.cmis(triples)
+        assert len(got) == len(triples)
+        for value, (a, b, c) in zip(got, triples):
+            want = _old_cmi(h, a, b, c)
+            assert np.broadcast_to(value, want.shape).tobytes() == want.tobytes()
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 2), st.data())
+    def test_dense_cmis_are_the_old_arithmetic(self, seed, q_size, data):
+        mm, a, _ = random_multi_system(np.random.default_rng(seed), [(2, 2)], q_size)
+        src = multifunction._dense(mm, multifunction.build_multi_joint(mm, a))
+        triples = _triples(data, [alph.name for alph in src.axes], 4)
+
+        def h(names):
+            return _entropy_rows(src.joint.marginal(names).table[None])
+
+        for value, (a, b, c) in zip(src.cmis(triples), triples):
+            assert value.tobytes() == _old_cmi(h, a, b, c).tobytes()
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 3), st.integers(1, 2),
+           st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=3, max_size=3))
+    def test_each_distinct_entropy_is_read_once(self, seed, j, q_size, sizes):
+        mm, a, _ = random_multi_system(np.random.default_rng(seed), sizes[:j], q_size)
+        src = multifunction._source(mm, a)
+        counted, seen = _recording(src)
+        regions._multi_rates(counted)
+        multifunction.multi_chain_report(mm, counted)
+        sets = {key for plan in src._plans.values() if len(plan) == 2 for key, _, _ in plan[0]}
+        assert len(seen) == len(sets) + j  # and each arm's (xt, x, y, z) model marginal
+        assert len({frozenset(names) for names in seen}) == len(seen)
 
 
 class TestTemplateSources:
