@@ -8,8 +8,8 @@ channel as a single conditional over the product output alphabet for the
 same reason.
 
 A model keeps two memos, set in `__post_init__` and so empty after
-`dataclasses.replace`: `_h`, the entropies over its own axes that every
-system of unit time-sharing weight shares (`sources`), and `_memo`
+`dataclasses.replace`: `_h`, the entropies over its own axes, read once at
+unit time-sharing weight and shared by every system (`sources`), and `_memo`
 (`_memoized`), what its frozen tables alone decide once the alphabets,
 specs and mode are named: source structures, the canonical corners and
 their exact coordinates, each arm's joint. Nothing is built until it is
@@ -19,6 +19,7 @@ so they key those entries.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -376,7 +377,42 @@ _REQUIRED_KEYS = ("alphabets", "p_x", "p_xtilde_given_x", "p_yz_given_x",
                   "function_table", "distortion_table")
 
 
+# What libyaml and PyYAML's pure scanner read differently, so that one
+# install would accept a file another rejects or reads otherwise: outside
+# quoted scalars and comments, a byte-order mark past the first character,
+# the line breaks U+0085, U+2028 and U+2029, a tab, and in a flow collection a
+# ':' followed by other than white space, ',', ']' or '}'. Compiled on first
+# use (~0.8 ms), past `_check_portable`'s fast path, so an import never pays it.
+_TOKENS = r"""(?<![^\s\[{,])(?:"(?:[^"\\]|\\.)*"?|'(?:[^']|'')*'?)  # quoted
+              |(?<!\S)\#[^\n\r\x85\u2028\u2029]*  # a comment
+              |([\[{])|([\]}])|([\t\x85\u2028\u2029\ufeff])|(:[^\s,\]}])"""
+
+
+def _check_portable(text: str, source: str) -> None:
+    """ModelFileError on a construct the two YAML scanners read differently
+    (`_TOKENS`), so a model file means the same on every install."""
+    # an ASCII file with no tab, each ':' followed by a space or a line break,
+    # holds none. These string scans take 24 us on the six seed-1 bench texts,
+    # tokenizing them 92 us, of a 4.2 ms parse (2-core x86-64, libyaml)
+    if text.removeprefix("\ufeff").isascii() and "\t" not in text \
+            and text.count(":") == text.count(": ") + text.count(":\n"):
+        return
+    depth = 0  # of flow collections; in block context one opens only where a token starts
+    for m in re.finditer(_TOKENS, text, re.VERBOSE | re.DOTALL):
+        opened, closed, char, colon = m.groups()
+        at = m.start()
+        if opened and (depth or not at or text[at - 1].isspace()):
+            depth += 1
+        elif closed:
+            depth = max(depth - 1, 0)
+        elif char and (at or char != "\ufeff") or colon and depth:
+            line, column = text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
+            raise ModelFileError(f"{source}: {m.group()!r} at line {line}, column {column} is "
+                                 "read differently by libyaml and PyYAML's pure loader")
+
+
 def parse_model_text(text: str, source: str = "<string>") -> ParsedModel:
+    _check_portable(text, source)
     try:  # libyaml's parser when PyYAML was built with it, the same safe constructor
         data = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except (yaml.YAMLError, UnicodeEncodeError) as exc:  # libyaml cannot encode a lone surrogate

@@ -23,7 +23,8 @@ functions and safe to call concurrently. A type holding a table compares
 and hashes by identity; an alphabet by value. A joint keeps no memo:
 `entropy` and `cond_mutual_info` sum each marginal they read afresh. The
 rate evaluators read theirs from a source of `sources`, which memoizes
-them, as the model it is built on does (`SourceModel._h`, `MultiModel._h`).
+them, and those over the model's axes alone once per model
+(`SourceModel._h`, `MultiModel._h`).
 """
 
 from __future__ import annotations

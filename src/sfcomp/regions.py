@@ -12,8 +12,8 @@ systems on one model, kept as per-arm factors. One system is B = 1; a search
 scores B candidates in one call. How a marginal is contracted is planned once
 per source structure and axis set, and a search re-stacks every batch it
 scores from one template source of its structure. A CMI is read from the
-source's entropies, each computed once per source, or once per model on the
-model's axes alone at p(q) = (1.0,) (`sources`); admissibility is H(F|U,Q,Y).
+source's entropies, each computed once per source, or on the model's axes
+alone once per model, at unit weight (`sources`); admissibility is H(F|U,Q,Y).
 The model keeps the canonical corners and, per (mode, f, d), their exact
 (rates, residual) (`models._memoized`), as both depend on its frozen tables
 alone; budget candidates, search rows and the public evaluators are

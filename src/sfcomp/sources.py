@@ -5,12 +5,11 @@ A source names its axes. Each carries `arm_names`, every arm's (xt, u, v,
 y, z), and the names `q` of the time-sharing axis and `x` of the source
 axis; the readers in `regions` and `multifunction` take every name from the
 source they read. A source memoizes each entropy it reads. An entropy over
-the model's axes alone (x, and each arm's xt, y and z) is the same for every
-system of p(q) = (1.0,), in any batch, so the model's entropy memo
-(`SourceModel._h`, `MultiModel._h`) holds it for a source whose systems all
-have that weight; any other source keeps it in the memo of the structure
-copy it was restacked from (`_ProductForm.structure`), which the batches of
-one search share and no other call does.
+the model's axes alone (x, and each arm's xt, y and z) does not depend on
+p(q), and has one home, the model's entropy memo (`SourceModel._h`,
+`MultiModel._h`): it is read once per model, on one system of unit weight,
+p(q) = (1.0,), at any |Q|, and every system of every source reads that
+value. So no system's rates depend on the batch it is read in.
 
 `_ProductForm` is the package's one builder of auxiliary joints. It keeps
 the mixture joints of B systems on one model as per-arm factors; its
@@ -64,6 +63,8 @@ _LABELS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
 # at 256/512/1024/4096 cells, arm by arm 18/19/22/47 us; at |Q| = 2 arm by arm
 # is ahead from ~256 cells.
 WIDE_CELLS = 1024
+# p(q) of the one system, of unit weight, that model-only entropies are read on
+_UNIT = np.ones((1, 1))
 
 
 class _Source:
@@ -72,10 +73,11 @@ class _Source:
     A subclass sets its canonical `axes`, its names `arm_names`, `q` and `x`
     and its batch B, and gives `rows(names)`: the (B, ...) stacked marginal
     over `names`, in the order given. Entropies of axis sets within
-    `_model_axes` live in `_model_h` (`_ProductForm.restacked` picks it), the
-    rest in this source's own memo. `_plans` keeps what depends on the axes
-    alone: each `cmis` plan, keyed by its triples, and each `rows` layout,
-    keyed by its names.
+    `_model_axes`, which only a `_ProductForm` has, live in the model's
+    `_model_h` as (1,) arrays, read on a unit-weight restack; the rest in this
+    source's own memo. `_plans` keeps what depends on the axes alone: each
+    `cmis` plan, keyed by its triples, and each `rows` layout, keyed by its
+    names.
     """
 
     _model_axes: frozenset = frozenset()
@@ -88,12 +90,12 @@ class _Source:
         if len(self._pos) != len(axes):
             raise ProbabilityError(f"duplicate axis names in joint: {[a.name for a in axes]}")
         self._h: dict = {}
-        self._model_h: dict = {}
         self._plans: dict = {}
 
     def entropy(self, names: tuple[str, ...], table: np.ndarray | None = None) -> np.ndarray:
-        """H(names) of each system, once per source (per `_model_h` on model
-        axes alone), from `table`, the marginal in any axis order, when given."""
+        """H(names) of each system, once per source (once per model on model
+        axes alone), from `table`, the marginal in any axis order, when given
+        and not model-only."""
         key = frozenset(names)
         return self._memo_h(key, tuple(sorted(key, key=self._pos.get)),
                             key <= self._model_axes, table)
@@ -103,8 +105,9 @@ class _Source:
         memo = self._model_h if model else self._h
         h = memo.get(key)
         if h is None:
-            h = _entropy_rows(self.rows(names) if table is None else table)
-            memo[key] = h = h[:1] if model else h  # (1,) broadcasts over any later batch
+            if model:  # read on one system of unit weight, a (1,) for every batch
+                table = self.restacked(_UNIT, self._links).rows(names)
+            h = memo[key] = _entropy_rows(self.rows(names) if table is None else table)
         return h
 
     def uxy(self, k: int = 0) -> np.ndarray:
@@ -146,11 +149,10 @@ class _ProductForm(_Source):
 
     def __init__(self, p_x: Dist, q: Alphabet,
                  arms: Sequence[tuple[CondDist, Alphabet, Alphabet, CondDist]],
-                 names: Sequence[tuple[str, ...]], unit_h: dict) -> None:
+                 names: Sequence[tuple[str, ...]], model_h: dict) -> None:
         """A source of no system; an arm is (p(xt|x), U, V, p(yz|x)), validated,
-        and names[k] names arm k's (xt, u, v, y, z) axes. `unit_h` is the
-        model's memo of model-only entropies, which `restacked` gives a source
-        whose systems all have p(q) = (1.0,)."""
+        and names[k] names arm k's (xt, u, v, y, z) axes. `model_h` is the
+        model's memo of model-only entropies, which every restack shares."""
         self._p_x = p_x.probs
         self._arms = []  # (local axes (xt, u, v, y, z), p(xt|x))
         self._parts = {}  # arm k's p(y,z|x) sums and chain products (`_chain`) by kept axes
@@ -164,7 +166,7 @@ class _ProductForm(_Source):
         super().__init__((q,) + per_arm[2] + per_arm[1] + per_arm[0] + (p_x.alphabet,)
                          + per_arm[3] + per_arm[4], [tuple(arm) for arm in names],
                          q.name, p_x.alphabet.name)
-        self._unit_h, self._mixed_h = unit_h, self._model_h
+        self._model_h = model_h
         self._model_axes = frozenset(alph.name for i in (0, 3, 4) for alph in per_arm[i]
                                      ) | {self.x}
         # all `rows` needs to plan a marginal (`_layout`)
@@ -197,14 +199,11 @@ class _ProductForm(_Source):
                   names: Sequence[tuple[str, ...]]) -> "_ProductForm":
         """`cls(m.p_x, q, arms, names, m._h)`, arms of m's channels, built once
         per model and alphabet set (`models._memoized`): it depends on m's
-        frozen tables and those alone. Each call gets a copy with a memo of its
-        own for the model-only entropies at weights other than (1.0,), and
-        `restacked` writes no chain product or entropy to a structure, so no
-        system's is kept on the model."""
+        frozen tables and those alone. Every call gets the one structure, and
+        `restacked` writes no chain product or entropy to it, so no system's
+        is kept on the model."""
         key = ("structure", q, tuple([(u, v) for _, u, v, _ in arms]), tuple([tuple(n) for n in names]))
-        out = copy.copy(_memoized(m, key, lambda: cls(m.p_x, q, arms, names, m._h)))
-        out._model_h = out._mixed_h = {}
-        return out
+        return _memoized(m, key, lambda: cls(m.p_x, q, arms, names, m._h))
 
     def dense(self) -> JointDist:
         """The joint of its one system over every axis, in `axes` order: dense
@@ -223,7 +222,7 @@ class _ProductForm(_Source):
             if (k, kept) not in self._parts:  # a chain product; the p(y,z|x) sums are there
                 self._parts[k, kept] = _chain(kept, self._arms[k][1], *self._links[k])
             operands.append(self._parts[k, kept])
-        if wide is not None and wide[0] * self.batch <= TABLE_CELL_CAP:
+        if wide is not None and wide[0] * self._p_q.size <= TABLE_CELL_CAP:
             return _arm_by_arm(operands, parts, *wide[1:])
         return np.einsum(subscripts, *operands)
 
@@ -232,12 +231,9 @@ class _ProductForm(_Source):
         """This source's structure holding the systems of p(q) (B, |q|) and of
         each arm's (p(u|xt,q), p(v|u,q)) stacked over them, with the `parts`
         and entropies `h` known of them. The p(y,z|x) sums are shared, and so
-        are the model-only entropies: the model's when every system has
-        p(q) = (1.0,), else the structure's own."""
+        are the model's entropies."""
         out = copy.copy(self)
         out._p_q, out._links, out.batch = p_q, links, len(p_q)
-        unit = p_q.shape[1] == 1 and bool((p_q == 1.0).all())
-        out._model_h = self._unit_h if unit else self._mixed_h
         if self._factor * out.batch > TABLE_CELL_CAP:
             for local, _ in self._arms:
                 _check_cells((self.axes[0], self.axes[self._pos[self.x]]) + local, "arm factor",
@@ -264,8 +260,10 @@ def _layout(structure: tuple, names: tuple[str, ...]) -> tuple:
     one `structure`: one system's cells, the einsum subscripts of p(q), p(x)
     and the (arm, kept axes) parts, those parts' keys, and for a wide
     marginal (`WIDE_CELLS`) the arm-by-arm recipe `_arm_by_arm` reads, led
-    by its product's cells per system, else None. An arm's axes summed out
-    whole, or the tail of either branch, sum to 1 and are left out."""
+    by its product's cells per system and weight symbol, else None: |Q| is
+    read off the product, so a unit weight reads alike at any |Q|. An arm's
+    axes summed out whole, or the tail of either branch, sum to 1 and are
+    left out."""
     (q, nq), (x, nx), arms = structure
     size = dict([(q, nq), (x, nx), *(axis for arm in arms for axis in arm)])
     cells = math.prod(size[n] for n in names)
@@ -286,15 +284,14 @@ def _layout(structure: tuple, names: tuple[str, ...]) -> tuple:
     if cells >= WIDE_CELLS and cells > 1 and len({k for k, _ in parts}) > 1:
         summed = (q not in label) + 2 * (x not in label)  # 1: q alone, 2: x alone, 3: both
         arm_cells = math.prod(size[n] for n in kept)
-        fold = (nq * nx, arm_cells) if summed == 3 else (nq, nx, arm_cells)
         kept[:0] = [n for n in (q, x) if n in label]
-        wide = (nq * nx * arm_cells, fold, (None, 1, 2, 1)[summed],
+        wide = (nx * arm_cells, summed == 3, (None, 1, 2, 1)[summed],
                 tuple(size[n] for n in kept), (0,) + tuple(1 + kept.index(n) for n in names))
     return (cells, ",".join(terms) + "->" + b + "".join(label[n] for n in names), tuple(parts),
             wide)
 
 
-def _arm_by_arm(operands: list, parts: tuple, fold: tuple, axis: int | None, shape: tuple,
+def _arm_by_arm(operands: list, parts: tuple, merge: bool, axis: int | None, shape: tuple,
                 perm: tuple) -> np.ndarray:
     """The einsum of `_layout` over its operands, p(q), p(x) and the parts,
     as a (b, q, x, kept cells) product and a sum: each part multiplies in, in
@@ -306,7 +303,8 @@ def _arm_by_arm(operands: list, parts: tuple, fold: tuple, axis: int | None, sha
     for (_, kept), table in zip(parts, tables):
         lead = table.shape[:3] if kept[0] < 3 else table.shape[:1]  # a chain part's (b, q, x)
         out = (out[..., None, :] * table.reshape(lead + (-1, 1))).reshape(out.shape[:3] + (-1,))
-    out = out.reshape((len(out),) + fold)
+    if merge:
+        out = out.reshape(len(out), -1, out.shape[-1])
     if axis is not None:
         out = np.add.reduce(out, axis=axis)
     return out.reshape((len(out),) + shape).transpose(perm)

@@ -6,7 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import HAMMING_D, XOR_F
 from sfcomp.models import (
@@ -474,6 +474,14 @@ class TestModelFileLoaders:
            st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 4),
                               st.text(st.sampled_from(MUTATION_CHARS), max_size=3)),
                     max_size=3))
+    # inputs the two scanners were seen to read differently: a NEL or a line
+    # break before a byte-order mark, a byte-order mark mid-text, a flow
+    # mapping's `z:[`, and a tab in a block key (`a\tlphabets`)
+    @example(VALID_TEXTS[0], [(0, 0, "\ufeff"), (0, 0, "\x85")])
+    @example(VALID_TEXTS[0], [(0, 0, "\n\ufeff")])
+    @example(VALID_TEXTS[2], [(1116, 0, "\ufeff")])
+    @example(VALID_TEXTS[2], [(16723, 1, "")])
+    @example(VALID_TEXTS[1], [(26584, 0, "\t")])
     def test_libyaml_and_python_loaders_agree(self, text, edits):
         # each edit deletes up to 4 characters at a position and inserts a few
         for at, cut, insert in edits:
@@ -482,13 +490,18 @@ class TestModelFileLoaders:
         with mock.patch.object(yaml, "CSafeLoader", yaml.SafeLoader):
             python = parsed_or_error(text)
         fast = parsed_or_error(text)
-        if isinstance(python, str) and isinstance(fast, str):
-            return  # both raised ModelFileError, with each parser's own message
-        if fast != python:
-            # the one difference: YAML allows a tab as separating white space
-            # in a flow collection, which libyaml reads and PyYAML's scanner rejects
-            assert "found character '\\t' that cannot start any token" in python
-            assert not isinstance(fast, str)
+        if not (isinstance(python, str) and isinstance(fast, str)):
+            assert fast == python  # else both raised, with each parser's own message
+
+    def test_quoted_scalars_comments_and_block_scalars_pass_the_check(self):
+        # a ':' in a quoted label, a tab in a comment, and a '[' inside a block
+        # plain scalar, which opens no flow collection before its ':'
+        text = (VALID_TEXTS[2].replace('["a", "b"]', '["a:b", "b"]')
+                + "# a\tcomment\nnote: a[b c:d\n")
+        with mock.patch.object(yaml, "CSafeLoader", yaml.SafeLoader):
+            python = parsed_or_error(text)
+        assert not isinstance(python, str) and parsed_or_error(text) == python
+        assert parse_model_text(text).multi.arms[0].p_xt_given_x.output.labels == ("a:b", "b")
 
     def test_valid_texts_parse_alike_with_either_loader(self):
         for text in VALID_TEXTS:

@@ -218,9 +218,12 @@ class TestPlannedReads:
         triples = _triples(data, [a.name for a in src.axes], 4)
         triples += triples[:1]  # a repeated CMI reads its entropies once
 
-        def h(names):  # computed afresh; a model-only entropy is the first system's
-            fresh = _entropy_rows(reference_rows(src, tuple(sorted(names, key=src._pos.get))))
-            return fresh[:1] if frozenset(names) <= src._model_axes else fresh
+        unit = src.restacked(np.ones((1, 1)), src._links)  # one system of p(q) = (1.0,)
+
+        def h(names):  # computed afresh; a model-only entropy is the unit weight's
+            model = frozenset(names) <= src._model_axes
+            return _entropy_rows(reference_rows(unit if model else src,
+                                                tuple(sorted(names, key=src._pos.get))))
 
         got = src.cmis(triples)
         assert len(got) == len(triples)
@@ -270,9 +273,8 @@ class TestTemplateSources:
                                                     param.v_alpha, m.p_yz_given_x),),
                              [("xtilde", "u", "v", "y", "z")], m._h)
         fresh = fresh.restacked(p_q, ((p_u, p_v),))
-        # unit weights read the model's memo; |Q| = 2 ones each structure's own
-        unit = sizes[2] == 1
-        assert (src._model_h is m._h) == unit and (fresh._model_h is src._model_h) == unit
+        # every weight reads the model's memo
+        assert src._model_h is fresh._model_h is m._h
         for names in [("q", "u", "xtilde", "y"), ("u", "xtilde", "y"), ("q", "v", "u", "z"),
                       ("x", "z"), ("xtilde", "y"), ("v", "x", "q"), ("y",)]:
             assert np.array_equal(src.rows(names), fresh.rows(names))
@@ -288,11 +290,14 @@ class TestTemplateSources:
         assert first._parts is not second._parts
         chains = {key for key in first._parts if key[1][0] < 3}
         assert chains and not chains & set(second._parts)
-        # a |Q| = 2 search keeps its model-only entropies apart from the model's
-        assert first._model_h is second._model_h is param._template._mixed_h
-        assert first._model_h and cascade_model._h == {}
+        # a |Q| = 2 search keeps its model-only entropies in the model's memo,
+        # read at unit weight, which a |Q| = 1 search then reads as they are
+        assert first._model_h is second._model_h is cascade_model._h
+        assert list(cascade_model._h) == [frozenset(("x", "z"))]
         unit = regions._AuxParam(cascade_model, 3, 2, 1)
-        assert unit.source(unit.random(4)[None])._model_h is cascade_model._h
+        one = unit.source(unit.random(4)[None])
+        assert one._model_h is cascade_model._h
+        assert one.entropy(("x", "z")) is cascade_model._h[frozenset(("x", "z"))]
         assert set(param._template._parts) == {(0, (3, 4)), (0, (3,)), (0, (4,))}
         assert param._template._h == {}
 
@@ -434,10 +439,41 @@ class TestModelMemo:
         assert bits(_fields(warm)) == bits(_fields(cold))
         assert bits(c.value for c in warm_report) == bits(c.value for c in cold_report)
 
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10_000), st.sampled_from([(2, 2, 2), (3, 1, 2), (2, 2, 1), (3, 2, 1)]),
+           st.integers(2, 6), st.data())
+    def test_a_systems_rates_do_not_depend_on_its_batch(self, seed, sizes, rows, data):
+        rng = np.random.default_rng(seed)
+        m = random_binary_model(rng)
+        param = regions._AuxParam(m, *sizes)
+        p_q, p_u, p_v = param.unpack(
+            np.stack([param.random(int(s)) for s in rng.integers(0, 2**31, rows)]))
+        if sizes[2] == 1:  # some weights within MASS_TOL of 1 but not 1.0
+            p_q = np.where(rng.random((rows, 1)) < 0.5, 1.0 - 1e-13, p_q)
+
+        def rates(model, at, first=None):
+            """The `_multi_rates` rows of systems `at` on `model`, after a
+            batch of the search of sizes `first` was read there."""
+            if first is not None:
+                other = regions._AuxParam(model, *first)
+                regions._multi_rates(other.source(rng.random((3, other.size)) + 0.01))
+            template = regions._AuxParam(model, *sizes)._template
+            got, offset = regions._multi_rates(template.restacked(p_q[at], ((p_u[at], p_v[at]),)))
+            return [bits([*row, off]) for row, off in zip(got, offset)]
+
+        alone = [rates(replace(m), [i])[0] for i in range(rows)]
+        order = data.draw(st.permutations(range(rows)))
+        assert rates(replace(m), order) == [alone[i] for i in order]
+        first = data.draw(st.sampled_from([(2, 2, 1), (3, 1, 2), (2, 1, 2)]))
+        assert rates(replace(m), order, first) == [alone[i] for i in order]
+        i = data.draw(st.integers(0, rows - 1))
+        assert rates(replace(m), [i], first) == [alone[i]]
+
     @settings(max_examples=10, deadline=None)
     @given(st.integers(0, 10_000), st.sampled_from([2, 3]), st.integers(1, 3), st.integers(1, 3),
            st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=3))
-    def test_other_weights_never_write_the_model_memo(self, seed, n, u_size, v_size, arm_sizes):
+    def test_other_weights_write_what_a_unit_weight_reads(self, seed, n, u_size, v_size,
+                                                          arm_sizes):
         rng = np.random.default_rng(seed)
         q1, q2 = singleton_alphabet("q"), _alphabet_of_size("q", 2)
         # within MASS_TOL of 1 but not 1.0: its marginals differ by rounding
@@ -456,10 +492,12 @@ class TestModelMemo:
         for system in (a, MultiAuxSystem(near, one.arms)):
             eval_inner_mf(mm, system, "lossy", g_list)
             eval_outer_mf(mm, system, "lossy", g_list)
-        assert m._h == {} and mm._h == {}
-        eval_lossless_corner(m, identity_aux(m), f)  # a unit weight writes each
-        eval_inner_mf(mm, one, "lossy", g_list)
-        assert m._h and mm._h
+        # each entry as a unit-weight system on a cold model reads it
+        for model, src in ((m, regions._source(replace(m), identity_aux(m))),
+                           (mm, multifunction._source(replace(mm), one))):
+            assert model._h
+            for key, h in model._h.items():
+                assert h.shape == (1,) and bits(h) == bits(src.entropy(tuple(key)))
 
 
 def corner_bits(corners) -> list[list[str]]:
@@ -471,12 +509,12 @@ def corner_bits(corners) -> list[list[str]]:
 
 def assert_bare(model) -> None:
     """Every structure a model keeps holds the model's p(y,z|x) sums alone:
-    no system's chain products and no entropies."""
+    no system, no system's chain products and no entropies of its own."""
     forms = [form for key, form in model._memo.items() if key[0] == "structure"]
     assert forms
     for form in forms:
         assert all(kept[0] >= 3 for _, kept in form._parts)
-        assert form._h == {} and form._model_h == {} and form._mixed_h == {}
+        assert form._h == {} and form._model_h is model._h and not hasattr(form, "_p_q")
 
 
 class TestModelObjects:
@@ -515,9 +553,9 @@ class TestModelObjects:
             assert np.array_equal(warm.rows(names), fresh.rows(names))
             assert bits(regions._multi_rates(warm)[0].ravel()) == \
                 bits(regions._multi_rates(fresh)[0].ravel())
-        # a weight other than (1.0,) reads a memo of its call's own
+        # every weight reads the model's one memo
         first, second = regions._source(m, aux), regions._source(m, aux)
-        assert (first._model_h is second._model_h) == (q_size == 1)
+        assert first._model_h is second._model_h is m._h
         assert_bare(m)
 
     @settings(max_examples=10, deadline=None)
@@ -543,7 +581,8 @@ class TestModelObjects:
 
 # A J = 3 inner corner and a short trace, as float hex; set iteration order,
 # which PYTHONHASHSEED moves, must not move them. RECORDED holds them as
-# computed before layouts were cached, with numpy 2.4 on x86-64 with AVX-512.
+# computed with numpy 2.4 on x86-64 with AVX-512; the corner's |Q| = 2 system
+# reads its model-only entropies at unit weight, as every system does.
 CHILD = """
 import numpy as np
 from conftest import HAMMING_D, XTPROJ_F, binary_cascade_model
@@ -560,9 +599,9 @@ pts = trace_boundary(binary_cascade_model(), XTPROJ_F, BoundarySweep("d", (0.05,
 print(" ".join(float(v).hex() for p in pts for v in (*p.coords().values(), *p.weights)))
 """
 RECORDED = [
-    "0x1.0d442ba7920e0p-3 0x1.797cf2aa92ce0p-6 0x1.dbaaf7b8951c0p-4 0x0.0p+0 "
-    "0x1.0d1d7e7602760p-3 0x1.b71789b923600p-10 0x1.363c5137f8440p-4 0x1.8000000000000p-51 "
-    "0x1.1d96d24ac7280p-4 0x1.0567035d1ba9dp-1 0x1.abba1eac94558p-2 0x1.208b3982daa2ep-1",
+    "0x1.0d442ba7920f0p-3 0x1.797cf2aa92ce0p-6 0x1.dbaaf7b8951c0p-4 0x0.0p+0 "
+    "0x1.0d1d7e7602750p-3 0x1.b71789b924600p-10 0x1.363c5137f8440p-4 0x1.8000000000000p-51 "
+    "0x1.1d96d24ac72a0p-4 0x1.0567035d1ba9dp-1 0x1.abba1eac94558p-2 0x1.208b3982daa2ep-1",
     "0x1.f92ffb86d8152p-2 0x1.f92ffb86d8156p-2 0x1.258b0f11acbd0p-2 0x1.258b0f11acbd6p-2 "
     "0x1.999999999999ap-5 0x1.9999999999995p-2 0x1.3333333333336p-1 0x1.f6d24421fcfb9p-3 "
     "0x1.f6d24421fcfbep-3 0x1.2cae432818079p-3 0x1.2cae43281807dp-3 0x1.eb851eb851eb8p-4 "
