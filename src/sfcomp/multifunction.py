@@ -7,8 +7,9 @@ the same expressions on any supplied joint whose arms each satisfy the
 per-arm Markov chain; couplings across arms beyond the product form are
 allowed there, and that relaxation is the only difference between the two.
 
-A single function is the one-arm case: the rate formulas, the one corner
-reader `_corner_rates`, the size policy and the admissibility residual live
+A single function is the one-arm case: the rate formulas, the size policy
+and the one reader of rates, distortions and admissibility residuals,
+`_rows`, whose one-system read `_corner_rates` is each bound's corner, live
 in `regions`, and the one joint builder, the factor source `_ProductForm`,
 in `sources`; they serve both, and `sources` says why the source's marginals
 are trusted. `_source` hands `_ProductForm` a system's validated tables with

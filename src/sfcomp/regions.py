@@ -21,9 +21,11 @@ evaluated afresh on every call. A dense joint supplied to the outer bound
 is read as a `sources._Dense`.
 
 Every reader here takes each arm's axis names, and those of q and x, from the
-source it reads. `_corner_rates` is the one exact corner reader, for one arm
-and for J arms: residuals in lossless mode, rates, and in lossy mode each
-arm's distortion, once its reconstruction and distortion fit the arm.
+source it reads. `_rows` reads the B systems of any source, one arm or J:
+rates, each arm's distortion and, in lossless mode, its residual. Its B = 1
+read under given reconstructions is the exact corner (`_corner_rates`) of the
+public evaluators; under `optimal_g`'s rule it scores the canonical corners,
+budget candidates and witnesses (`_eval_candidate`) and every search batch.
 
 `membership` answers `found` with a witness, `outside` with a certificate, or
 `unknown`. A certificate is a model-only lower bound the target sits under: every
@@ -38,14 +40,14 @@ Descents run in lockstep: a round builds the remaining moves of every live
 descent's sweep, and those of the next sweeps its scan meets if it accepts
 nothing first (SWEEPS_AHEAD of them at most), as one stack and scores it in
 chunks that fit TABLE_CELL_CAP, so a descent takes a round per accept rather
-than per sweep, and keeps the trajectory of scoring one move at a time. A scored
-row holds only the coordinates its objective reads, the rest NaN. `membership`
-scores every row's residual and storage rate, and the rest of a row only when
-those still leave it under its descent's bar; the starts are scored in full.
-Time sharing makes the region convex, so `trace_boundary` reads each grid
-point off the lower convex hull of all its |Q| = 1 descents scanned, scoring
-every row it scans in full on its objective's coordinates, and scores the
-other coordinates of that pool's systems afterwards.
+than per sweep, and keeps the trajectory of scoring one move at a time. A
+scorer asks `_rows` only for the columns its objective reads (`_ONE_ARM` maps
+a coordinate to its column), the rest NaN. `membership` scores every row's
+residual and storage rate, and its other coordinates only when those still
+leave it under its descent's bar; the starts are scored in full. Time sharing
+makes the region convex, so `trace_boundary` reads each grid point off the
+lower convex hull of all its |Q| = 1 descents scanned, scoring each row it
+scans on its objective's coordinates, and the rest of its pool afterwards.
 """
 
 from __future__ import annotations
@@ -329,39 +331,41 @@ def _multi_tuple(row: np.ndarray, j: int, d: tuple[float, ...] | None = None) ->
                           v[2 * j + 2], d)
 
 
-# Single-function coordinates: one arm's `_multi_rates` columns _ONE_ARM, then d.
+# Single-function coordinates, and their columns in a one-arm row of `_rows`
+# (column 2, sum_w, repeats r_w)
 _COORDS = ("r_s", "r_w", "r_dec", "r_eve", "d")
-_ONE_ARM = [0, 1, 3, 4]  # column 2, sum_w, repeats r_w
+_ONE_ARM = [0, 1, 3, 4, 5]
 
 
-def _residual(src: _Source, f: FunctionSpec, k: int) -> np.ndarray:
-    """H(F | U, Q, Y) of arm k of each system, F = f(xt, y); its (q, u, xt, y)
-    table's entropy stays for r_w."""
-    xt, u, _, y, _ = src.arm_names[k]
-    src.entropy((src.q, u, xt, y), p := src.rows((src.q, u, xt, y)))
-    return _function_residual(p, f)
-
-
-def _require_admissible(src: _Source, fs: Sequence[FunctionSpec]) -> None:
-    """Raise unless the residual H(F | U, Q, Y) of each arm k, F = fs[k], is zero."""
-    for k, f in enumerate(fs):
-        gap = float(_residual(src, f, k)[0])
-        if gap > ADMISSIBILITY_TOL:
-            _, u, _, y, _ = src.arm_names[k]
-            raise InadmissibleAuxiliary(
-                f"({u}, {src.q}, {y}) leave {gap:.3g} bits of the function undetermined")
-
-
-def _distortion(src: _Source, k: int, f: FunctionSpec, d: DistortionSpec,
-                g: ReconstructionFn) -> float:
-    """E d(f(xt, y), g(u, y)) of arm k of a source's one system; raises
-    unless g is over the arm's (U, Y) and g and d reach f's output symbols."""
-    p = src.uxy(k)
-    sizes = (g.table.shape, g.output.size, d.alphabet.size)
-    if sizes != (p.shape[1::2], f.output.size, f.output.size):  # p is (1, u, xt, y)
-        raise RegionError(f"reconstruction table shape, output size and distortion size "
-                          f"{sizes} do not fit arm {k + 1}'s (|U|, |Y|) and function output")
-    return float(_mean_distortion(p, f, g.table[None], d)[0])
+def _rows(src: _Source, fs: Sequence[FunctionSpec], mode: str,
+          ds: Sequence[DistortionSpec | None] = (), gs: Sequence[ReconstructionFn] | None = None,
+          cols: Sequence[int] | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Rows (B, 3J + 3) and residuals (B, J) of the systems a source holds, arm
+    k computing fs[k]. A row is `_multi_rates`' 2J + 3 columns, then each arm's
+    distortion; only `cols` (all when None) are scored, the rest NaN. Arm k's
+    distortion is 0 unless lossy mode gives ds[k], and then E d(F, g(U, Y)) on
+    its (u, xt, y) marginal, g being gs[k], which must fit the arm, or else
+    `optimal_g`'s rule. Arm k's residual is H(F | U, Q, Y), 0 in lossy mode."""
+    n = 2 * (j := len(fs)) + 3
+    gap = np.zeros((src.batch, j))
+    if mode == "lossless":  # first: each (q, u, xt, y) table's entropy serves r_w
+        for k, (f, (xt, u, _, y, _)) in enumerate(zip(fs, src.arm_names)):
+            src.entropy((src.q, u, xt, y), p := src.rows((src.q, u, xt, y)))
+            gap[:, k] = _function_residual(p, f)
+    rows = np.full((src.batch, n + j), np.nan)
+    rows[:, :n] = _multi_rates(src, None if cols is None else [c for c in cols if c < n])[0]
+    for k, (f, d) in enumerate(zip(fs, ds if mode == "lossy" else [None] * j, strict=True)):
+        if cols is not None and n + k not in cols:
+            continue
+        p = None if d is None else src.uxy(k)  # serves the reconstruction and the distortion
+        if p is not None and gs is not None:
+            sizes = (gs[k].table.shape, gs[k].output.size, d.alphabet.size)
+            if sizes != (p.shape[1::2], f.output.size, f.output.size):  # p is (B, u, xt, y)
+                raise RegionError(f"reconstruction table shape, output size and distortion "
+                                  f"size {sizes} do not fit arm {k + 1}'s (|U|, |Y|) and f")
+        rows[:, n + k] = 0.0 if p is None else _mean_distortion(
+            p, f, _g_tables(p, f, d) if gs is None else gs[k].table[None], d)
+    return rows, gap
 
 
 def _corner_rates(src: _Source, fs: Sequence[FunctionSpec], mode: str,
@@ -370,15 +374,16 @@ def _corner_rates(src: _Source, fs: Sequence[FunctionSpec], mode: str,
     """The exact corner of the one system a source holds, arm k computing
     fs[k]: each arm's residual must be zero in lossless mode, and lossy mode
     adds each arm's expected distortion under ds[k] and gs[k]."""
-    if mode == "lossless":
-        _require_admissible(src, fs)
-    rates, _ = _multi_rates(src)
-    if mode != "lossy":
-        return _multi_tuple(rates[0], len(fs))
-    if gs is None or len(gs) != len(fs):
+    if mode == "lossy" and (gs is None or len(gs) != len(fs)):
         raise RegionError("lossy mode needs one reconstruction function per arm")
-    return _multi_tuple(rates[0], len(fs), tuple([
-        _distortion(src, k, *arm) for k, arm in enumerate(zip(fs, ds, gs, strict=True))]))
+    rows, gap = _rows(src, fs, mode, ds, gs)
+    for k, res in enumerate(gap[0].tolist()):
+        if res > ADMISSIBILITY_TOL:
+            _, u, _, y, _ = src.arm_names[k]
+            raise InadmissibleAuxiliary(
+                f"({u}, {src.q}, {y}) leave {res:.3g} bits of the function undetermined")
+    return _multi_tuple(rows[0], len(fs), tuple(rows[0, -len(fs):].tolist()) if mode == "lossy"
+                        else None)
 
 
 def eval_lossless_corner(m: SourceModel, aux: AuxSystem, f: FunctionSpec) -> RateTuple:
@@ -525,8 +530,8 @@ class _AuxParam:
         return cand
 
 
-def _coordinate_descent(param: _AuxParam, starts: np.ndarray, score, scanned, iters: int,
-                        init_step: float, min_step: float) -> tuple[np.ndarray, np.ndarray]:
+def _coordinate_descent(param: _AuxParam, starts: np.ndarray, score, scanned,
+                        iters: int) -> tuple[np.ndarray, np.ndarray]:
     """First-improvement coordinate descents over `param`'s moves from each of
     the (R, n) `starts`, in lockstep; returns the (R, n) points and (R,) values.
 
@@ -534,7 +539,7 @@ def _coordinate_descent(param: _AuxParam, starts: np.ndarray, score, scanned, it
     remaining moves of its sweep, then those of the next SWEEPS_AHEAD sweeps
     from the same point: the ones its scan meets if it accepts nothing first,
     each at the step the scan would have (halved after a sweep without an
-    accept), none past `iters` sweeps or under `min_step`. The stack, in
+    accept), none past `iters` sweeps or under MIN_STEP. The stack, in
     descent order, is scored in chunks of `param.batch` rows as
     `score(points, owner, bar)`, `owner[i]` the descent of row i, which reads
     only the coordinates its objective needs. A row's bar is its descent's best
@@ -545,11 +550,12 @@ def _coordinate_descent(param: _AuxParam, starts: np.ndarray, score, scanned, it
     Each descent walks its slice as a one-at-a-time scan does: it takes its
     first row under its bar and drops the rows after it, each sweep it passes
     without one halves its step, and its next round starts at the coordinate
-    after its accept. It stops after `iters` sweeps or below `min_step`. So a
-    descent takes a round per accept, not per sweep, and its trajectory is
-    that of scoring one candidate at a time, whatever R, the chunking or
-    SWEEPS_AHEAD. `scanned(mask)` is told after each round which of the rows
-    it scored, in scoring order, a one-at-a-time scan would have scored.
+    after its accept. It starts at step INIT_STEP and stops after `iters`
+    sweeps or below MIN_STEP. So a descent takes a round per accept, not per
+    sweep, and its trajectory is that of scoring one candidate at a time,
+    whatever R, the chunking or SWEEPS_AHEAD. `scanned(mask)` is told after
+    each round which of the rows it scored, in scoring order, a one-at-a-time
+    scan would have scored.
     """
     points = np.array(starts, dtype=float)
 
@@ -569,14 +575,14 @@ def _coordinate_descent(param: _AuxParam, starts: np.ndarray, score, scanned, it
     # each start is its own descent's only row, so an infinite bar stops nothing
     best, _ = scored(points, np.arange(len(points)), np.full(len(points), np.inf))
     scanned(np.ones(len(points), dtype=bool))
-    step, start, sweeps, improved = (np.full(len(points), v) for v in (float(init_step), 0, 0, 0))
+    step, start, sweeps, improved = (np.full(len(points), v) for v in (INIT_STEP, 0, 0, 0))
     live, ahead, moves = np.arange(len(points)), np.arange(SWEEPS_AHEAD + 2), 2 * param.size
     # the step j sweeps ahead, over the current one, if the scan accepts nothing
     # first: row `improved`, as the current sweep has no accept (0) or has one (1)
     ladder = np.ldexp(1.0, -np.maximum(ahead - np.array([[0], [1]]), 0))
     while live.size:
         steps = step[live, None] * ladder[improved[live]]
-        ok = (sweeps[live, None] + ahead < iters) & (steps >= min_step)
+        ok = (sweeps[live, None] + ahead < iters) & (steps >= MIN_STEP)
         ok[:, 0], ok[:, -1] = True, False  # the last column is only a step
         k, j = np.nonzero(ok)  # the segments: descent by descent, sweep by sweep
         first = start[live]
@@ -599,7 +605,7 @@ def _coordinate_descent(param: _AuxParam, starts: np.ndarray, score, scanned, it
         step[live] = steps[np.arange(len(live)), pos // moves + ~found]
         sweeps[live] += pos // moves + (nxt == moves)
         start[live], improved[live] = nxt % moves, found & (nxt < moves)
-        live = live[(sweeps[live] < iters) & (step[live] >= min_step)]
+        live = live[(sweeps[live] < iters) & (step[live] >= MIN_STEP)]
     return points, best
 
 
@@ -621,35 +627,13 @@ class MembershipResult:
         return "found" if self.found else "unknown" if self.certificate is None else "outside"
 
 
-def _eval_rows(src: _ProductForm, f: FunctionSpec, mode: str, d: DistortionSpec | None,
-               cols: Sequence[int] = range(5)) -> tuple[np.ndarray, np.ndarray]:
-    """`_coords` and admissibility residuals (B,) of the systems of a one-arm
-    source; the residual is 0 in lossy mode."""
-    # the residual first: its table's entropy is the storage rate's H(U, Q, X~, Y)
-    gap = _residual(src, f, 0) if mode == "lossless" else np.zeros(src.batch)
-    return _coords(src, f, mode, d, cols), gap
-
-
-def _coords(src: _ProductForm, f: FunctionSpec, mode: str, d: DistortionSpec | None,
-            cols: Sequence[int]) -> np.ndarray:
-    """Coordinates (B, 5) in `_COORDS` order, NaN and unread outside `cols`, of
-    the systems of a one-arm source. d is filled in lossy mode when `d` is given
-    and is 0 otherwise, the value `RateTuple.dominates` reads for a missing d."""
-    coords = np.full((src.batch, 5), np.nan)
-    coords[:, :4] = _multi_rates(src, [_ONE_ARM[c] for c in cols if c < 4])[0][:, _ONE_ARM]
-    if 4 in cols:  # one (u, xt, y) marginal serves the reconstruction and the distortion
-        p = src.uxy() if mode == "lossy" and d is not None else None
-        coords[:, 4] = 0.0 if p is None else _mean_distortion(p, f, _g_tables(p, f, d), d)
-    return coords
-
-
 def _eval_candidate(m, aux, f, mode, d):
     """(rates, admissibility residual) of one system, d filled in lossy mode when given."""
     aux.validate_cardinalities(m.xt_alphabet.size, mode)
-    coords, gap = _eval_rows(_source(m, aux), f, mode, d)
-    row = coords[0].tolist()
+    rows, gap = _rows(_source(m, aux), (f,), mode, (d,))
+    row = rows[0, _ONE_ARM].tolist()
     return RateTuple(*row[:4], d=row[4] if mode == "lossy" and d is not None else None), \
-        float(gap[0])
+        float(gap[0, 0])
 
 
 def _membership_score(param: _AuxParam, f: FunctionSpec, mode: str, d: DistortionSpec | None,
@@ -660,20 +644,22 @@ def _membership_score(param: _AuxParam, f: FunctionSpec, mode: str, d: Distortio
     its descent's best value less ACCEPT_MARGIN (1e-12). Stage 1 scores the
     residual and r_w, whose excess plus the penalty bounds the objective from
     below; stage 2 scores the other coordinates of the rows whose bound is
-    under their bar, on a `take` of the same source."""
+    under their bar, on a `take` of the same source read as lossy mode, which
+    skips the residuals stage 1 has (d is read only where `mode` reads it)."""
     tcoords = target.coords()
-    cols = [_COORDS.index(k) for k in tcoords]
+    cols = [_ONE_ARM[_COORDS.index(k)] for k in tcoords]
     tvals = np.array(list(tcoords.values()))
 
     def score(points: np.ndarray, owner: np.ndarray, bar: np.ndarray) -> np.ndarray:
         src = param.source(points)
-        coords, gap = _eval_rows(src, f, mode, d, (1,))
-        penalty = 1e3 * np.maximum(gap - ADMISSIBILITY_TOL, 0.0)
-        val = (coords[:, 1] - target.r_w) + penalty
+        rows, gap = _rows(src, (f,), mode, (d,), cols=(1,))
+        penalty = 1e3 * np.maximum(gap[:, 0] - ADMISSIBILITY_TOL, 0.0)
+        val = (rows[:, 1] - target.r_w) + penalty
         go = np.flatnonzero(val < bar)
         if go.size:  # r_w again, from the entropies `take` keeps
-            coords = _coords(src.take(go), f, mode, d, cols)
-            val[go] = np.max(coords[:, cols] - tvals, axis=1) + penalty[go]
+            rows = _rows(src.take(go), (f,), "lossy", (d if mode == "lossy" else None,),
+                         cols=cols)[0]
+            val[go] = np.max(rows[:, cols] - tvals, axis=1) + penalty[go]
         return val
 
     return score
@@ -732,7 +718,7 @@ def membership(m: SourceModel, f: FunctionSpec, target: RateTuple, mode: str,
     for r in range(budget.restarts):
         (point,), (val,) = _coordinate_descent(
             param, param.random(child_seed(budget.seed, 0, r))[None], score,
-            lambda mask: None, budget.iters, INIT_STEP, MIN_STEP)
+            lambda mask: None, budget.iters)
         if val <= MEMBERSHIP_TOL:
             aux = param.to_aux(point)
             hit = verdict(aux, _eval_candidate(m, aux, f, mode, d_used))
@@ -821,30 +807,31 @@ def trace_boundary(m: SourceModel, f: FunctionSpec, sweep: BoundarySweep, mode: 
     _check_fit(f, d, RegionError)
     d_used = d if use_d else None
     keys = _COORDS if use_d else _COORDS[:4]
-    ix, iy = _COORDS.index(sweep.coordinate), _COORDS.index(sweep.minimize)
+    ix, iy = (_ONE_ARM[_COORDS.index(c)] for c in (sweep.coordinate, sweep.minimize))
     param = _AuxParam(m, u_size, v_size, 1)
     corners = list(_canonical_corners(m, f, mode, d_used))
     # by pool row, verified
     witnesses: dict[int, AuxSystem] = {i: aux for i, (aux, _) in enumerate(corners)}
-    # owner, point, coordinates (d NaN when unread) and residual of each row
+    # owner, point, `_rows` row (d NaN when unread) and residual of each row
     # scored, and which rows were scanned; the corners come first, owner -1
     found = [(np.full(len(corners), -1), np.zeros((len(corners), param.size)),
-              np.array([[getattr(r, k) for k in _COORDS] for _, (r, _) in corners], dtype=float),
+              np.array([[r.r_s, r.r_w, r.r_w, r.r_dec, r.r_eve, r.d] for _, (r, _) in corners],
+                       dtype=float),
               np.array([gap for _, (_, gap) in corners]))]
     masks = [np.ones(len(corners), dtype=bool)]
     bounds = np.repeat(sweep.grid, budget.restarts)
 
     def score(points: np.ndarray, owner: np.ndarray, bar: np.ndarray) -> np.ndarray:
         # every row is scored whole, whatever its bar: the pool reads them all
-        coords, gap = _eval_rows(param.source(points), f, mode, d_used, (ix, iy))
-        found.append((owner, points, coords, gap))
-        return coords[:, iy] + 1e3 * (np.maximum(coords[:, ix] - bounds[owner], 0.0)
-                                      + np.maximum(gap - ADMISSIBILITY_TOL, 0.0))
+        rows, gap = _rows(param.source(points), (f,), mode, (d_used,), cols=(ix, iy))
+        found.append((owner, points, rows, gap[:, 0]))
+        return rows[:, iy] + 1e3 * (np.maximum(rows[:, ix] - bounds[owner], 0.0)
+                                    + np.maximum(gap[:, 0] - ADMISSIBILITY_TOL, 0.0))
 
     starts = [param.random(child_seed(budget.seed, gi, r))
               for gi in range(len(sweep.grid)) for r in range(budget.restarts)]
     _coordinate_descent(param, np.reshape(starts, (-1, param.size)), score, masks.append,
-                        budget.iters, INIT_STEP, MIN_STEP)
+                        budget.iters)
     keep = np.concatenate(masks)
     owner, points, coords, gap = (np.concatenate(col)[keep] for col in zip(*found))
     order = np.argsort(owner, kind="stable")  # offers: the corners, then descent by descent
@@ -854,7 +841,7 @@ def trace_boundary(m: SourceModel, f: FunctionSpec, sweep: BoundarySweep, mode: 
     fill = kept[owner[kept] >= 0]  # kept descent rows, scored whole; corners already are
     for at in range(0, len(fill), param.batch):
         rows = fill[at:at + param.batch]
-        coords[rows] = _eval_rows(param.source(points[rows]), f, mode, d_used)[0]
+        coords[rows] = _rows(param.source(points[rows]), (f,), mode, (d_used,))[0]
     pool = [(row[ix], row[iy], row, i) for i, row in zip(kept.tolist(), coords[kept].tolist())]
 
     def verified(entry) -> AuxSystem:
@@ -864,7 +851,7 @@ def trace_boundary(m: SourceModel, f: FunctionSpec, sweep: BoundarySweep, mode: 
             rates, gap = _eval_candidate(m, aux, f, mode, d_used)
             again = rates.coords()
             if gap > ADMISSIBILITY_TOL or any(abs(again[k] - entry[2][i]) > MEMBERSHIP_TOL
-                                              for i, k in enumerate(keys)):
+                                              for i, k in zip(_ONE_ARM, keys)):
                 raise RegionError("a boundary witness does not reproduce its pool coordinates")
             witnesses[at] = aux
         return witnesses[at]
@@ -879,7 +866,7 @@ def trace_boundary(m: SourceModel, f: FunctionSpec, sweep: BoundarySweep, mode: 
             b = vertices[i + 1]
             w = (b[0] - bound) / (b[0] - a[0])
             parts = [(w, a), (1.0 - w, b)]
-        mean = {k: sum(w * e[2][j] for w, e in parts) for j, k in enumerate(keys)}
+        mean = {k: sum(w * e[2][j] for w, e in parts) for j, k in zip(_ONE_ARM, keys)}
         results.append(BoundaryPoint(**mean, witnesses=tuple(verified(e) for _, e in parts),
                                      weights=tuple(w for w, _ in parts), feasible=i >= 0))
     return results

@@ -1,4 +1,6 @@
+import contextlib
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -508,11 +510,19 @@ def random_multi_system(rng, sizes, q_size=1):
     return MultiModel(p_x, tuple(arms)), MultiAuxSystem(p_q, tuple(pairs)), tuple(g_list)
 
 
-def _recording(src):
-    """The source, made to remember every axis set its marginals are read on."""
-    seen, rows = [], src.rows
-    src.rows = lambda names: seen.append(tuple(names)) or rows(names)
-    return src, seen
+@contextlib.contextmanager
+def _recording():
+    """Every `_ProductForm` marginal read while open, as (source, its batch,
+    its p(q), axis names), the class's `rows` patched so that a restack reads
+    through it too."""
+    reads, rows = [], sources._ProductForm.rows
+
+    def logged(self, names):
+        reads.append((self, self.batch, self._p_q, tuple(names)))
+        return rows(self, names)
+
+    with mock.patch.object(sources._ProductForm, "rows", logged):
+        yield reads
 
 
 def _fields(r):
@@ -526,22 +536,23 @@ class TestProductForm:
     def test_marginals_match_dense_joint(self, seed, j, sizes):
         mm, a, g_list = random_multi_system(np.random.default_rng(seed), sizes[:j], q_size=2)
         dense = reference.multi_joint(mm, a)
-        rec, seen = _recording(_source(mm, a))
         fs, ds = [arm.f for arm in mm.arms], [arm.d for arm in mm.arms]
-        inner = regions._corner_rates(rec, fs, "lossy", ds, g_list)
-        multi_chain_report(mm, rec)
-        for k in range(1, j + 1):  # read by the admissibility residual
-            rec.rows((f"u{k}", "q", f"xtilde{k}", f"y{k}"))
-        pairs = [(rec, seen, dense)]
-        if j == 1:  # the single-function evaluators' reads, under the model's names
-            sm, aux = mm.arm_model(0), AuxSystem(a.p_q, a.arms[0])
-            single, single_seen = _recording(regions._source(sm, aux))
-            regions._corner_rates(single, (XOR_F,), "lossy", (HAMMING_D,), g_list)
-            single.rows(("u", "q", "xtilde", "y"))  # read by the residual
-            regions._g_tables(single.rows(("u", "xtilde", "y")), XOR_F, HAMMING_D)
-            pairs.append((single, single_seen, reference.aux_mixture_joint(sm, aux)))
-        for src, seen, ref in pairs:
-            for axes in list(seen):
+        with _recording() as reads:
+            rec = _source(mm, a)
+            inner = regions._corner_rates(rec, fs, "lossy", ds, g_list)
+            multi_chain_report(mm, rec)
+            regions._rows(rec, fs, "lossless")  # the admissibility residual's reads
+            pairs = [(rec, dense)]
+            if j == 1:  # the single-function evaluators' reads, under the model's names
+                sm, aux = mm.arm_model(0), AuxSystem(a.p_q, a.arms[0])
+                single = regions._source(sm, aux)
+                regions._corner_rates(single, (XOR_F,), "lossy", (HAMMING_D,), g_list)
+                regions._rows(single, (XOR_F,), "lossless")
+                regions._g_tables(single.rows(("u", "xtilde", "y")), XOR_F, HAMMING_D)
+                pairs.append((single, reference.aux_mixture_joint(sm, aux)))
+        for src, ref in pairs:
+            # its own reads and those of its model's unit-weight restacks
+            for axes in {names for who, _, _, names in reads if who._model_h is src._model_h}:
                 got, want = src.rows(axes)[0], ref.marginal(axes).reorder(axes)
                 assert got.shape == want.table.shape
                 assert np.max(np.abs(got - want.table)) <= 1e-12

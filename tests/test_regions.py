@@ -76,6 +76,8 @@ from sfcomp.regions import (
     v_equals_u_aux,
 )
 
+from test_multifunction import _fields, random_multi_system
+
 U2 = XT.renamed("u")
 DSBS_P = 0.06 + 0.15 - 2 * 0.06 * 0.15  # (xtilde, y) crossover of the conftest cascade
 
@@ -211,7 +213,7 @@ def _rates_with_joint(m, aux):
     """The single-function rate corner, its offset and the source they were read from."""
     src = regions._source(m, aux)
     rates, offset = regions._multi_rates(src)
-    return RateTuple(*rates[0, regions._ONE_ARM].tolist()), float(offset[0]), src
+    return RateTuple(*rates[0, regions._ONE_ARM[:4]].tolist()), float(offset[0]), src
 
 
 class TestLossyCorner:
@@ -443,9 +445,9 @@ def batch_and_one(m, param, f, mode, d, target):
     t = np.array(list(target.coords().values()))
 
     def batch(points):
-        coords, gap = regions._eval_rows(param.source(points), f, mode, d)
-        return np.max(coords[:, :len(t)] - t, axis=1) + 1e3 * np.maximum(
-            gap - ADMISSIBILITY_TOL, 0.0)
+        rows, gap = regions._rows(param.source(points), (f,), mode, (d,))
+        return np.max(rows[:, regions._ONE_ARM[:len(t)]] - t, axis=1) + 1e3 * np.maximum(
+            gap[:, 0] - ADMISSIBILITY_TOL, 0.0)
 
     def one(point):
         rates, gap = regions._eval_candidate(m, param.to_aux(point), f, mode, d)
@@ -495,7 +497,7 @@ def reference_neighbours(param, point, start, step):
     return np.concatenate(out)
 
 
-def lockstep_descent(param, starts, score, iters, init_step, min_step):
+def lockstep_descent(param, starts, score, iters):
     """`_coordinate_descent` from a stack of starts, with each descent's scanned
     rows (move, point, value), a start's move being -1, its accepted (block,
     coordinate, sign) moves read off the rounds, and per round the rows it
@@ -524,8 +526,7 @@ def lockstep_descent(param, starts, score, iters, init_step, min_step):
                 rows[k].append((move, point, float(val)))
         chunks.clear()
 
-    points, vals = regions._coordinate_descent(param, starts, scored, scanned, iters, init_step,
-                                               min_step)
+    points, vals = regions._coordinate_descent(param, starts, scored, scanned, iters)
     accepted = []
     for descent in rows:
         best, accepted_here = descent[0][2], []
@@ -539,11 +540,10 @@ def lockstep_descent(param, starts, score, iters, init_step, min_step):
     return points, vals, rows, accepted, counts
 
 
-def batched_descent(param, point, score, iters, init_step, min_step):
+def batched_descent(param, point, score, iters):
     """`_coordinate_descent` from one start, with its accepted moves."""
     (point,), (val,), _, (accepted,), _ = lockstep_descent(
-        param, point[None], lambda points, owner, bar: score(points), iters, init_step,
-        min_step)
+        param, point[None], lambda points, owner, bar: score(points), iters)
     return point, val, accepted
 
 
@@ -560,23 +560,54 @@ def reference_pool(x, y, gap, witnesses):
 class TestBatchedSearch:
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10_000), st.integers(1, 4), st.integers(1, 3), st.integers(1, 2),
-           st.sampled_from(["lossless", "lossy"]), st.integers(1, 7))
-    def test_rows_match_one_system_evaluation(self, seed, u_size, v_size, q_size, mode, rows):
+           st.sampled_from(["lossless", "lossy"]), st.integers(1, 7), st.integers(1, 3))
+    def test_rows_match_one_system_evaluation(self, seed, u_size, v_size, q_size, mode, rows, j):
         rng = np.random.default_rng(seed)
+        if j > 1:  # J-arm systems on one model's alphabets, read batched and each alone
+            draws = [random_multi_system(rng, [(u_size, v_size)] * j, q_size) for _ in range(rows)]
+            alone = [multifunction._source(draws[0][0], a) for _, a, _ in draws]
+            src = alone[0].restacked(np.concatenate([s._p_q for s in alone]), [
+                tuple(map(np.concatenate, zip(*arm))) for arm in zip(*(s._links for s in alone))])
+            ds = [HAMMING_D] * j
+            # a random U rarely determines XOR, and always determines Y's projection
+            for fs in ([XOR_F] * j, [YPROJ_F] * j):
+                got, gap = regions._rows(src, fs, mode, ds)
+                for own, row, res in zip(alone, got, gap):
+                    own_gap = regions._rows(own, fs, mode, ds)[1][0]
+                    assert res.tolist() == pytest.approx(own_gap.tolist(), abs=1e-12)
+                    if res.max() > ADMISSIBILITY_TOL:
+                        with pytest.raises(InadmissibleAuxiliary):
+                            regions._corner_rates(own, fs, mode)
+                        continue
+                    gs = [ReconstructionFn(_alphabet_of_size("u", u_size), Y, F,  # `optimal_g`'s
+                                           regions._g_tables(own.uxy(k), f, HAMMING_D)[0])
+                          for k, f in enumerate(fs)]  # rule, read off the system alone
+                    corner = regions._corner_rates(own, fs, mode, ds, gs)
+                    assert row.tolist() == pytest.approx(
+                        _fields(corner) + (0.0,) * j * (mode == "lossless"), abs=1e-12)
+            return
         m = random_binary_model(rng)
         f, d = (XOR_F, None) if mode == "lossless" else (XTPROJ_F, HAMMING_D)
         param = regions._AuxParam(m, u_size, v_size, q_size)
         points = np.stack([param.random(int(s)) for s in rng.integers(0, 2**31, size=rows)])
         src = param.source(points)
-        coords, gap = regions._eval_rows(src, f, mode, d)
+        got, gap = regions._rows(src, (f,), mode, (d,))
         tables = regions._g_tables(src.rows(("u", "xtilde", "y")), f, HAMMING_D)
-        for point, row, res, table in zip(points, coords, gap, tables):
+        for point, row, res, table in zip(points, got[:, regions._ONE_ARM], gap[:, 0], tables):
             aux = param.to_aux(point)
             rates, own_gap = regions._eval_candidate(m, aux, f, mode, d)
             assert list(rates.coords().values()) == pytest.approx(
                 row[:len(rates.coords())].tolist(), abs=1e-12)
             assert own_gap == pytest.approx(res, abs=1e-12)
             assert np.array_equal(table, optimal_g(m, aux, f, HAMMING_D).table)
+            # the B = 1 row is the public corner's, bit for bit
+            if mode == "lossy":
+                assert eval_lossy_corner(m, aux, f, optimal_g(m, aux, f, d), d) == rates
+            elif own_gap > ADMISSIBILITY_TOL:
+                with pytest.raises(InadmissibleAuxiliary):
+                    eval_lossless_corner(m, aux, f)
+            else:
+                assert eval_lossless_corner(m, aux, f) == rates
 
     # seeds whose one-at-a-time run accepts no step under 1e-12 (seeds 1, 4 and
     # 5 of the lossless case do: residual rounding times the 1e3 penalty weight)
@@ -595,7 +626,7 @@ class TestBatchedSearch:
         batch, one = batch_and_one(cascade_model, param, f, mode, d, target)
         start = param.random(seed)
         ref_point, ref_val, ref_moves = reference_descent(param, start, one, iters, 0.25, 1e-6)
-        point, val, moves = batched_descent(param, start, batch, iters, 0.25, 1e-6)
+        point, val, moves = batched_descent(param, start, batch, iters)
         assert moves == ref_moves and len(moves) > 0
         assert np.max(np.abs(point - ref_point)) <= 1e-12
         assert val == pytest.approx(ref_val, abs=1e-12)
@@ -611,14 +642,14 @@ class TestBatchedSearch:
             runs.append(regions._coordinate_descent(
                 param, param.random(2)[None],
                 lambda p, owner, bar: sizes.append(len(p)) or batch(p),
-                lambda mask: None, 3, 0.25, 1e-6) + (max(sizes),))
+                lambda mask: None, 3) + (max(sizes),))
         (p1, v1, big), (p2, v2, small) = runs
         # the first round holds the first sweep's 84 moves and the two sweeps
         # after it that iters = 3 allows
         assert big == 252 and small == 3
         assert np.array_equal(p1, p2) and np.array_equal(v1, v2)
 
-    # where `iters` or `min_step` ends a descent in a sweep scored ahead: the
+    # where `iters` or MIN_STEP ends a descent in a sweep scored ahead: the
     # search-lossless setting (4, 3, 2) and the trace-lossy one (2, 1, 1)
     @pytest.mark.parametrize("small_cap", [False, True])
     @pytest.mark.parametrize("sizes,seed,iters,min_step", [
@@ -628,6 +659,7 @@ class TestBatchedSearch:
                                                            sizes, seed, iters, min_step, small_cap):
         if small_cap:  # three systems a chunk
             monkeypatch.setattr(regions, "TABLE_CELL_CAP", 3 * {4: 384, 2: 32}[sizes[0]])
+        monkeypatch.setattr(regions, "MIN_STEP", min_step)
         param = regions._AuxParam(cascade_model, *sizes)
         if sizes[0] == 4:
             target, f, d, mode = RateTuple(0.6, h2(DSBS_P) - 0.1, 0.6, 0.6), XOR_F, None, "lossless"
@@ -639,7 +671,7 @@ class TestBatchedSearch:
         ref_point, ref_val, ref_moves = reference_descent(
             param, start, lambda point: batch(point[None])[0], iters, 0.25, min_step)
         (point,), (val,), _, (moves,), (rounds,) = lockstep_descent(
-            param, start[None], lambda points, owner, bar: batch(points), iters, 0.25, min_step)
+            param, start[None], lambda points, owner, bar: batch(points), iters)
         assert moves == ref_moves and np.array_equal(point, ref_point) and val == ref_val
         # the last round scanned past its first sweep and stopped short of its
         # last sweep ahead, scoring no row the one-at-a-time scan did not reach
@@ -666,8 +698,8 @@ class TestBatchedSearch:
             bounds = np.array([0.02, 0.06, 0.1, 0.15])
 
             def score(points, owner, bar):
-                coords, _ = regions._eval_rows(param.source(points), XTPROJ_F, mode, HAMMING_D)
-                return coords[:, 1] + 1e3 * np.maximum(coords[:, 4] - bounds[owner], 0.0)
+                rows, _ = regions._rows(param.source(points), (XTPROJ_F,), mode, (HAMMING_D,))
+                return rows[:, 1] + 1e3 * np.maximum(rows[:, 5] - bounds[owner], 0.0)
 
             iters, starts = 30, (1, 2, 3, 4)
         starts = np.stack([param.random(s) for s in starts])
@@ -677,12 +709,11 @@ class TestBatchedSearch:
             calls.append(k)
             return score(points, owner + k, bar)
 
-        points, vals, rows, moves, _ = lockstep_descent(param, starts, counted, iters, 0.25,
-                                                        1e-6)
+        points, vals, rows, moves, _ = lockstep_descent(param, starts, counted, iters)
         lockstep_calls = len(calls)
         for k, start in enumerate(starts):
             (point,), (val,), (own_rows,), (own_moves,), (rounds,) = lockstep_descent(
-                param, start[None], lambda p, o, b, k=k: counted(p, o, b, k), iters, 0.25, 1e-6)
+                param, start[None], lambda p, o, b, k=k: counted(p, o, b, k), iters)
             # no chunk is scored past the one that holds the descent's hit
             assert all(n <= -(-seen // param.batch) * param.batch for n, seen in rounds)
             assert moves[k] == own_moves and len(own_moves) > 0
@@ -710,7 +741,7 @@ class TestBatchedSearch:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10_000), st.integers(1, 4), st.integers(1, 3), st.integers(1, 2),
            st.sampled_from(["lossless", "lossy"]), st.integers(1, 5),
-           st.sets(st.integers(0, 4)))
+           st.sets(st.integers(0, 5)))
     def test_scoring_some_columns_equals_the_full_rows_on_them(self, seed, u_size, v_size,
                                                                q_size, mode, rows, cols):
         rng = np.random.default_rng(seed)
@@ -718,16 +749,16 @@ class TestBatchedSearch:
         f, d = (XOR_F, None) if mode == "lossless" else (XTPROJ_F, HAMMING_D)
         points = None
         results = []
-        for want in (range(5), sorted(cols)):  # each on its own search's sources
+        for want in (range(6), sorted(cols)):  # each on its own search's sources
             param = regions._AuxParam(m, u_size, v_size, q_size)
             if points is None:
                 points = np.stack([param.random(int(s)) for s in rng.integers(0, 2**31, rows)])
-            multi = [(0, 1, 3, 4)[c] for c in want if c < 4]
-            results.append((regions._eval_rows(param.source(points), f, mode, d, want),
+            multi = [c for c in want if c < 5]
+            results.append((regions._rows(param.source(points), (f,), mode, (d,), cols=want),
                             regions._multi_rates(param.source(points), multi), multi))
         ((full, full_gap), (full_rates, full_offset), _), ((part, gap), (rates, offset), multi) = \
             results
-        other = [c for c in range(5) if c not in cols]
+        other = [c for c in range(6) if c not in cols]
         assert np.array_equal(part[:, sorted(cols)], full[:, sorted(cols)])
         assert np.isnan(part[:, other]).all() and np.array_equal(gap, full_gap)
         assert np.array_equal(rates[:, multi], full_rates[:, multi])
@@ -748,9 +779,10 @@ class TestBatchedSearch:
             f, d, sweep = XOR_F, None, BoundarySweep("r_s", (0.3, 0.5, 0.7), "r_w")
         budget = SearchBudget(restarts=2, iters=12, u_size=2, v_size=1, q_size=q_size, seed=5)
         runs = [trace_boundary(cascade_model, f, sweep, mode, budget, d=d)]
-        every = regions._eval_rows
-        monkeypatch.setattr(regions, "_eval_rows",
-                            lambda src, f, mode, d, cols=None: every(src, f, mode, d))
+        every = regions._rows
+        monkeypatch.setattr(regions, "_rows",
+                            lambda src, fs, mode, ds=(), gs=None, cols=None: every(src, fs, mode,
+                                                                                   ds, gs))
         runs.append(trace_boundary(cascade_model, f, sweep, mode, budget, d=d))
         (mine, ref) = runs
         assert mine == ref
@@ -774,12 +806,13 @@ class TestBatchedSearch:
         param = regions._AuxParam(m, *sizes)
         points = np.stack([param.random(int(s)) for s in rng.integers(0, 2**31, rows)])
         # the unstaged objective, scored first as a descent scores its start
-        coords, gap = regions._eval_rows(param.source(points), f, mode, d)
+        coords, gap = regions._rows(param.source(points), (f,), mode, (d,))
+        coords = coords[:, regions._ONE_ARM]
         first = coords[0] + np.array(shifts)  # a target near the first row
         target = RateTuple(*first[:4].tolist(), d=float(first[4]) if d is not None else None)
         t = np.array(list(target.coords().values()))
         full = np.max(coords[:, :len(t)] - t, axis=1) + 1e3 * np.maximum(
-            gap - ADMISSIBILITY_TOL, 0.0)
+            gap[:, 0] - ADMISSIBILITY_TOL, 0.0)
         bars = full + rng.choice([-np.inf, -0.2, -1e-9, 0.0, 1e-9, 0.2, np.inf], size=rows)
         score = regions._membership_score(param, f, mode, d, target)
         vals = score(points, np.zeros(rows, dtype=int), bars)
@@ -802,7 +835,7 @@ class TestBatchedSearch:
             score = (regions._membership_score(param, f, mode, d, target) if staged
                      else lambda points, owner, bar: batch(points))
             runs.append(regions._coordinate_descent(param, param.random(seed)[None], score,
-                                                    lambda mask: None, 4, 0.25, 1e-6))
+                                                    lambda mask: None, 4))
         (p1, v1), (p2, v2) = runs
         assert np.array_equal(p1, p2) and np.array_equal(v1, v2)
 
@@ -833,8 +866,10 @@ class TestBatchedSearch:
         assert all(h.shape == (1,) for h in src._model_h.values())
 
     @pytest.mark.parametrize("gain,moves", [(4.4e-13, False), (2e-12, True)])
-    def test_a_gain_of_the_order_of_rounding_is_no_move(self, cascade_model, gain, moves):
+    def test_a_gain_of_the_order_of_rounding_is_no_move(self, cascade_model, monkeypatch, gain,
+                                                        moves):
         # 4.4e-13 is a one-ulp change of a residual near 1 under the 1e3 penalty
+        monkeypatch.setattr(regions, "MIN_STEP", regions.INIT_STEP)  # one sweep, one step
         param = regions._AuxParam(cascade_model, 2, 1, 1)
         start = param.random(0)
 
@@ -842,7 +877,7 @@ class TestBatchedSearch:
             return np.where((points == start).all(axis=1), 1.0, 1.0 - gain)
 
         (point,), (val,) = regions._coordinate_descent(param, start[None], score,
-                                                        lambda mask: None, 1, 0.25, 0.25)
+                                                        lambda mask: None, 1)
         assert (not np.array_equal(point, start)) == moves
         assert val == (1.0 - gain if moves else 1.0)
 
@@ -1464,9 +1499,8 @@ class TestTraceBoundary:
             chunks = []  # (owner, (d, r_w)) of each row scored this round
 
             def scored(points, owner, bar):
-                coords, _ = regions._eval_rows(param.source(points), XTPROJ_F, "lossy",
-                                               HAMMING_D)
-                chunks.extend(zip(owner.tolist(), coords[:, [4, 1]].tolist()))
+                rows, _ = regions._rows(param.source(points), (XTPROJ_F,), "lossy", (HAMMING_D,))
+                chunks.extend(zip(owner.tolist(), rows[:, [5, 1]].tolist()))
                 return score(points, owner, bar)
 
             def seen(mask):

@@ -250,12 +250,22 @@ class TestPlannedReads:
     def test_each_distinct_entropy_is_read_once(self, seed, j, q_size, sizes):
         mm, a, _ = random_multi_system(np.random.default_rng(seed), sizes[:j], q_size)
         src = multifunction._source(mm, a)
-        counted, seen = _recording(src)
-        regions._multi_rates(counted)
-        multifunction.multi_chain_report(mm, counted)
+        with _recording() as reads:
+            regions._multi_rates(src)
+            multifunction.multi_chain_report(mm, src)
         sets = {key for plan in src._plans.values() if len(plan) == 2 for key, _, _ in plan[0]}
-        assert len(seen) == len(sets) + j  # and each arm's (xt, x, y, z) model marginal
-        assert len({frozenset(names) for names in seen}) == len(seen)
+        model = {key for key in sets if key <= src._model_axes}
+        # each model-only set once per model, on a restack of one system of unit weight
+        unit = [(who, batch, p_q, frozenset(names)) for who, batch, p_q, names in reads
+                if who is not src]
+        assert len(unit) == len(model) and {key for *_, key in unit} == model
+        assert all(who._model_h is mm._h and batch == 1 and np.array_equal(p_q, [[1.0]])
+                   for who, batch, p_q, _ in unit)
+        # every other set once on the source itself, and each arm's (xt, x, y, z)
+        # model marginal, which the chain report compares with the model's
+        own = [frozenset(names) for who, _, _, names in reads if who is src]
+        marginals = {frozenset((xt, src.x, y, z)) for xt, _, _, y, z in src.arm_names}
+        assert len(own) == len(sets - model) + j and set(own) == (sets - model) | marginals
 
 
 class TestTemplateSources:
