@@ -160,6 +160,11 @@ class MultiArm:
     f: FunctionSpec
     d: DistortionSpec
 
+    def __post_init__(self) -> None:
+        yz = self.p_yz_given_x.output  # else `MultiModel` raises: no (y, z) product
+        if isinstance(yz, ProductAlphabet) and len(yz.parts) == 2:
+            _check_fit(self.p_xt_given_x.output, yz.parts[0], self.f, self.d, ModelError)
+
 
 @dataclass(frozen=True, eq=False)
 class MultiModel:
@@ -253,11 +258,13 @@ def _function_joint(p: np.ndarray, f: FunctionSpec) -> np.ndarray:
     return np.einsum("bgay,ayf->bgyf", p, f._onehot)
 
 
-def _function_residual(p: np.ndarray, f: FunctionSpec) -> np.ndarray:
+def _function_residual(p: np.ndarray, f: FunctionSpec, h_gy=None) -> np.ndarray:
     """H(F | G, Y) in bits, F = f(xt, y), of each row of a stacked table
-    p(..., xt, y); G is every axis between the first and xt, flattened."""
+    p(..., xt, y); G is every axis between the first and xt, flattened, and
+    H(G, Y) is `h_gy`, or else read off p."""
     p = p.reshape(len(p), -1, *p.shape[-2:])
-    return _entropy_rows(_function_joint(p, f)) - _entropy_rows(p.sum(axis=2))
+    h_gy = _entropy_rows(p.sum(axis=2)) if h_gy is None else h_gy
+    return _entropy_rows(_function_joint(p, f)) - h_gy
 
 
 def _g_tables(p_uxty: np.ndarray, f: FunctionSpec, d: DistortionSpec) -> np.ndarray:
@@ -269,16 +276,27 @@ def _g_tables(p_uxty: np.ndarray, f: FunctionSpec, d: DistortionSpec) -> np.ndar
     return np.where(p.sum(axis=3) > 0.0, np.argmin(risk, axis=3), global_best[:, None, None])
 
 
-def _mean_distortion(p_uxty: np.ndarray, f: FunctionSpec, g: np.ndarray,
-                     d: DistortionSpec) -> np.ndarray:
-    """E d(f(xt, y), g(u, y)) of each row of a stacked p(u, xt, y) and
-    reconstruction tables g of shape (B, |u|, |y|)."""
-    val = d.table[f.table[None, None], g[:, :, None, :]]
-    return np.sum(p_uxty * val, axis=(1, 2, 3))
+def _mean_distortion(p_uxty: np.ndarray, f: FunctionSpec, d: DistortionSpec,
+                     g: np.ndarray | None = None) -> np.ndarray:
+    """The mean risk of g, E d(f(xt, y), g(u, y)), of each row of a stacked
+    p(u, xt, y): risk(u, y, fhat) = sum_f p(u, y, f) d(f, fhat) at the tables g
+    (B or 1, |u|, |y|), or, g None, its least, `optimal_g`'s rule's: a cell of
+    p(u, y) = 0 carries zero risk, so both read that rule alike, bit for bit."""
+    risk = _function_joint(p_uxty, f) @ d.table  # (b, u, y, fhat)
+    if g is None:
+        return risk.min(axis=3).sum(axis=(1, 2))
+    b, u, y, _ = risk.shape
+    return risk[np.arange(b)[:, None, None], np.arange(u)[:, None], np.arange(y), g].sum(
+        axis=(1, 2))
 
 
-def _check_fit(f: FunctionSpec, d: DistortionSpec | None, error: type[Exception]) -> None:
-    """Raise `error` unless a distortion spec, when given, is over f's output symbols."""
+def _check_fit(xt: Alphabet, y: Alphabet, f: FunctionSpec, d: DistortionSpec | None,
+               error: type[Exception]) -> None:
+    """Raise `error` unless f is over the observations (xt, y) and a distortion
+    spec, when given, is over f's output symbols."""
+    if (f.xt_alphabet, f.y_alphabet) != (xt, y):
+        raise error(f"a function over {f.xt_alphabet} x {f.y_alphabet} does not fit the "
+                    f"observations {xt} x {y}")
     if d is not None and d.alphabet.size != f.output.size:
         raise error(f"a distortion over {d.alphabet.size} symbols does not fit a function "
                     f"with {f.output.size} output symbols")

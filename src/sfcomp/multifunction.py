@@ -93,8 +93,8 @@ def _axis_names(j: int) -> list[tuple[str, ...]]:
 def _source(m: MultiModel, a: MultiAuxSystem) -> _ProductForm:
     """The product form of a system on a model, its arms named by `_axis_names`,
     restacked from the model's structure for the system's alphabets."""
-    return _ProductForm.of(m, a.p_q, [(arm.p_xt_given_x, pairs, arm.p_yz_given_x)
-                                      for arm, pairs in zip(m.arms, a.arms, strict=True)],
+    return _ProductForm.of(m, (a.p_q,), [(arm.p_xt_given_x, (pairs,), arm.p_yz_given_x)
+                                         for arm, pairs in zip(m.arms, a.arms, strict=True)],
                            _axis_names(m.j))
 
 

@@ -22,10 +22,11 @@ is read as a `sources._Dense`.
 
 Every reader here takes each arm's axis names, and those of q and x, from the
 source it reads. `_rows` reads the B systems of any source, one arm or J:
-rates, each arm's distortion and, in lossless mode, its residual. Its B = 1
-read under given reconstructions is the exact corner (`_corner_rates`) of the
-public evaluators; under `optimal_g`'s rule it scores the canonical corners,
-budget candidates and witnesses (`_eval_candidate`) and every search batch.
+rates, each arm's distortion, the mean risk of its reconstruction, and, in
+lossless mode, its residual. Its B = 1 read under given reconstructions is the
+exact corner (`_corner_rates`) of the public evaluators; `optimal_g`'s rule,
+whose distortion is the least risk, so that no rule's table is built, scores
+the canonical corners, budget candidates (`_eval_candidate`) and every batch.
 
 `membership` answers `found` with a witness, `outside` with a certificate, or
 `unknown`. A certificate is a model-only lower bound the target sits under: every
@@ -47,7 +48,8 @@ residual and storage rate, and its other coordinates only when those still
 leave it under its descent's bar; the starts are scored in full. Time sharing
 makes the region convex, so `trace_boundary` reads each grid point off the
 lower convex hull of all its |Q| = 1 descents scanned, scoring each row it
-scans on its objective's coordinates, and the rest of its pool afterwards.
+scans on its objective's coordinates; it then re-reads the witnesses it
+returns whole, as one batch of their systems.
 """
 
 from __future__ import annotations
@@ -286,11 +288,13 @@ def _arm_names(m: SourceModel, u: Alphabet, v: Alphabet) -> tuple[tuple[str, ...
     return ((m.xt_alphabet.name, u.name, v.name, m.y_alphabet.name, m.z_alphabet.name),)
 
 
-def _source(m: SourceModel, aux: AuxSystem) -> "_ProductForm":
-    """The source the single-function evaluators read: the one-arm factor form,
-    restacked from the model's structure for the system's alphabets."""
-    return _ProductForm.of(m, aux.p_q, ((m.p_xt_given_x, aux.per_q, m.p_yz_given_x),),
-                           _arm_names(m, aux.u_alphabet, aux.v_alphabet))
+def _source(m: SourceModel, *systems: AuxSystem) -> "_ProductForm":
+    """The source the single-function evaluators read: the one-arm factor form
+    of systems of one alphabet set (one system: B = 1), restacked from the
+    model's structure for their alphabets."""
+    return _ProductForm.of(m, [a.p_q for a in systems], (
+        (m.p_xt_given_x, [a.per_q for a in systems], m.p_yz_given_x),),
+        _arm_names(m, systems[0].u_alphabet, systems[0].v_alphabet))
 
 
 def _multi_rates(src: _Source, cols: Sequence[int] | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -304,21 +308,25 @@ def _multi_rates(src: _Source, cols: Sequence[int] | None = None) -> tuple[np.nd
     (U, Q) while the offset conditions on (V, Q); with heterogeneous branches
     only this reading keeps every coordinate >= 0.
     """
-    (xt, u, v, y, z), q, x = zip(*src.arm_names), src.q, src.x
-    uq, vq = u + (q,), v + (q,)
-    # (A, B, C) of each column's I(A; B | C); one arm's sum_w reads its r_w's entropies
-    terms = [(uq, xt, z), *(((uk, q), xk, yk) for uk, xk, yk in zip(u, xt, y)), (uq, xt, y),
-             *(((uk, q), x, yk) for uk, yk in zip(u, y)), (uq, x, z)]
-    want = range(len(terms)) if cols is None else cols
-    off = bool({0, len(terms) - 1} & set(want))
-    # a tuple of a list: one of a generator, made at size 10 and shrunk, grows
-    # CPython's tuple free list of its size on every call
-    got = src.cmis(tuple([terms[c] for c in want] + ([(u, z, vq), (u, y, vq)] if off else [])))
+    plan = src._plans.get(key := ("rates", cols if cols is None else tuple(cols)))
+    if plan is None:  # once per structure and cols
+        (xt, u, v, y, z), q, x = zip(*src.arm_names), src.q, src.x
+        uq, vq = u + (q,), v + (q,)
+        # (A, B, C) of each column's I(A; B | C); one arm's sum_w reads its r_w's entropies
+        terms = [(uq, xt, z), *(((uk, q), xk, yk) for uk, xk, yk in zip(u, xt, y)), (uq, xt, y),
+                 *(((uk, q), x, yk) for uk, yk in zip(u, y)), (uq, x, z)]
+        want = range(len(terms)) if cols is None else key[1]
+        off = bool({0, len(terms) - 1} & set(want))
+        plan = src._plans[key] = (tuple([terms[c] for c in want] + (
+            [(u, z, vq), (u, y, vq)] if off else [])), want, off, len(terms))
+    triples, want, off, n = plan
+    got = src.cmis(triples)
     offset = np.minimum(got[-2] - got[-1], 0.0) if off else np.full(src.batch, np.nan)
-    rates = np.full((src.batch, len(terms)), np.nan)
+    rates = np.full((src.batch, n), np.nan)
     for c, value in zip(want, got):
         rates[:, c] = value
-    rates[:, [0, -1]] += offset[:, None]
+    if off:
+        rates[:, [0, -1]] += offset[:, None]
     if np.any(rates < -RATE_NEG_TOL):
         raise RegionError(f"rate {float(np.nanmin(rates))!r} is negative beyond tolerance")
     return np.maximum(rates, 0.0), offset
@@ -348,10 +356,10 @@ def _rows(src: _Source, fs: Sequence[FunctionSpec], mode: str,
     `optimal_g`'s rule. Arm k's residual is H(F | U, Q, Y), 0 in lossy mode."""
     n = 2 * (j := len(fs)) + 3
     gap = np.zeros((src.batch, j))
-    if mode == "lossless":  # first: each (q, u, xt, y) table's entropy serves r_w
+    if mode == "lossless":  # H(F|U,Q,Y) = H(q,u,y,f) - H(q,u,y), which r_w reads too
         for k, (f, (xt, u, _, y, _)) in enumerate(zip(fs, src.arm_names)):
-            src.entropy((src.q, u, xt, y), p := src.rows((src.q, u, xt, y)))
-            gap[:, k] = _function_residual(p, f)
+            gap[:, k] = _function_residual(src.rows((src.q, u, xt, y)), f,
+                                           src.entropy((src.q, u, y)))
     rows = np.full((src.batch, n + j), np.nan)
     rows[:, :n] = _multi_rates(src, None if cols is None else [c for c in cols if c < n])[0]
     for k, (f, d) in enumerate(zip(fs, ds if mode == "lossy" else [None] * j, strict=True)):
@@ -364,7 +372,7 @@ def _rows(src: _Source, fs: Sequence[FunctionSpec], mode: str,
                 raise RegionError(f"reconstruction table shape, output size and distortion "
                                   f"size {sizes} do not fit arm {k + 1}'s (|U|, |Y|) and f")
         rows[:, n + k] = 0.0 if p is None else _mean_distortion(
-            p, f, _g_tables(p, f, d) if gs is None else gs[k].table[None], d)
+            p, f, d, None if gs is None else gs[k].table[None])
     return rows, gap
 
 
@@ -389,6 +397,7 @@ def _corner_rates(src: _Source, fs: Sequence[FunctionSpec], mode: str,
 def eval_lossless_corner(m: SourceModel, aux: AuxSystem, f: FunctionSpec) -> RateTuple:
     """Componentwise-minimal achievable tuple for an admissible auxiliary system."""
     aux.validate_cardinalities(m.xt_alphabet.size, "lossless")
+    _check_fit(m.xt_alphabet, m.y_alphabet, f, None, RegionError)
     return single_arm_tuple(_corner_rates(_source(m, aux), (f,), "lossless"))
 
 
@@ -400,7 +409,7 @@ def optimal_g(m: SourceModel, aux: AuxSystem, f: FunctionSpec,
     Cells with zero probability get the globally most likely function symbol;
     ties break toward the lowest symbol index.
     """
-    _check_fit(f, d, RegionError)
+    _check_fit(m.xt_alphabet, m.y_alphabet, f, d, RegionError)
     table = _g_tables(_source(m, aux).uxy(), f, d)[0]
     return ReconstructionFn(aux.u_alphabet, m.y_alphabet, f.output, table)
 
@@ -409,6 +418,7 @@ def eval_lossy_corner(m: SourceModel, aux: AuxSystem, f: FunctionSpec,
                       g: ReconstructionFn, d: DistortionSpec) -> RateTuple:
     """Rate corner plus expected distortion; no admissibility requirement."""
     aux.validate_cardinalities(m.xt_alphabet.size, "lossy")
+    _check_fit(m.xt_alphabet, m.y_alphabet, f, d, RegionError)
     return single_arm_tuple(_corner_rates(_source(m, aux), (f,), "lossy", (d,), (g,)))
 
 
@@ -562,6 +572,9 @@ def _coordinate_descent(param: _AuxParam, starts: np.ndarray, score, scanned,
     def scored(stack: np.ndarray, owner: np.ndarray, best: np.ndarray):
         """Values of the stack's rows and which rows were scored; a chunk
         skips the rows of the descents an earlier chunk has hit."""
+        if len(stack) <= param.batch:  # one chunk, the stack itself; none when empty
+            return (score(stack, owner, best[owner] - ACCEPT_MARGIN) if len(stack)
+                    else np.empty(0)), np.ones(len(stack), dtype=bool)
         vals, done = np.full(len(stack), np.inf), np.zeros(len(stack), dtype=bool)
         todo, stopped = np.arange(len(stack)), np.zeros(len(best), dtype=bool)
         while todo.size:
@@ -573,7 +586,8 @@ def _coordinate_descent(param: _AuxParam, starts: np.ndarray, score, scanned,
         return vals, done
 
     # each start is its own descent's only row, so an infinite bar stops nothing
-    best, _ = scored(points, np.arange(len(points)), np.full(len(points), np.inf))
+    # a copy: a scorer may keep the rows it is handed, and `points` moves
+    best, _ = scored(points.copy(), np.arange(len(points)), np.full(len(points), np.inf))
     scanned(np.ones(len(points), dtype=bool))
     step, start, sweeps, improved = (np.full(len(points), v) for v in (INIT_STEP, 0, 0, 0))
     live, ahead, moves = np.arange(len(points)), np.arange(SWEEPS_AHEAD + 2), 2 * param.size
@@ -690,7 +704,7 @@ def membership(m: SourceModel, f: FunctionSpec, target: RateTuple, mode: str,
         raise RegionError("membership target must have finite coordinates")
     if mode == "lossy" and target.d is not None and d is None:
         raise RegionError("a distortion target needs a distortion spec")
-    _check_fit(f, d, RegionError)
+    _check_fit(m.xt_alphabet, m.y_alphabet, f, d, RegionError)
     d_used = d if target.d is not None else None
     floors = _lossless_bounds(m, f) if mode == "lossless" else {}
     for k, v in target.coords().items():
@@ -790,29 +804,27 @@ def trace_boundary(m: SourceModel, f: FunctionSpec, sweep: BoundarySweep, mode: 
     `minimize` and the residual. The pool, built once after them
     (`_pareto_front`), keeps the admissible systems none dominates in
     (coordinate, minimize) among the canonical corners, then each descent's
-    scanned candidates, whose other coordinates are then scored in one batch.
-    With `budget.q_size` = 1 a point is the best pool system within its bound;
-    with 2 it lies on the pool's lower convex hull. A hull pair is not
-    re-evaluated as one |Q| = 2 system, whose shared U alphabet lets `optimal_g`
-    pool the two reconstructions on (u, y) and lift d above the chord. The
-    corners are scored alone by `_eval_candidate`, so each is its own verified
-    witness; every other distinct witness is re-evaluated alone by it, once,
-    and must reproduce its pool coordinates within MEMBERSHIP_TOL.
+    scanned candidates. With `budget.q_size` = 1 a point is the best pool
+    system within its bound; with 2 it lies on the pool's lower convex hull. A
+    hull pair is not re-evaluated as one |Q| = 2 system, whose shared U
+    alphabet lets `optimal_g` pool the two reconstructions on (u, y) and lift
+    d above the chord. The corners are scored alone by `_eval_candidate`, so
+    each is its own verified witness; the other distinct witnesses are re-read
+    whole once, as one batch, and each must be admissible and reproduce the
+    (coordinate, minimize) its descent scored within MEMBERSHIP_TOL.
     """
     budget = budget or SearchBudget()
     u_size, v_size, _ = budget.resolved_sizes(m, mode)
     use_d = "d" in (sweep.coordinate, sweep.minimize)
     if use_d and (mode != "lossy" or d is None):
         raise RegionError("sweeping distortion needs lossy mode and a distortion spec")
-    _check_fit(f, d, RegionError)
+    _check_fit(m.xt_alphabet, m.y_alphabet, f, d, RegionError)
     d_used = d if use_d else None
     keys = _COORDS if use_d else _COORDS[:4]
     ix, iy = (_ONE_ARM[_COORDS.index(c)] for c in (sweep.coordinate, sweep.minimize))
     param = _AuxParam(m, u_size, v_size, 1)
     corners = list(_canonical_corners(m, f, mode, d_used))
-    # by pool row, verified
-    witnesses: dict[int, AuxSystem] = {i: aux for i, (aux, _) in enumerate(corners)}
-    # owner, point, `_rows` row (d NaN when unread) and residual of each row
+    # owner, point, `_rows` row (NaN where unread) and residual of each row
     # scored, and which rows were scanned; the corners come first, owner -1
     found = [(np.full(len(corners), -1), np.zeros((len(corners), param.size)),
               np.array([[r.r_s, r.r_w, r.r_w, r.r_dec, r.r_eve, r.d] for _, (r, _) in corners],
@@ -822,7 +834,7 @@ def trace_boundary(m: SourceModel, f: FunctionSpec, sweep: BoundarySweep, mode: 
     bounds = np.repeat(sweep.grid, budget.restarts)
 
     def score(points: np.ndarray, owner: np.ndarray, bar: np.ndarray) -> np.ndarray:
-        # every row is scored whole, whatever its bar: the pool reads them all
+        # every row is scored whatever its bar: the pool reads them all
         rows, gap = _rows(param.source(points), (f,), mode, (d_used,), cols=(ix, iy))
         found.append((owner, points, rows, gap[:, 0]))
         return rows[:, iy] + 1e3 * (np.maximum(rows[:, ix] - bounds[owner], 0.0)
@@ -838,35 +850,31 @@ def trace_boundary(m: SourceModel, f: FunctionSpec, sweep: BoundarySweep, mode: 
     kept = order[_pareto_front(coords[order, ix], coords[order, iy], gap[order])]
     if not kept.size:
         raise RegionError("no evaluated auxiliary system is admissible")
-    fill = kept[owner[kept] >= 0]  # kept descent rows, scored whole; corners already are
-    for at in range(0, len(fill), param.batch):
-        rows = fill[at:at + param.batch]
-        coords[rows] = _rows(param.source(points[rows]), (f,), mode, (d_used,))[0]
-    pool = [(row[ix], row[iy], row, i) for i, row in zip(kept.tolist(), coords[kept].tolist())]
-
-    def verified(entry) -> AuxSystem:
-        at = entry[3]
-        if at not in witnesses:  # each is verified once
-            aux = param.to_aux(points[at])
-            rates, gap = _eval_candidate(m, aux, f, mode, d_used)
-            again = rates.coords()
-            if gap > ADMISSIBILITY_TOL or any(abs(again[k] - entry[2][i]) > MEMBERSHIP_TOL
-                                              for i, k in zip(_ONE_ARM, keys)):
-                raise RegionError("a boundary witness does not reproduce its pool coordinates")
-            witnesses[at] = aux
-        return witnesses[at]
-
+    pool = list(zip(coords[kept, ix].tolist(), coords[kept, iy].tolist(), kept.tolist()))
     vertices = _lower_hull(pool) if budget.q_size > 1 else pool
-    results = []
+    picks = []  # per grid value: its (weight, pool row) parts, and whether a row met it
     for bound in sweep.grid:
         i = sum(e[0] <= bound + MEMBERSHIP_TOL for e in vertices) - 1  # -1: none meets it
         a = vertices[max(i, 0)]
-        parts = [(1.0, a)]
+        parts = [(1.0, a[2])]
         if budget.q_size > 1 and 0 <= i < len(vertices) - 1 and a[0] < bound:
             b = vertices[i + 1]
             w = (b[0] - bound) / (b[0] - a[0])
-            parts = [(w, a), (1.0 - w, b)]
-        mean = {k: sum(w * e[2][j] for w, e in parts) for j, k in zip(_ONE_ARM, keys)}
-        results.append(BoundaryPoint(**mean, witnesses=tuple(verified(e) for _, e in parts),
-                                     weights=tuple(w for w, _ in parts), feasible=i >= 0))
-    return results
+            parts = [(w, a[2]), (1.0 - w, b[2])]
+        picks.append((parts, i >= 0))
+    # the descent rows the points use, re-read whole as one batch of their systems
+    witnesses = {i: aux for i, (aux, _) in enumerate(corners)}
+    new = list(dict.fromkeys(at for parts, _ in picks for _, at in parts if at not in witnesses))
+    if new:
+        witnesses.update((at, param.to_aux(points[at])) for at in new)
+        again, gap = _rows(_source(m, *(witnesses[at] for at in new)), (f,), mode, (d_used,))
+        if np.any(gap[:, 0] > ADMISSIBILITY_TOL) or np.any(
+                np.abs(again[:, [ix, iy]] - coords[new][:, [ix, iy]]) > MEMBERSHIP_TOL):
+            raise RegionError("a boundary witness does not reproduce its pool coordinates")
+        coords[new] = again
+    rows = {at: row for at, row in zip(witnesses, coords[list(witnesses)].tolist())}
+    return [BoundaryPoint(**{k: sum(w * rows[at][j] for w, at in parts)
+                             for j, k in zip(_ONE_ARM, keys)},
+                          witnesses=tuple(witnesses[at] for _, at in parts),
+                          weights=tuple(w for w, _ in parts), feasible=feasible)
+            for parts, feasible in picks]

@@ -23,15 +23,19 @@ is built as structure alone (the model's tables and every axis), and
 batch it scores, and `take` restacks a subset of a source's systems with
 what was computed of them. A model keeps the structure of each alphabet set
 it is asked for (`_ProductForm.structure`), and every later call restacks
-it. How a marginal is contracted depends only on the structure and the axes
-asked for, so each such layout is planned once (`_layout`) and kept in the
-plans the structure and its restacks share (`_Source._plans`). A read is one
-einsum, or, for a marginal keeping axes of two arms or more with at least
-`WIDE_CELLS` cells per system, the same products and sums taken arm by arm
-(`_arm_by_arm`), with the same bits. The CMIs a reader asks for in one call
-(`_Source.cmis`) are planned there too: their distinct entropies, each read
-once.
-`_Dense` serves a dense `JointDist` the same way, under names its caller gives.
+it. How a marginal is read depends only on the structure and the axes asked
+for, so each set has one recipe, planned once with its layout (`_plan`,
+`_layout`) and kept in the plans the structure and its restacks share
+(`_Source._plans`): a set without q keeping some u or v is the q-sum of that
+set with q; a one-arm set keeping u but not v, xt or x is the xt-sum of that
+set with xt; every other set is read, by one einsum, or, keeping axes of two
+arms or more with at least `WIDE_CELLS` cells per system, by the same
+products and sums taken arm by arm (`_arm_by_arm`), with the same bits. A
+source keeps a table only as some recipe's parent (a set holding q and some
+u or v), so a search batch's one-arm reads are one einsum, (q, u, xt, y). The
+CMIs a reader asks for in one call (`_Source.cmis`) are planned there too:
+their distinct entropies, each read once.
+`_Dense` serves a dense `JointDist`, each marginal read off it, under given names.
 """
 
 from __future__ import annotations
@@ -76,8 +80,8 @@ class _Source:
     `_model_axes`, which only a `_ProductForm` has, live in the model's
     `_model_h` as (1,) arrays, read on a unit-weight restack; the rest in this
     source's own memo. `_plans` keeps what depends on the axes alone: each
-    `cmis` plan, keyed by its triples, and each `rows` layout, keyed by its
-    names.
+    `cmis` plan, keyed by its triples, each `rows` plan, keyed by its names,
+    and each `regions._multi_rates` plan, keyed by ("rates", its columns).
     """
 
     _model_axes: frozenset = frozenset()
@@ -92,22 +96,18 @@ class _Source:
         self._h: dict = {}
         self._plans: dict = {}
 
-    def entropy(self, names: tuple[str, ...], table: np.ndarray | None = None) -> np.ndarray:
+    def entropy(self, names: tuple[str, ...]) -> np.ndarray:
         """H(names) of each system, once per source (once per model on model
-        axes alone), from `table`, the marginal in any axis order, when given
-        and not model-only."""
+        axes alone)."""
         key = frozenset(names)
-        return self._memo_h(key, tuple(sorted(key, key=self._pos.get)),
-                            key <= self._model_axes, table)
+        return self._memo_h(key, tuple(sorted(key, key=self._pos.get)), key <= self._model_axes)
 
-    def _memo_h(self, key: frozenset, names: tuple[str, ...], model: bool,
-                table: np.ndarray | None = None) -> np.ndarray:
+    def _memo_h(self, key: frozenset, names: tuple[str, ...], model: bool) -> np.ndarray:
         memo = self._model_h if model else self._h
         h = memo.get(key)
-        if h is None:
-            if model:  # read on one system of unit weight, a (1,) for every batch
-                table = self.restacked(_UNIT, self._links).rows(names)
-            h = memo[key] = _entropy_rows(self.rows(names) if table is None else table)
+        if h is None:  # a model-only one on one system of unit weight, a (1,) for every batch
+            src = self.restacked(_UNIT, self._links) if model else self
+            h = memo[key] = _entropy_rows(src.rows(names))
         return h
 
     def uxy(self, k: int = 0) -> np.ndarray:
@@ -177,21 +177,23 @@ class _ProductForm(_Source):
                            for local, _ in self._arms)
 
     @classmethod
-    def of(cls, m, p_q: Dist, arms: Sequence[tuple[CondDist, Sequence, CondDist]],
+    def of(cls, m, p_q: Sequence[Dist], arms: Sequence[tuple[CondDist, Sequence, CondDist]],
            names: Sequence[tuple[str, ...]]) -> "_ProductForm":
-        """The one system (B = 1) on model m (a `SourceModel` or `MultiModel`)
-        of arms (p(xt|x), one `AuxPair` per weight symbol, p(yz|x)), m's
-        channels, arm k's axes named names[k], restacked from m's structure
-        (`structure`). Every evaluator's one feed rule: an arm's U channels
-        read its observation's alphabet as given."""
-        for (p_xt, per_q, _), (xt, *_) in zip(arms, names):  # every weight symbol shares these
-            if per_q[0].p_u_given_xt.input != p_xt.output:
+        """The systems of weights p_q, of one alphabet set, on model m (a
+        `SourceModel` or `MultiModel`) of arms (p(xt|x), per system one `AuxPair`
+        per weight symbol, p(yz|x)), m's channels, arm k's axes named names[k],
+        restacked from m's structure (`structure`). Every evaluator's one feed
+        rule: an arm's U channels read its observation's alphabet as given."""
+        for (p_xt, per_qs, _), (xt, *_) in zip(arms, names):  # each system's pairs share these
+            if any(per_q[0].p_u_given_xt.input != p_xt.output for per_q in per_qs):
                 raise ProbabilityError(f"auxiliary channel is not fed by the observation {xt!r}")
-        form = cls.structure(m, p_q.alphabet, [(p_xt, per_q[0].u_alphabet, per_q[0].v_alphabet,
-                                                p_yz) for p_xt, per_q, p_yz in arms], names)
-        return form.restacked(p_q.probs[None], [
-            (np.stack([p.p_u_given_xt.rows for p in per_q])[None],
-             np.stack([p.p_v_given_u.rows for p in per_q])[None]) for _, per_q, _ in arms])
+        form = cls.structure(m, p_q[0].alphabet, [
+            (p_xt, per_qs[0][0].u_alphabet, per_qs[0][0].v_alphabet, p_yz)
+            for p_xt, per_qs, p_yz in arms], names)
+        return form.restacked(np.array([p.probs for p in p_q]), [
+            (np.array([[p.p_u_given_xt.rows for p in per_q] for per_q in per_qs]),
+             np.array([[p.p_v_given_u.rows for p in per_q] for per_q in per_qs]))
+            for _, per_qs, _ in arms])
 
     @classmethod
     def structure(cls, m, q: Alphabet,
@@ -211,12 +213,44 @@ class _ProductForm(_Source):
         return JointDist._derived(self.axes, self.rows(tuple(a.name for a in self.axes))[0])
 
     def rows(self, names: tuple[str, ...]) -> np.ndarray:
-        layout = self._plans.get(names)
-        if layout is None:
-            layout = self._plans[names] = _layout(self._structure, names)
-        cells, subscripts, parts, wide = layout
+        plan = self._plans.get(names)
+        if plan is None:
+            plan = self._plans[names] = self._plan(names)
+        key, perm, kept, read = plan
+        table = self._tables.get(key)
+        if table is None:
+            table = self._read(*read)
+            if kept:
+                self._tables[key] = table
+        return table if perm is None else table.transpose(perm)
+
+    def _plan(self, names: tuple[str, ...]) -> tuple:
+        """How `rows` reads `names` (module docstring): the set, the permutation
+        from its canonical (`axes`) order to `names`, whether its table is
+        kept, and what `_read` takes: the set in canonical order, its recipe
+        (parent in canonical order, axis summed) or None, and its read's
+        `_layout`."""
+        key, canon = frozenset(names), tuple(sorted(names, key=self._pos.get))
+        perm = None if canon == names else (0,) + tuple(1 + canon.index(n) for n in names)
+        uv = key & {n for arm in self.arm_names for n in arm[1:3]}
+        arm = next((arm for arm in self.arm_names if key - {self.q} <= set(arm)), ())
+        add = (self.q if uv and self.q not in key else arm[0] if arm and arm[1] in key
+               and not key & {arm[0], arm[2], self.x} else None)
+        recipe = None
+        if add is not None:
+            parent = tuple(sorted(key | {add}, key=self._pos.get))
+            recipe = (parent, 1 + parent.index(add))
+        return key, perm, bool(uv) and self.q in key, (canon, recipe,
+                                                        *_layout(self._structure, canon))
+
+    def _read(self, names: tuple[str, ...], recipe: tuple | None, cells: int, subscripts: str,
+              parts: tuple, wide: tuple | None) -> np.ndarray:
+        """The marginal over `names`, in canonical order: its recipe's parent
+        summed, or else one einsum, taken arm by arm when wide."""
         if cells * self.batch > TABLE_CELL_CAP:
             _check_cells([self.axes[self._pos[n]] for n in names], "marginal", self.batch)
+        if recipe is not None:
+            return np.add.reduce(self.rows(recipe[0]), axis=recipe[1])
         operands = [self._p_q, self._p_x]
         for k, kept in parts:
             if (k, kept) not in self._parts:  # a chain product; the p(y,z|x) sums are there
@@ -240,7 +274,7 @@ class _ProductForm(_Source):
                              out.batch)
         out._parts = {key: part for key, part in self._parts.items() if key[1][0] >= 3}
         out._parts.update(parts or {})
-        out._h = {} if h is None else h
+        out._h, out._tables = {} if h is None else h, {}
         return out
 
     def take(self, rows: np.ndarray) -> "_ProductForm":

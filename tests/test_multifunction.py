@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from conftest import (
     F,
@@ -19,7 +19,7 @@ from conftest import (
     random_binary_model,
 )
 import reference
-from sfcomp.models import DistortionSpec, MultiArm, MultiModel
+from sfcomp.models import DistortionSpec, FunctionSpec, ModelError, MultiArm, MultiModel
 from sfcomp.multifunction import (
     ChainViolation,
     MultiAuxSystem,
@@ -63,6 +63,12 @@ from sfcomp.regions import (
 )
 
 
+# Hypothesis's phases but shrinking, for the properties checked against dense
+# reference joints: each shrink step rebuilds J = 3 of them, and a failing
+# example took minutes to report. The examples generated stay the defaults'.
+NO_SHRINK = tuple(phase for phase in Phase if phase is not Phase.shrink)
+
+
 def single_arm_model(m, f=XOR_F, d=HAMMING_D):
     return MultiModel(m.p_x, (MultiArm(m.p_xt_given_x, m.p_yz_given_x, f, d),))
 
@@ -97,7 +103,7 @@ class TestBuildMultiJoint:
         assert np.array_equal(multi.table, single.table)
         assert build_multi_joint(mm, a).names == multi.names
 
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=15, deadline=None, phases=NO_SHRINK)
     @given(st.integers(0, 10_000), st.integers(1, 3), st.integers(1, 2),
            st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=3, max_size=3))
     def test_builders_equal_the_reference(self, seed, j, q_size, sizes):
@@ -197,20 +203,28 @@ class TestInnerBound:
                           "lossless")
 
     def test_reconstruction_and_distortion_must_fit_each_arm(self, cascade_model):
-        # on the J = 1 model: a |U| = 1 table on a |U| = 2 arm, and a 3-symbol
-        # distortion on a binary function
+        # on the J = 1 model: a |U| = 1 table on a |U| = 2 arm; a 3-symbol
+        # distortion on a binary function is refused by the arm itself
         aux, f3 = identity_aux(cascade_model), _alphabet_of_size("f", 3)
-        a = multi_from_aux([aux])
-        g = optimal_g(cascade_model, aux, XOR_F, HAMMING_D)
+        a, mm = multi_from_aux([aux]), single_arm_model(cascade_model)
         narrow = optimal_g(cascade_model, constant_aux(cascade_model), XOR_F, HAMMING_D)
-        for mm, g_bad in ((single_arm_model(cascade_model), narrow),
-                          (single_arm_model(cascade_model, d=DistortionSpec.hamming(f3)), g)):
-            for evaluate in (lambda: eval_inner_mf(mm, a, "lossy", (g_bad,)),
-                             lambda: eval_outer_mf(mm, a, "lossy", (g_bad,)),
-                             lambda: eval_outer_mf(mm, build_multi_joint(mm, a), "lossy",
-                                                   (g_bad,))):
-                with pytest.raises(RegionError, match="reconstruction"):
-                    evaluate()
+        for evaluate in (lambda: eval_inner_mf(mm, a, "lossy", (narrow,)),
+                         lambda: eval_outer_mf(mm, a, "lossy", (narrow,)),
+                         lambda: eval_outer_mf(mm, build_multi_joint(mm, a), "lossy", (narrow,))):
+            with pytest.raises(RegionError, match="reconstruction"):
+                evaluate()
+        with pytest.raises(ModelError, match="3 symbols does not fit"):
+            single_arm_model(cascade_model, d=DistortionSpec.hamming(f3))
+
+    def test_function_must_fit_the_arm(self, cascade_model):
+        # unchecked, a function over a 3-letter xtilde on the binary cascade
+        # built a model that `eval_inner_mf` fed to numpy: "operands could not
+        # be broadcast together"
+        f3 = FunctionSpec(_alphabet_of_size("xtilde", 3), Y, F, np.zeros((3, 2), dtype=int))
+        fy = FunctionSpec(XT, _alphabet_of_size("y", 3), F, np.zeros((2, 3), dtype=int))
+        for f in (f3, fy):
+            with pytest.raises(ModelError, match="does not fit the observations"):
+                single_arm_model(cascade_model, f=f)
 
     def test_auxiliary_channel_must_be_fed_by_the_observation(self, cascade_model):
         # a U channel on a ternary input, against the binary observation of the arm
@@ -530,7 +544,7 @@ def _fields(r):
 
 
 class TestProductForm:
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=15, deadline=None, phases=NO_SHRINK)
     @given(st.integers(0, 10_000), st.integers(1, 3),
            st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=3, max_size=3))
     def test_marginals_match_dense_joint(self, seed, j, sizes):

@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import itertools
 import math
@@ -47,14 +48,38 @@ from test_regions import random_model
 TESTS = Path(__file__).resolve().parent
 
 
+def recipe_of(src, names):
+    """The (parent, its axis summed) a set is read from: a set without q
+    keeping some u or v is the q-sum of that set with q; a one-arm set
+    keeping u but not v, xt or x is the xt-sum of that set with xt; None for
+    every other set, which is read. The parent is in canonical (`axes`) order."""
+    key, q = set(names), src.q
+    arm = [arm for arm in src.arm_names if key - {q} <= set(arm)]  # the one arm it keeps
+    if q not in key and key & {n for xt, u, v, y, z in src.arm_names for n in (u, v)}:
+        add = q
+    elif arm and arm[0][1] in key and not key & {arm[0][0], arm[0][2], src.x}:
+        add = arm[0][0]
+    else:
+        return None
+    parent = tuple(sorted(key | {add}, key=src._pos.get))
+    return parent, 1 + parent.index(add)
+
+
 def reference_rows(src, names):
     """`_ProductForm.rows` as built before layouts were cached: the cell check,
     the labels and the operands rebuilt on every call, in einsum's sublist
-    form, with every chain product computed afresh."""
+    form, with every chain product computed afresh, in canonical (`axes`)
+    order and then transposed to `names`; a recipe set (`recipe_of`) is its
+    parent's uncached read, summed."""
     _check_cells([src.axes[src._pos[n]] for n in names], "marginal", len(src._p_q))
+    canon = tuple(sorted(names, key=src._pos.get))
+    perm = (0,) + tuple(1 + canon.index(n) for n in names)
+    recipe = recipe_of(src, canon)
+    if recipe is not None:
+        return np.add.reduce(reference_rows(src, recipe[0]), axis=recipe[1]).transpose(perm)
     # einsum labels: output axes first, then the batch, q and x
-    label = {n: i for i, n in enumerate(names)}
-    b, q, x = len(names), label.get(src.q, len(names) + 1), label.get(src.x, len(names) + 2)
+    label = {n: i for i, n in enumerate(canon)}
+    b, q, x = len(canon), label.get(src.q, len(canon) + 1), label.get(src.x, len(canon) + 2)
     operands = [src._p_q, [b, q], src._p_x, [x]]
     for k, ((local, p_xt), (p_u, p_v)) in enumerate(zip(src._arms, src._links)):
         # an arm's axes summed out whole, or the tail of either branch, sum to 1
@@ -65,7 +90,7 @@ def reference_rows(src, names):
                                                                    for i in chain]]
         if yz:
             operands += [src._parts[k, yz], [x] + [label[local[i].name] for i in yz]]
-    return np.einsum(*operands, [b] + list(range(len(names))))
+    return np.einsum(*operands, [b] + list(range(len(canon)))).transpose(perm)
 
 
 def stochastic(rng, shape):
@@ -107,6 +132,31 @@ class TestLayouts:
                 got = src.rows(pick)
                 assert got.shape == want.shape and np.array_equal(got, want)  # bit for bit
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**16), st.integers(1, 3), st.integers(1, 2), st.integers(1, 4),
+           st.data())
+    def test_every_recipe_set_is_its_parents_read_summed(self, seed, j, q_size, batch, data):
+        rng = np.random.default_rng(seed)
+        sizes = [tuple(int(n) for n in rng.integers(1, 4, size=5)) for _ in range(j)]
+        src = random_form(rng, sizes, q_size, int(rng.integers(1, 4)), batch)
+        names = [a.name for a in src.axes]
+        for _ in range(8):  # sets keeping some u or v, most of them recipe sets
+            arm = data.draw(st.sampled_from(src.arm_names))
+            pick = data.draw(st.lists(st.sampled_from(names), max_size=4, unique=True))
+            keep = arm[data.draw(st.sampled_from([1, 2]))]
+            pick = tuple(data.draw(st.permutations(pick + [keep] * (keep not in pick))))
+            recipe = recipe_of(src, pick)
+            canon = tuple(sorted(pick, key=src._pos.get))
+            assert src._plan(pick)[3][:2] == (canon, recipe)
+            if recipe is None:
+                continue
+            # each read on a source of its own, so no table is kept from another
+            got = src.restacked(src._p_q, src._links).rows(pick)
+            parent = src.restacked(src._p_q, src._links).rows(recipe[0])
+            want = np.add.reduce(parent, axis=recipe[1]).transpose(
+                (0,) + tuple(1 + canon.index(n) for n in pick))
+            assert got.shape == want.shape and np.array_equal(got, want)  # bit for bit
+
     def test_a_layout_cached_at_one_system_still_caps_a_batch(self):
         # two arms of 64 local cells: each arm factor fits 2049 systems, but
         # their joint marginal over every axis needs 2 * 64^2 cells per system
@@ -137,6 +187,20 @@ def _counting(module, name):
     return mock.patch.object(module, name, lambda *a: calls.append(1) or inner(*a)), calls
 
 
+@contextlib.contextmanager
+def _computing():
+    """Every table a `_ProductForm` computes while open, as (source, canonical
+    names, recipe): a read when the recipe is None, else its parent summed."""
+    computed, read = [], sources._ProductForm._read
+
+    def logged(self, names, recipe, *layout):
+        computed.append((self, names, recipe))
+        return read(self, names, recipe, *layout)
+
+    with mock.patch.object(sources._ProductForm, "_read", logged):
+        yield computed
+
+
 class TestWideMarginals:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**16), st.integers(2, 3), st.integers(1, 2), st.integers(1, 3),
@@ -156,16 +220,20 @@ class TestWideMarginals:
                 picks.append([n for n in (src.q, src.x) if data.draw(st.booleans())])
             names = tuple(data.draw(st.permutations([n for pick in picks for n in pick])))
             patch, wide = _counting(sources, "_arm_by_arm")
-            with mock.patch.object(sources, "WIDE_CELLS", 2), patch:
-                got = src.rows(names)
-            # a 1-cell marginal stays on the einsum, whose one-cell loop sums in another order
-            assert len(wide) == (math.prod(size[n] for n in names) > 1)
+            with mock.patch.object(sources, "WIDE_CELLS", 2), patch:  # no table kept yet
+                got = src.restacked(src._p_q, src._links).rows(names)
+            # a 1-cell marginal stays on the einsum, whose one-cell loop sums in another
+            # order; a set of two arms or more without q is read as that set with q
+            read = names if recipe_of(src, names) is None else recipe_of(src, names)[0]
+            assert len(wide) == (math.prod(size[n] for n in read) > 1)
             want = reference_rows(src, names)
             assert got.shape == want.shape and np.array_equal(got, want)  # bit for bit
 
     def test_a_one_cell_marginal_stays_on_the_einsum(self):
-        src = random_form(np.random.default_rng(5), [(2, 1, 2, 1, 2)] * 2, 2, 3, 3)
+        # |Q| = 1, so (u1, y2) is one cell, and so is (q, u1, y2), its parent
+        src = random_form(np.random.default_rng(5), [(2, 1, 2, 1, 2)] * 2, 1, 3, 3)
         names = ("u1", "y2")
+        assert recipe_of(src, names) == (("q", "u1", "y2"), 1)
         patch, wide = _counting(sources, "_arm_by_arm")
         with mock.patch.object(sources, "WIDE_CELLS", 1), patch:
             got = src.rows(names)
@@ -250,7 +318,8 @@ class TestPlannedReads:
     def test_each_distinct_entropy_is_read_once(self, seed, j, q_size, sizes):
         mm, a, _ = random_multi_system(np.random.default_rng(seed), sizes[:j], q_size)
         src = multifunction._source(mm, a)
-        with _recording() as reads:
+        einsums, wide = _counting(np, "einsum"), _counting(sources, "_arm_by_arm")
+        with _recording() as reads, _computing() as computed, einsums[0], wide[0]:
             regions._multi_rates(src)
             multifunction.multi_chain_report(mm, src)
         sets = {key for plan in src._plans.values() if len(plan) == 2 for key, _, _ in plan[0]}
@@ -261,11 +330,20 @@ class TestPlannedReads:
         assert len(unit) == len(model) and {key for *_, key in unit} == model
         assert all(who._model_h is mm._h and batch == 1 and np.array_equal(p_q, [[1.0]])
                    for who, batch, p_q, _ in unit)
-        # every other set once on the source itself, and each arm's (xt, x, y, z)
-        # model marginal, which the chain report compares with the model's
-        own = [frozenset(names) for who, _, _, names in reads if who is src]
+        # every other set, and each arm's (xt, x, y, z) model marginal, which the
+        # chain report compares with the model's, computed once on the source
+        # itself, by einsum or as one sum of its parent; a set computed besides
+        # them is some recipe's parent
+        own = [(frozenset(names), recipe) for who, names, recipe in computed if who is src]
+        keys = [key for key, _ in own]
+        parents = {frozenset(recipe[0]) for _, recipe in own if recipe is not None}
         marginals = {frozenset((xt, src.x, y, z)) for xt, _, _, y, z in src.arm_names}
-        assert len(own) == len(sets - model) + j and set(own) == (sets - model) | marginals
+        assert len(keys) == len(set(keys)) and set(keys) >= (sets - model) | marginals
+        assert parents <= set(keys) and set(keys) - (sets - model) - marginals <= parents
+        # one einsum per read (model-only reads included), and one per arm's model
+        # joint, which the chain report builds once (`build_joint`)
+        assert len(einsums[1]) + len(wide[1]) == \
+            sum(recipe is None for *_, recipe in computed) + mm.j
 
 
 class TestTemplateSources:
@@ -592,7 +670,8 @@ class TestModelObjects:
 # A J = 3 inner corner and a short trace, as float hex; set iteration order,
 # which PYTHONHASHSEED moves, must not move them. RECORDED holds them as
 # computed with numpy 2.4 on x86-64 with AVX-512; the corner's |Q| = 2 system
-# reads its model-only entropies at unit weight, as every system does.
+# reads its model-only entropies at unit weight, as every system does. Arm 2's
+# r_dec was re-recorded (-8.9e-16) when each marginal got one recipe.
 CHILD = """
 import numpy as np
 from conftest import HAMMING_D, XTPROJ_F, binary_cascade_model
@@ -610,7 +689,7 @@ print(" ".join(float(v).hex() for p in pts for v in (*p.coords().values(), *p.we
 """
 RECORDED = [
     "0x1.0d442ba7920f0p-3 0x1.797cf2aa92ce0p-6 0x1.dbaaf7b8951c0p-4 0x0.0p+0 "
-    "0x1.0d1d7e7602750p-3 0x1.b71789b924600p-10 0x1.363c5137f8440p-4 0x1.8000000000000p-51 "
+    "0x1.0d1d7e7602750p-3 0x1.b71789b924600p-10 0x1.363c5137f8400p-4 0x1.8000000000000p-51 "
     "0x1.1d96d24ac72a0p-4 0x1.0567035d1ba9dp-1 0x1.abba1eac94558p-2 0x1.208b3982daa2ep-1",
     "0x1.f92ffb86d8152p-2 0x1.f92ffb86d8156p-2 0x1.258b0f11acbd0p-2 0x1.258b0f11acbd6p-2 "
     "0x1.999999999999ap-5 0x1.9999999999995p-2 0x1.3333333333336p-1 0x1.f6d24421fcfb9p-3 "
